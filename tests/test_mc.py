@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from mdpvol import (DomainError, SimConfig, SimulationOverflowError,
                     estimate_smalltime_tail, exact_gaussian_call,
                     exact_gaussian_tail, make_constant_sigma, make_heston,
                     rescaled_coefficients, simulate)
+from mdpvol.mc import PathBatch
 from mdpvol.models import GrowthExponents, ModelSpec
 
 
@@ -209,3 +212,89 @@ class TestEstimateDeterminism:
         a = estimate_smalltime_tail(heston, 0.01, 0.2, 0.25, config)
         b = estimate_smalltime_tail(heston, 0.01, 0.2, 0.25, config)
         assert a == b
+
+
+def _lsv_model():
+    from mdpvol.models import make_lsv
+
+    return make_lsv(lambda x: 0.3 + 0.1 * np.tanh(x),
+                    lambda y: np.sqrt(np.maximum(y, 0.0)),
+                    lambda x, y: 2.0 * (0.1 - np.maximum(y, 0.0)),
+                    lambda x, y: 0.5 * np.sqrt(np.maximum(y, 0.0)),
+                    -0.5, 0.0, 0.1, GrowthExponents(q_sigma=0.5, q_g=0.5))
+
+
+def _bare_model():
+    return ModelSpec(sigma=lambda x, y: 0.2 + 0.1 * np.cos(y),
+                     f=lambda x, y: -y, g=lambda x, y: np.full_like(y, 0.3),
+                     rho=0.4, x0=0.0, y0=0.5, kind="custom",
+                     growth=GrowthExponents())
+
+
+def _digest(*parts) -> str:
+    """SHA-256 over every PathBatch array and the repr of each estimate's fields."""
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, PathBatch):
+            for f in fields(part):
+                digest.update(getattr(part, f.name).tobytes())
+        else:
+            digest.update(repr(astuple(part)).encode())
+    return digest.hexdigest()
+
+
+def _bitwise_case(name: str) -> str:
+    from mdpvol import (make_power_family, make_stein_stein,
+                        rescaled_coefficients)
+
+    heston = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
+    if name == "heston_chunks":
+        config = SimConfig(n_paths=3 * (1 << 17) + 1000, n_steps=4, t_end=0.01,
+                           seed=11)
+        return _digest(simulate(heston, config),
+                       estimate_smalltime_tail(heston, 0.01, 0.2, 0.25, config),
+                       estimate_call_smalltime(heston, 0.01, 0.2, 0.25, config),
+                       estimate_rv_tail(heston, 1.0, 0.05, 0.25, config))
+    if name == "heston_antithetic":
+        config = SimConfig(n_paths=(1 << 17) + 500, n_steps=6, t_end=0.5,
+                           seed=12, antithetic=True)
+        return _digest(simulate(heston, config),
+                       estimate_rv_tail(heston, 0.5, 0.05, 0.25, config))
+    if name == "heston_scaled":
+        config = SimConfig(n_paths=20_000, n_steps=16, t_end=1.0, seed=13)
+        return _digest(simulate(heston, config,
+                                scaled=rescaled_coefficients(heston, 0.01, 1.0)))
+    models = {
+        "constant_sigma": lambda: make_constant_sigma(0.2),
+        "stein_stein": lambda: make_stein_stein(0.1, -1.0, 0.3, -0.3, 0.0, 0.2),
+        "power_fractional": lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.25,
+                                                      0.75, -0.4, 0.0, 0.1),
+        "lsv": _lsv_model,
+        "bare_handles": _bare_model,
+    }
+    model = models[name]()
+    config = SimConfig(n_paths=(1 << 17) + 300, n_steps=5, t_end=0.05, seed=14)
+    return _digest(simulate(model, config),
+                   estimate_smalltime_tail(model, 0.05, 0.2, 0.25, config),
+                   estimate_call_smalltime(model, 0.05, 0.2, 0.25, config))
+
+
+# Digests of the full-truncation Euler engine's outputs, recorded before the
+# engine was restructured: any change to the draws, the order of the float
+# operations or the chunk layout changes them.
+BITWISE_DIGESTS = {
+    "heston_chunks": "e095ca5237781ca79c8f88ba72679fe066068f84f1fbb36336272504d282d43b",
+    "heston_antithetic": "0668aa49e52228a531e2e18706e58fc0d8646577a4765e00fe8242ff37e1809c",
+    "heston_scaled": "82bfa1ca38f8f41dc7ffb9e132c00fe0581916a56d8b8ff200f551e1f3671c9e",
+    "constant_sigma": "43a980124a0da17aabad0029835995517c92c624d4b4613b51ce6a64ba7f45ca",
+    "stein_stein": "aa7bd8e8879fc053ed4c35502386fb69a3a34eb77afef35c0f09b631d14bc9a5",
+    "power_fractional": "d76a4b7d95b53647f4b11efaeb4884d2f33b53e48a44dcf009adb252b6216d77",
+    "lsv": "f5815c0cc04b75e75b8e669c2393f93035972afbaaa668dc62d06b777368982b",
+    "bare_handles": "0f64ced0234aa79e4e8bcfe3e7dcf20f646847b25eab36a1a2b10d21561c93fa",
+}
+
+
+class TestBitwiseLock:
+    @pytest.mark.parametrize("name", sorted(BITWISE_DIGESTS))
+    def test_outputs_unchanged(self, name):
+        assert _bitwise_case(name) == BITWISE_DIGESTS[name]

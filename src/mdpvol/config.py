@@ -99,6 +99,39 @@ def _check_number(block: Mapping, key: str, where: str, violations: list,
         violations.append(f"{where}.{key}: must be {op} {hi}, got {value}")
 
 
+def _check_integer(block: Mapping, key: str, where: str, violations: list,
+                   lo: int) -> None:
+    if key not in block:
+        return
+    value = block[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        violations.append(f"{where}.{key}: expected an integer, got {value!r}")
+    elif value < lo:
+        violations.append(f"{where}.{key}: must be >= {lo}, got {value}")
+
+
+def _check_params(params: Mapping, violations: list) -> None:
+    _check_integer(params, "paths", "params", violations, lo=1)
+    _check_integer(params, "steps", "params", violations, lo=1)
+    _check_number(params, "t", "params", violations, lo=0, lo_strict=True)
+    _check_number(params, "k", "params", violations, lo=0)
+    _check_number(params, "x", "params", violations)
+    if "x_values" in params:
+        values = params["x_values"]
+        if not isinstance(values, list) or not values:
+            violations.append(
+                f"params.x_values: expected a nonempty list of numbers, got {values!r}")
+        else:
+            for index, value in enumerate(values):
+                if (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not math.isfinite(value)):
+                    violations.append(f"params.x_values[{index}]: expected a finite "
+                                      f"number, got {value!r}")
+    antithetic = params.get("antithetic", False)
+    if not isinstance(antithetic, bool):
+        violations.append(f"params.antithetic: expected true or false, got {antithetic!r}")
+
+
 def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     """Validate a decoded document, collecting every violation."""
     violations: list[str] = []
@@ -153,6 +186,7 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         params = {}
     else:
         _check_keys(params, _PARAM_KEYS, "params", violations)
+        _check_params(params, violations)
 
     out_prefix = raw.get("out_prefix")
     if out_prefix is not None and not isinstance(out_prefix, str):

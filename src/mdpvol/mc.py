@@ -2,17 +2,29 @@
 
 Paths follow the full-truncation Euler scheme: at every step the coefficients
 are evaluated with the factor argument clamped at zero (square-root kinds
-clamp inside their handles), the factor itself may dip below zero between
+clamp inside their coefficients), the factor itself may dip below zero between
 steps, and the stored factor values are the clamped ones.  Correlated
 increments are built from independent draws as W = rho Z + sqrt(1 - rho^2) Zp,
 with Z driving the factor.
 
-Reproducibility contract: paths are generated in fixed-size chunks, each chunk
-drawing from a counter-based Philox stream keyed by (seed, chunk index), and
-estimators are reduced in chunk order.  Serial and parallel execution of the
-chunks therefore agree bitwise, and equal (model, config) inputs give
-bitwise-identical batches.  Antithetic sampling flips both underlying normal
-streams and doubles the stored batch.
+Paths are generated in fixed-size chunks of 2^17, each drawing from a
+counter-based Philox stream keyed by (seed, chunk index).  The chunks run on
+one worker thread per core the process may use (capped at the number of
+chunks; there is no setting for it).  Each worker owns one preallocated
+workspace, steps its chunks with in-place array operations only, and writes
+every chunk straight into that chunk's slice of the output arrays, so the
+batch is laid out in chunk order whatever the thread schedule.
+
+Reproducibility contract: the float operations of a path and their order do
+not depend on the worker count, so serial and threaded runs agree bitwise and
+equal (model, config) inputs give bitwise-identical batches.  If paths
+overflow, the error names the lowest overflowing chunk, as a serial run would.
+Antithetic sampling flips both underlying normal streams and doubles the
+stored batch.
+
+``simulate`` computes only the ``PathBatch`` fields it is asked for; the
+others come back as None.  The price estimators ask for ``x_terminal`` alone,
+the realised-variance estimator for ``integrated_variance`` alone.
 
 Tail estimators report the hit probability with a normal-approximation 95%
 confidence halfwidth and the normalized logarithm log(p) / h(t)^2 used by the
@@ -24,6 +36,8 @@ log-scale comparison.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,17 +50,21 @@ _OVERFLOW_GUARD = 1e12
 _CHUNK = 1 << 17
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
+PATH_FIELDS = ("x_terminal", "y_terminal", "integrated_variance", "x_running_max")
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Batch size, grid, seed and variance-reduction switches for one run."""
+    """Batch size, grid, seed and variance-reduction switches for one run.
+
+    The scheme is always full-truncation Euler (Lord, Koekkoek & van Dijk 2010).
+    """
 
     n_paths: int
     n_steps: int
     t_end: float
     seed: int = 0
     antithetic: bool = False
-    scheme: str = "euler_full_truncation"
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -55,22 +73,24 @@ class SimConfig:
             raise DomainError(f"n_steps: must be >= 1, got {self.n_steps}")
         if self.t_end <= 0:
             raise DomainError(f"t_end: must be positive, got {self.t_end}")
-        if self.scheme != "euler_full_truncation":
-            raise DomainError(f"scheme: unknown scheme '{self.scheme}'")
 
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Terminal and pathwise summaries of one simulated batch (immutable)."""
+    """Terminal and pathwise summaries of one simulated batch (immutable).
 
-    x_terminal: np.ndarray
-    y_terminal: np.ndarray
-    integrated_variance: np.ndarray
-    x_running_max: np.ndarray
+    A field that was not requested from ``simulate`` is None.
+    """
+
+    x_terminal: np.ndarray | None
+    y_terminal: np.ndarray | None
+    integrated_variance: np.ndarray | None
+    x_running_max: np.ndarray | None
 
     @property
     def size(self) -> int:
-        return len(self.x_terminal)
+        return next(len(getattr(self, name)) for name in PATH_FIELDS
+                    if getattr(self, name) is not None)
 
 
 @dataclass(frozen=True)
@@ -103,14 +123,29 @@ def _philox(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _worker_count(n_chunks: int) -> int:
+    """One worker per core this process may run on, and no more than chunks."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(n_chunks, cores)
+
+
 def simulate(model: ModelSpec, config: SimConfig,
-             scaled: ScaledCoefficients | None = None) -> PathBatch:
+             scaled: ScaledCoefficients | None = None,
+             fields=PATH_FIELDS) -> PathBatch:
     """Full-truncation Euler batch of the (optionally rescaled) system.
 
     ``scaled`` supplies the coefficient multipliers of the rescaled system;
     by default the original dynamics (all multipliers one) are simulated.
+    ``fields`` names the ``PathBatch`` fields to compute; the others are None.
     Raises SimulationOverflowError and aborts if any |X| crosses 1e12.
     """
+    unknown = [name for name in fields if name not in PATH_FIELDS]
+    if unknown or not fields:
+        raise DomainError(f"fields: need a nonempty subset of {PATH_FIELDS}, "
+                          f"got {tuple(fields)}")
     mult = scaled if scaled is not None else ScaledCoefficients.identity(model)
     dt = config.t_end / config.n_steps
     sqrt_dt = math.sqrt(dt)
@@ -123,56 +158,96 @@ def simulate(model: ModelSpec, config: SimConfig,
     b_x = mult.diff_x * sqrt_dt
     a_y = mult.drift_y * dt
     b_y = mult.diff_y * sqrt_dt
+    x0, y0 = float(model.x0), float(model.y0)
+    # the stored factor at time 0, the first trapezoid sample of V
+    y_first = float(np.maximum(y0, 0.0)) if clamp else y0
 
-    xs, ys, vs, ms = [], [], [], []
+    copies = 2 if config.antithetic else 1
+    out = {name: np.empty(copies * config.n_paths) if name in fields else None
+           for name in PATH_FIELDS}
+    x_out, y_out = out["x_terminal"], out["y_terminal"]
+    v_out, max_out = out["integrated_variance"], out["x_running_max"]
     n_chunks = (config.n_paths + _CHUNK - 1) // _CHUNK
-    for chunk_index in range(n_chunks):
-        n = min(_CHUNK, config.n_paths - chunk_index * _CHUNK)
-        rng = _philox(config.seed, chunk_index)
-        x = np.full(2 * n if config.antithetic else n, float(model.x0))
-        y = np.full_like(x, float(model.y0))
-        x_max = x.copy()
-        y_stored = np.maximum(y, 0.0) if clamp else y.copy()
-        # trapezoid of the stored factor: dt * (sum of samples - end averages)
-        y_first = y_stored.copy()
-        y_sum = np.zeros_like(x)
-        for _ in range(config.n_steps):
-            draws = rng.standard_normal((2, n))
-            if config.antithetic:
-                z = np.concatenate((draws[0], -draws[0]))
-                zp = np.concatenate((draws[1], -draws[1]))
-            else:
-                z, zp = draws[0], draws[1]
-            w = rho * z
-            w += rho_perp * zp
-            if coeffs is not None:
-                s, f, g = coeffs(x, y)
-            else:
-                s = model.sigma(x, y)
-                f = model.f(x, y)
-                g = model.g(x, y)
-            x += a_x * (s * s)
-            x += b_x * (s * w)
-            y += a_y * f
-            y += b_y * (g * z)
-            y_stored = np.maximum(y, 0.0) if clamp else y
-            y_sum += y_stored
-            np.maximum(x_max, x, out=x_max)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _OVERFLOW_GUARD:
-            raise SimulationOverflowError(
-                f"|X| crossed {_OVERFLOW_GUARD:g} in chunk {chunk_index}; batch aborted")
-        v = dt * (y_first + y_sum - 0.5 * (y_first + y_stored))
-        xs.append(x)
-        ys.append(y_stored.copy())
-        vs.append(v)
-        ms.append(x_max)
+    workers = _worker_count(n_chunks)
+    # Per worker: the two draw rows, sigma, f, g, and X and Y unless they
+    # live in the outputs.  Allocated on the calling thread, so that freed
+    # workspaces go back to its heap for later batches, not to worker heaps.
+    size = copies * min(_CHUNK, config.n_paths)
+    workspaces = [(np.empty((2, size)), np.empty(size), np.empty(size), np.empty(size),
+                   np.empty(size) if x_out is None else None,
+                   np.empty(size) if y_out is None else None)
+                  for _ in range(workers)]
 
-    return PathBatch(
-        x_terminal=np.concatenate(xs),
-        y_terminal=np.concatenate(ys),
-        integrated_variance=np.concatenate(vs),
-        x_running_max=np.concatenate(ms),
-    )
+    def run_worker(first: int) -> int | None:
+        """Run chunks first, first + workers, ...; return the first that overflows."""
+        draws, s, tmp, g, x_work, y_work = workspaces[first]
+        for chunk_index in range(first, n_chunks, workers):
+            n = min(_CHUNK, config.n_paths - chunk_index * _CHUNK)
+            m = copies * n
+            start = copies * chunk_index * _CHUNK
+            rows = slice(start, start + m)
+            x = x_work[:m] if x_out is None else x_out[rows]
+            y = y_work[:m] if y_out is None else y_out[rows]
+            v = None if v_out is None else v_out[rows]
+            x_max = None if max_out is None else max_out[rows]
+            x.fill(x0)
+            y.fill(y0)
+            if v is not None:
+                v.fill(0.0)
+            if x_max is not None:
+                x_max.fill(x0)
+            z, w = draws[0, :m], draws[1, :m]
+            coeff_out = (s[:m], tmp[:m], g[:m])  # (sigma, f, g), f held in tmp
+            s_m, f_m, g_m = coeff_out
+            rng = _philox(config.seed, chunk_index)
+            for _ in range(config.n_steps):
+                rng.standard_normal(out=z[:n])
+                rng.standard_normal(out=w[:n])
+                if config.antithetic:
+                    np.negative(z[:n], out=z[n:])
+                    np.negative(w[:n], out=w[n:])
+                # w = rho z + rho_perp zp, built in zp's buffer
+                w *= rho_perp
+                w += np.multiply(z, rho, out=s_m)
+                coeffs(x, y, coeff_out)
+                f_m *= a_y
+                y += f_m
+                g_m *= z
+                g_m *= b_y
+                y += g_m
+                np.multiply(s_m, s_m, out=f_m)
+                f_m *= a_x
+                x += f_m
+                s_m *= w
+                s_m *= b_x
+                x += s_m
+                if v is not None:
+                    v += np.maximum(y, 0.0, out=f_m) if clamp else y
+                if x_max is not None:
+                    np.maximum(x_max, x, out=x_max)
+            if not np.abs(x, out=f_m).max() <= _OVERFLOW_GUARD:
+                return chunk_index
+            if clamp:
+                np.maximum(y, 0.0, out=y)
+            if v is not None:
+                # trapezoid of the stored factor: dt * (sum of samples - end averages)
+                np.add(y, y_first, out=f_m)
+                f_m *= 0.5
+                v += y_first
+                v -= f_m
+                v *= dt
+        return None
+
+    if workers == 1:
+        overflowed = [run_worker(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            overflowed = list(pool.map(run_worker, range(workers)))
+    overflowed = [j for j in overflowed if j is not None]
+    if overflowed:
+        raise SimulationOverflowError(
+            f"|X| crossed {_OVERFLOW_GUARD:g} in chunk {min(overflowed)}; batch aborted")
+    return PathBatch(**out)
 
 
 def _tail_from_batch(values: np.ndarray, threshold: float, speed: float,
@@ -205,7 +280,7 @@ def estimate_smalltime_tail(model: ModelSpec, t: float, k: float, beta: float,
     if sigma0 == 0:
         raise DomainError("sigma(x0, y0): must be non-zero")
     target = -k ** 2 / (2 * sigma0 ** 2)
-    batch = simulate(model, replace(config, t_end=t))
+    batch = simulate(model, replace(config, t_end=t), fields=("x_terminal",))
     return _tail_from_batch(batch.x_terminal, threshold, h ** 2, target)
 
 
@@ -228,7 +303,7 @@ def estimate_rv_tail(model: ModelSpec, t: float, x: float, beta: float,
     kappa, theta, xi = p["kappa"], p["theta"], p["xi"]
     threshold = x * t ** (beta + 0.5) + theta * t
     target = -kappa ** 2 * x ** 2 / (2 * xi ** 2 * theta)
-    batch = simulate(model, replace(config, t_end=t))
+    batch = simulate(model, replace(config, t_end=t), fields=("integrated_variance",))
     return _tail_from_batch(batch.integrated_variance, threshold, t ** (2 * beta), target)
 
 
@@ -256,7 +331,7 @@ def estimate_call_smalltime(model: ModelSpec, t: float, k: float, beta: float,
     if sigma0 == 0:
         raise DomainError("sigma(x0, y0): must be non-zero")
     target = -k ** 2 / (2 * sigma0 ** 2)
-    batch = simulate(model, replace(config, t_end=t))
+    batch = simulate(model, replace(config, t_end=t), fields=("x_terminal",))
     log_strike = model.x0 + k_t
     payoff = np.maximum(np.exp(batch.x_terminal) - math.exp(log_strike), 0.0)
     value = float(np.mean(payoff))

@@ -91,10 +91,13 @@ class ModelSpec:
         For the LSV kind, sigma(x, y) = sigma_local(x) * vol_mult(y) is kept
         factorized so the spot volatility sigma_local(x0) * vol_mult(y0) is
         available exactly.
-    coeffs_fused : callable, optional
-        (x, y) -> (sigma, f, g) in one call with shared intermediates;
-        numerically identical to the three handles, used by the simulation
-        hot loop.  Presets provide it.
+    coeffs_fused : callable (x, y, out) -> None
+        The simulation hot loop's only coefficient path: writes sigma, f and
+        g at (x, y) into the three caller-owned arrays of ``out``, bitwise
+        equal to the three handles.  Presets compute them in place; a model
+        built from bare handles gets a default that copies the handle
+        results into ``out``.  A ``replace`` that swaps a handle must pass a
+        matching ``coeffs_fused`` too.
     """
 
     sigma: Coefficient
@@ -114,9 +117,25 @@ class ModelSpec:
     vol_mult: Callable[[np.ndarray], np.ndarray] | None = None
     coeffs_fused: Callable | None = None
 
+    def __post_init__(self):
+        if self.coeffs_fused is None:
+            object.__setattr__(self, "coeffs_fused",
+                               _copy_handles(self.sigma, self.f, self.g))
+
     def spot_sigma(self) -> float:
         """Volatility level at the initial state."""
         return float(self.sigma(self.x0, self.y0))
+
+
+def _copy_handles(sigma: Coefficient, f: Coefficient, g: Coefficient) -> Callable:
+    """The fused coefficient interface of a model given by bare handles."""
+
+    def fused(x, y, out):
+        out[0][...] = sigma(x, y)
+        out[1][...] = f(x, y)
+        out[2][...] = g(x, y)
+
+    return fused
 
 
 @dataclass(frozen=True)
@@ -169,10 +188,13 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
     def g(x, y):
         return xi * np.sqrt(np.maximum(y, 0.0))
 
-    def fused(x, y):
-        clamped = np.maximum(y, 0.0)
-        root = np.sqrt(clamped)
-        return root, kappa * (theta - clamped), xi * root
+    def fused(x, y, out):
+        root, drift, diffusion = out
+        np.maximum(y, 0.0, out=root)
+        np.subtract(theta, root, out=drift)
+        drift *= kappa
+        np.sqrt(root, out=root)
+        np.multiply(root, xi, out=diffusion)
 
     return ModelSpec(
         sigma=sigma, f=f, g=g, rho=rho, x0=x0, y0=y0, kind="heston",
@@ -198,11 +220,18 @@ def make_stein_stein(a: float, b: float, c: float, rho: float,
     def g(x, y):
         return np.full_like(np.asarray(y, dtype=float), float(c))
 
+    def fused(x, y, out):
+        vol, drift, diffusion = out
+        np.add(y, 0.0, out=vol)
+        np.multiply(y, b, out=drift)
+        drift += a
+        diffusion.fill(c)
+
     return ModelSpec(
         sigma=sigma, f=f, g=g, rho=rho, x0=x0, y0=y0, kind="stein_stein",
         growth=GrowthExponents(nu_sigma=1.0, nu_g=0.0, q_sigma=1.0, q_g=0.0),
         params={"a": a, "b": b, "c": c, "c_sigma": 1.0, "c_g": c},
-        finite_exp_moments=moment_flag,
+        finite_exp_moments=moment_flag, coeffs_fused=fused,
     )
 
 
@@ -236,13 +265,23 @@ def make_power_family(a: float, b: float, c_g: float, c_sigma: float,
     def g(x, y):
         return c_g * _yc(y) ** nu_g
 
+    def fused(x, y, out):
+        vol, drift, diffusion = out
+        base = np.maximum(y, 0.0, out=drift) if fractional else y
+        np.power(base, nu_sigma, out=vol)
+        vol *= c_sigma
+        np.power(base, nu_g, out=diffusion)
+        diffusion *= c_g
+        np.multiply(y, b, out=drift)
+        drift += a
+
     return ModelSpec(
         sigma=sigma, f=f, g=g, rho=rho, x0=x0, y0=y0, kind="power",
         growth=GrowthExponents(nu_sigma=nu_sigma, nu_g=nu_g,
                                q_sigma=nu_sigma, q_g=nu_g),
         params={"a": a, "b": b, "c_g": c_g, "c_sigma": c_sigma,
                 "nu_g": nu_g, "nu_sigma": nu_sigma},
-        clamp_y=fractional, finite_exp_moments=moment_flag,
+        clamp_y=fractional, finite_exp_moments=moment_flag, coeffs_fused=fused,
     )
 
 
@@ -262,11 +301,16 @@ def make_constant_sigma(sigma_level: float, x0: float = 0.0,
     def zero(x, y):
         return np.zeros_like(np.asarray(y, dtype=float))
 
+    def fused(x, y, out):
+        out[0].fill(sigma_level)
+        out[1].fill(0.0)
+        out[2].fill(0.0)
+
     return ModelSpec(
         sigma=sigma, f=zero, g=zero, rho=0.0, x0=x0, y0=y0,
         kind="constant_sigma",
         growth=GrowthExponents(nu_sigma=None, nu_g=None, q_sigma=0.0, q_g=0.0),
-        params={"c_sigma": sigma_level},
+        params={"c_sigma": sigma_level}, coeffs_fused=fused,
     )
 
 
@@ -285,11 +329,17 @@ def make_lsv(sigma_local: Callable, vol_mult: Callable, f: Coefficient,
     def sigma(x, y):
         return np.asarray(sigma_local(x), dtype=float) * np.asarray(vol_mult(y), dtype=float)
 
+    def fused(x, y, out):
+        np.multiply(np.asarray(sigma_local(x), dtype=float),
+                    np.asarray(vol_mult(y), dtype=float), out=out[0])
+        out[1][...] = f(x, y)
+        out[2][...] = g(x, y)
+
     return ModelSpec(
         sigma=sigma, f=f, g=g, rho=rho, x0=x0, y0=y0, kind="lsv",
         growth=growth, params={}, y_only=False,
         finite_exp_moments=moment_flag,
-        sigma_local=sigma_local, vol_mult=vol_mult,
+        sigma_local=sigma_local, vol_mult=vol_mult, coeffs_fused=fused,
     )
 
 

@@ -7,7 +7,7 @@ as stated; their band sub-checks compare finite-horizon estimates against
 bands that independent oracles (exact Gaussian tail, saddlepoint on the exact
 cumulant function) place out of reach, so their honest outcome is a failure
 of the band part while the trend part holds.  The analysis is recorded in the
-result notes and in the project decision log.
+result notes and in the "Known status" section of the README.
 """
 
 import time
@@ -81,7 +81,7 @@ def test_criterion_08_small_time_mdp_trend():
     assert result.passed, (
         "band sub-check failed as predicted by the Gaussian-tail oracle "
         f"({result.details['gaussian_oracle_final']:.4f} vs band "
-        f"{result.details['band']}); see the decision log")
+        f"{result.details['band']}); see \"Known status\" in README.md")
 
 
 @pytest.mark.slow
@@ -91,7 +91,7 @@ def test_criterion_09_realized_variance_mdp_trend():
     assert result.passed, (
         "band sub-check failed as predicted by the saddlepoint oracle "
         f"({result.details['saddlepoint_oracle_final']:.4f} vs band "
-        f"{result.details['band']}); see the decision log")
+        f"{result.details['band']}); see \"Known status\" in README.md")
 
 
 def test_criterion_10_stationarity():

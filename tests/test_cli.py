@@ -37,6 +37,15 @@ class TestParseConfig:
             parse_config(json.dumps({"model": {"kapa": 2.0}}))
         assert any("did you mean 'kappa'" in v for v in info.value.violations)
 
+    def test_params_checks_collect_every_violation(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"params": {
+                "paths": 2.5, "steps": 0, "t": -1.0, "k": -0.1, "x": "z",
+                "x_values": [0.1, "a"], "antithetic": 1}}))
+        text = " | ".join(info.value.violations)
+        for key in ("paths", "steps", "t", "k", "x", "x_values[1]", "antithetic"):
+            assert f"params.{key}:" in text
+
     def test_all_violations_reported(self):
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps({
@@ -108,6 +117,16 @@ class TestCliRuns:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"regime": {"beta": 0.9}}))
         assert main(["rate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("sub, params, field", [
+        ("mc", {"paths": "abc"}, "params.paths"),
+        ("rate", {"x_values": "ab"}, "params.x_values"),
+    ])
+    def test_bad_param_type_exit_code(self, tmp_path, capsys, sub, params, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"params": params}))
+        assert main([sub, "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert f"config error: {field}: expected" in capsys.readouterr().err
 
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -10,7 +11,8 @@ from mdpvol import (DomainError, SimConfig, SimulationOverflowError,
                     estimate_smalltime_tail, exact_gaussian_call,
                     exact_gaussian_tail, make_constant_sigma, make_heston,
                     rescaled_coefficients, simulate)
-from mdpvol.mc import PathBatch
+from mdpvol import mc
+from mdpvol.mc import PATH_FIELDS, PathBatch
 from mdpvol.models import GrowthExponents, ModelSpec
 
 
@@ -298,3 +300,73 @@ class TestBitwiseLock:
     @pytest.mark.parametrize("name", sorted(BITWISE_DIGESTS))
     def test_outputs_unchanged(self, name):
         assert _bitwise_case(name) == BITWISE_DIGESTS[name]
+
+
+def _set_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: min(n_chunks, workers))
+
+
+class TestThreadedChunks:
+    def test_threaded_matches_serial(self, heston, monkeypatch):
+        config = SimConfig(n_paths=3 * (1 << 17) + 1000, n_steps=3, t_end=0.01,
+                           seed=4, antithetic=True)
+        default = simulate(heston, config)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the worker threads finely
+        try:
+            for workers in (1, 3):
+                _set_workers(monkeypatch, workers)
+                runs.append((simulate(heston, config),
+                             estimate_rv_tail(heston, 0.5, 0.05, 0.25, config)))
+        finally:
+            sys.setswitchinterval(interval)
+        for name in PATH_FIELDS:
+            expected = getattr(runs[0][0], name).tobytes()
+            assert getattr(default, name).tobytes() == expected
+            assert getattr(runs[1][0], name).tobytes() == expected
+        assert repr(astuple(runs[0][1])) == repr(astuple(runs[1][1]))
+
+    def test_only_requested_fields(self, heston):
+        config = SimConfig(n_paths=5000, n_steps=10, t_end=0.5, seed=6)
+        full = simulate(heston, config)
+        for name in PATH_FIELDS:
+            batch = simulate(heston, config, fields=(name,))
+            assert batch.size == 5000
+            for other in PATH_FIELDS:
+                value = getattr(batch, other)
+                if other == name:
+                    assert value.tobytes() == getattr(full, other).tobytes()
+                else:
+                    assert value is None
+        with pytest.raises(DomainError, match="fields"):
+            simulate(heston, config, fields=("x_max",))
+
+    def test_overflow_names_lowest_chunk(self, monkeypatch):
+        # sigma jumps to 1e9 once X passes a level, so a chunk overflows in
+        # its second step exactly when a first-step increment of it crosses
+        # the level; the level is placed so that two of four chunks overflow.
+        # At this seed they are chunks 1 and 2, which two workers run on
+        # different threads, chunk 2 as its first.
+        seed, n_chunks, dt = 7, 4, 0.5
+        peaks = [mc._philox(seed, j).standard_normal((2, 1 << 17))[1].max()
+                 for j in range(n_chunks)]
+        order = np.argsort(peaks)
+        z_level = 0.5 * (peaks[order[-2]] + peaks[order[-3]])
+        level = -0.5 * 0.2 ** 2 * dt + math.sqrt(dt) * 0.2 * z_level
+        expected = min(order[-2:])
+        assert sorted(order[-2:]) == [1, 2]
+
+        def sigma(x, y):
+            return np.where(x > level, 1e9, 0.2)
+
+        def zero(x, y):
+            return np.zeros_like(y)
+
+        model = ModelSpec(sigma=sigma, f=zero, g=zero, rho=0.0, x0=0.0, y0=0.1,
+                          kind="custom", growth=GrowthExponents())
+        config = SimConfig(n_paths=n_chunks << 17, n_steps=2, t_end=2 * dt, seed=seed)
+        for workers in (1, 2, 4):
+            _set_workers(monkeypatch, workers)
+            with pytest.raises(SimulationOverflowError, match=f"chunk {expected};"):
+                simulate(model, config)

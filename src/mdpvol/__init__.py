@@ -37,8 +37,8 @@ from .models import (AssumptionReport, GrowthExponents, ModelSpec,
                      make_heston, make_lsv, make_power_family,
                      make_stein_stein, with_functional_growth)
 from .paths import DiscretePath
-from .poisson import (PoissonSolution, generator_residual, solve_phi_cir,
-                      solve_phi_heston, solve_poisson_cev)
+from .poisson import (PoissonSolution, generator_residual, generator_residuals,
+                      solve_phi_cir, solve_phi_heston, solve_poisson_cev)
 from .rates import (INFINITE_RATE, LargeTimeParams, QbarResult,
                     QuadraticRateSpec, contract_two_to_one, endpoint_rate,
                     general_quadratic_rate, heston_large_time_params,

@@ -239,9 +239,9 @@ def criterion_08_smalltime_trend(seed: int = DEFAULT_SEED) -> CriterionResult:
     t = t_values[-1]
     h = t ** (-beta)
     z = (k * math.sqrt(t) * h + 0.5 * y0 * t) / math.sqrt(y0 * t)
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
-    oracle_final = math.log(float(norm.sf(z))) / h ** 2
+    oracle_final = math.log(float(ndtr(-z))) / h ** 2
     return CriterionResult(
         8, "small-time tail trend toward the quadratic target",
         passed=monotone and band_ok,
@@ -257,7 +257,7 @@ def criterion_08_smalltime_trend(seed: int = DEFAULT_SEED) -> CriterionResult:
 def _rv_mgf_saddle_tail(kappa, theta, xi, y0, c, t):
     """Saddlepoint tail P(V_t >= c) from the exact cumulant function."""
     from scipy.optimize import brentq
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     from .ldp import RealizedVarLdp, rv_mgf
 
@@ -275,7 +275,10 @@ def _rv_mgf_saddle_tail(kappa, theta, xi, y0, c, t):
     lam_pp = (lam(u_star + 1e-4) - 2 * lam(u_star) + lam(u_star - 1e-4)) / 1e-8
     w = math.copysign(math.sqrt(2 * (u_star * c - lam(u_star))), u_star)
     v = u_star * math.sqrt(lam_pp)
-    return float(norm.sf(w) + norm.pdf(w) * (1 / v - 1 / w))
+    # scipy.stats.norm.pdf(w) squares an array, i.e. w * w; the Python float
+    # w ** 2 calls pow and can differ in the last bit
+    pdf = np.exp(-w * w / 2.0) / np.sqrt(2 * np.pi)
+    return float(ndtr(-w) + pdf * (1 / v - 1 / w))
 
 
 def criterion_09_rv_trend(seed: int = DEFAULT_SEED) -> CriterionResult:

@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy import interpolate, stats
-from scipy.special import gammainc, gammaincc, gammaln
 
 from .errors import DomainError, GrowthError, QuadratureError, UnsupportedModelError
 from .models import ModelSpec
@@ -80,6 +78,28 @@ class InvariantMeasure:
         return out if out.ndim else float(out)
 
 
+def _gamma_truncation(shape: float, rate: float,
+                      theta: float) -> tuple[float, float, float, float]:
+    """Truncation bounds of the Gamma(shape, rate) law and the mass beyond each.
+
+    Returns (y_lo, y_hi, mass_below, mass_above).  Quantiles are
+    gammaincinv(shape, q) * (1 / rate), the float operations of
+    scipy.stats.gamma(shape, scale=1/rate).ppf(q).  y_hi leaves mass 1e-12
+    above it.  The left point is the one below which at most _TAIL_MASS sits,
+    capped by the coarse default max(1e-10, 1e-6 theta) and floored at the
+    representable limit; the floor only binds for extreme shapes, where the
+    remaining mass is restored by the boundary correction.
+    """
+    from scipy.special import gammainc, gammaincc, gammaincinv
+
+    scale = 1.0 / rate
+    y_hi = float(gammaincinv(shape, 1 - 1e-12) * scale)
+    q_lo = float(gammaincinv(shape, _TAIL_MASS) * scale)
+    y_lo = max(_Y_FLOOR, min(max(1e-10, 1e-6 * theta), q_lo))
+    return (y_lo, y_hi, float(gammainc(shape, rate * y_lo)),
+            float(gammaincc(shape, rate * y_hi)))
+
+
 def gamma_invariant(kappa: float, theta: float, xi: float) -> InvariantMeasure:
     """Closed-form Gamma invariant measure of the square-root factor.
 
@@ -92,17 +112,11 @@ def gamma_invariant(kappa: float, theta: float, xi: float) -> InvariantMeasure:
         raise DomainError(f"theta: must be positive, got {theta}")
     if xi == 0:
         raise DomainError("xi: must be non-zero")
+    from scipy.special import gammaln
+
     shape = 2 * kappa * theta / xi ** 2
     rate = 2 * kappa / xi ** 2
-    dist = stats.gamma(a=shape, scale=1.0 / rate)
-
-    y_hi = float(dist.ppf(1 - 1e-12))
-    # Left truncation: the point below which at most _TAIL_MASS sits, capped
-    # by the coarse default max(1e-10, 1e-6 theta) and floored at the
-    # representable limit; the floor only binds for extreme shapes, where the
-    # remaining mass is restored by the boundary correction.
-    q_lo = float(dist.ppf(_TAIL_MASS))
-    y_lo = max(_Y_FLOOR, min(max(1e-10, 1e-6 * theta), q_lo))
+    y_lo, y_hi, mass_below, mass_above = _gamma_truncation(shape, rate, theta)
     if not y_lo < y_hi:
         raise QuadratureError(f"degenerate truncation [{y_lo}, {y_hi}]")
 
@@ -115,8 +129,7 @@ def gamma_invariant(kappa: float, theta: float, xi: float) -> InvariantMeasure:
     return InvariantMeasure(
         kind="gamma", log_density=log_density, y_lo=y_lo, y_hi=y_hi,
         edges=geometric_edges(y_lo, y_hi),
-        mass_below=float(gammainc(shape, rate * y_lo)),
-        mass_above=float(gammaincc(shape, rate * y_hi)),
+        mass_below=mass_below, mass_above=mass_above,
         shape=shape, rate=rate,
         params={"kappa": kappa, "theta": theta, "xi": xi, "q_g": 0.5},
     )
@@ -146,13 +159,8 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float,
 
     gamma_like = q_g == 0.5
     if gamma_like:
-        shape = 2 * kappa * theta / xi ** 2
-        rate = 2 * kappa / xi ** 2
-        dist = stats.gamma(a=shape, scale=1.0 / rate)
-        y_hi = float(dist.ppf(1 - 1e-12))
-        y_lo = max(_Y_FLOOR, min(max(1e-10, 1e-6 * theta), float(dist.ppf(_TAIL_MASS))))
-        mass_below = float(gammainc(shape, rate * y_lo))
-        mass_above = float(gammaincc(shape, rate * y_hi))
+        y_lo, y_hi, mass_below, mass_above = _gamma_truncation(
+            2 * kappa * theta / xi ** 2, 2 * kappa / xi ** 2, theta)
     else:
         # Superexponential decay on both sides: expand until the log of the
         # unnormalized density falls 36 below its value at theta (relative
@@ -187,7 +195,9 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float,
     else:
         shift = 0.0
     exponent = cum - cum[anchor] + shift
-    spline = interpolate.CubicSpline(np.log(knots), exponent)
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(np.log(knots), exponent)
 
     def log_unnormalized(y):
         y = np.asarray(y, dtype=float)
@@ -291,16 +301,6 @@ def measure_variance(measure: InvariantMeasure) -> float:
     m1 = measure_mean(measure)
     m2 = integrate(measure, lambda y: y ** 2).value
     return m2 - m1 ** 2
-
-
-def generator_apply(f: Callable, g: Callable, fn_prime: Callable,
-                    fn_second: Callable) -> Callable:
-    """The generator f h' + 1/2 g^2 h'' as a function of y, from h', h''."""
-
-    def apply(y):
-        return f(y) * fn_prime(y) + 0.5 * g(y) ** 2 * fn_second(y)
-
-    return apply
 
 
 def averaged_drift(model: ModelSpec, measure: InvariantMeasure,

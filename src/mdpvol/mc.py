@@ -349,21 +349,21 @@ def exact_gaussian_tail(sigma_level: float, t: float, threshold: float,
     X_t is Gaussian with mean x0 - sigma^2 t / 2 and variance sigma^2 t; this
     is the closed-form oracle for coverage tests of the estimators.
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     mean = x0 - 0.5 * sigma_level ** 2 * t
     sd = abs(sigma_level) * math.sqrt(t)
-    return float(norm.sf((threshold - mean) / sd))
+    return float(ndtr(-((threshold - mean) / sd)))
 
 
 def exact_gaussian_call(sigma_level: float, t: float, log_strike: float,
                         x0: float = 0.0) -> float:
     """Exact E(e^{X_t} - e^{log_strike})_+ for the constant-volatility model."""
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     mean = x0 - 0.5 * sigma_level ** 2 * t
     sd = abs(sigma_level) * math.sqrt(t)
     d1 = (mean + sd ** 2 - log_strike) / sd
     d2 = (mean - log_strike) / sd
-    return float(math.exp(mean + 0.5 * sd ** 2) * norm.cdf(d1)
-                 - math.exp(log_strike) * norm.cdf(d2))
+    return float(math.exp(mean + 0.5 * sd ** 2) * ndtr(d1)
+                 - math.exp(log_strike) * ndtr(d2))

@@ -189,13 +189,13 @@ def solve_poisson_cev(H: Callable, measure: InvariantMeasure, kappa: float,
                            two_sided_gap=gap)
 
 
-def generator_residual(f: Callable, g: Callable, solution: PoissonSolution,
-                       rhs: Callable) -> float:
-    """Sup-norm of f u' + 1/2 g^2 u'' - rhs over the interior of the solve grid.
+def generator_residuals(f: Callable, g: Callable, solution: PoissonSolution,
+                        rhs: Callable) -> np.ndarray:
+    """|f u' + 1/2 g^2 u'' - rhs| at each interior node of the solve grid.
 
     u'' comes from second-order central differences of the stored u' on the
-    (generally non-uniform) grid; the outer 1/64 of nodes on each side are
-    excluded, as one-sided stencils would be required there.
+    (generally non-uniform) grid, so the first and last nodes carry no value:
+    entry j belongs to grid node j + 1.
     """
     y = solution.grid
     up = solution.u_prime_values
@@ -204,8 +204,18 @@ def generator_residual(f: Callable, g: Callable, solution: PoissonSolution,
     u_second = (h_minus ** 2 * up[2:] + (h_plus ** 2 - h_minus ** 2) * up[1:-1]
                 - h_plus ** 2 * up[:-2]) / (h_plus * h_minus * (h_plus + h_minus))
     yi = y[1:-1]
-    resid = np.abs(np.asarray(f(yi), dtype=float) * up[1:-1]
-                   + 0.5 * np.asarray(g(yi), dtype=float) ** 2 * u_second
-                   - np.asarray(rhs(yi), dtype=float))
-    margin = max(1, len(yi) // 64)
+    return np.abs(np.asarray(f(yi), dtype=float) * up[1:-1]
+                  + 0.5 * np.asarray(g(yi), dtype=float) ** 2 * u_second
+                  - np.asarray(rhs(yi), dtype=float))
+
+
+def generator_residual(f: Callable, g: Callable, solution: PoissonSolution,
+                       rhs: Callable) -> float:
+    """Sup-norm of ``generator_residuals`` away from the ends of the solve grid.
+
+    The outer 1/64 of interior nodes on each side are excluded, as one-sided
+    stencils would be required there.
+    """
+    resid = generator_residuals(f, g, solution, rhs)
+    margin = max(1, len(resid) // 64)
     return float(np.max(resid[margin:-margin]))

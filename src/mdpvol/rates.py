@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, SingularSystemError, UnsupportedModelError
 from .invariant import (InvariantMeasure, gamma_invariant, integrate,
@@ -237,6 +236,8 @@ def qbar_integrated(model: ModelSpec, H: Callable, measure: InvariantMeasure,
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
+    from scipy.linalg import solve_banded
+
     n = len(diag)
     ab = np.zeros((3, n))
     ab[0, 1:] = upper

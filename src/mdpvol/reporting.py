@@ -27,7 +27,7 @@ from .invariant import (gamma_invariant, integrate, measure_mean,
                         measure_variance, speed_measure)
 from .mc import (SimConfig, estimate_call_smalltime, estimate_rv_tail,
                  estimate_smalltime_tail)
-from .poisson import solve_poisson_cev
+from .poisson import generator_residuals, solve_poisson_cev
 from .rates import (endpoint_rate, heston_large_time_params,
                     share_large_time_params)
 
@@ -119,18 +119,12 @@ def run_poisson(config: ExperimentConfig, outdir: str) -> list[str]:
     sol = solve_poisson_cev(H, measure, kappa, theta, xi, q_g, q_h=1.0)
     h_bar = integrate(measure, H).value
 
-    y = sol.grid
-    up = sol.u_prime_values
-    h_minus = y[1:-1] - y[:-2]
-    h_plus = y[2:] - y[1:-1]
-    u_second = (h_minus ** 2 * up[2:] + (h_plus ** 2 - h_minus ** 2) * up[1:-1]
-                - h_plus ** 2 * up[:-2]) / (h_plus * h_minus * (h_plus + h_minus))
-    yi = y[1:-1]
-    g2 = (xi * yi ** q_g) ** 2
-    resid = np.abs(kappa * (theta - yi) * up[1:-1] + 0.5 * g2 * u_second
-                   - (H(yi) - h_bar))
-    rows = [(float(yi[j]), float(sol.u_values[j + 1]), float(up[j + 1]),
-             float(resid[j])) for j in range(len(yi))]
+    resid = generator_residuals(lambda y: kappa * (theta - y),
+                                lambda y: xi * y ** q_g, sol,
+                                lambda y: H(y) - h_bar)
+    rows = [(float(sol.grid[j + 1]), float(sol.u_values[j + 1]),
+             float(sol.u_prime_values[j + 1]), float(resid[j]))
+            for j in range(len(resid))]
     path = _out(outdir, config, "poisson.csv")
     write_csv(path, CSV_HEADERS["poisson"], rows)
     return [path]

@@ -19,7 +19,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 def _run(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
 
 
 def _scipy_modules_after(code: str) -> str:

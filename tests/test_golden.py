@@ -1,7 +1,7 @@
-"""Golden outputs of the deterministic runners and bitwise pins of the oracles.
+"""Golden outputs of the runners and bitwise pins of the oracles.
 
 The files under ``tests/golden/<case>/`` are what each runner writes for the
-case's config; the test reruns the runner into a temporary directory and
+case's config (the ``mc`` cases at small seeded batches); the test reruns the runner into a temporary directory and
 compares the bytes.  The scalar pins record the Gaussian and saddlepoint
 oracles and the truncation of the Gamma invariant measure with ``float.hex``,
 so any change in their float operations shows as a failure.
@@ -29,6 +29,12 @@ CASES = {
     "ldp": ("ldp", {}),
     "compare": ("compare", {}),
     "asymptotics": ("asymptotics", {}),
+    "mc_smalltime_tail": ("mc", {"target": "smalltime_tail", "paths": 20000,
+                                 "steps": 50}),
+    "mc_rv_tail": ("mc", {"target": "rv_tail", "t": 1.0, "paths": 20000,
+                          "steps": 50}),
+    "mc_call": ("mc", {"target": "call", "paths": 20000, "steps": 50,
+                       "antithetic": True}),
 }
 
 

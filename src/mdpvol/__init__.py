@@ -26,19 +26,20 @@ from .invariant import (InvariantMeasure, averaged_drift, averaged_state_path,
                         gamma_invariant, integrate, invariant_for_model,
                         measure_mean, measure_variance, speed_measure)
 from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
-                  fenchel_legendre_numeric, heston_lambda, heston_lambda_star,
-                  heston_u_star, rv_lambda_inf, rv_lambda_star, rv_mgf)
+                  curvature_identity, fenchel_legendre_numeric, heston_lambda,
+                  heston_lambda_star, heston_u_star, rv_lambda_inf,
+                  rv_lambda_star, rv_mgf)
 from .mc import (CallEstimate, PathBatch, SimConfig, TailEstimate,
                  estimate_call_smalltime, estimate_rv_tail,
                  estimate_smalltime_tail, exact_gaussian_call,
                  exact_gaussian_tail, simulate)
 from .models import (AssumptionReport, GrowthExponents, ModelSpec,
-                     check_assumptions, eval_coeffs, make_constant_sigma,
-                     make_heston, make_lsv, make_power_family,
-                     make_stein_stein, with_functional_growth)
+                     check_assumptions, make_constant_sigma, make_heston,
+                     make_lsv, make_power_family, make_stein_stein,
+                     with_functional_growth)
 from .paths import DiscretePath
 from .poisson import (PoissonSolution, generator_residual, generator_residuals,
-                      solve_phi_cir, solve_phi_heston, solve_poisson_cev)
+                      solve_phi_cir, solve_poisson_cev)
 from .rates import (INFINITE_RATE, LargeTimeParams, QbarResult,
                     QuadraticRateSpec, contract_two_to_one, endpoint_rate,
                     general_quadratic_rate, heston_large_time_params,
@@ -47,6 +48,6 @@ from .rates import (INFINITE_RATE, LargeTimeParams, QbarResult,
                     small_time_rate_1d, small_time_rate_2d)
 from .scaling import (ScaledCoefficients, ScalingRegime, h_eval,
                       mdp_growth_condition, rescaled_coefficients,
-                      tail_exponent, zeta_from_family)
+                      tail_exponent)
 
 __version__ = "0.1.0"

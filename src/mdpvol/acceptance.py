@@ -27,9 +27,9 @@ import numpy as np
 
 from .config import DEFAULT_MODEL, DEFAULT_SEED, subseed, validate_config
 from .invariant import gamma_invariant, integrate, speed_measure
-from .ldp import (D_VARIANTS, LdpHestonParams, RealizedVarLdp, curvature,
-                  fenchel_legendre_numeric, heston_lambda_star, rv_lambda_inf,
-                  rv_lambda_star)
+from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
+                  curvature_identity, fenchel_legendre_numeric, rv_lambda_inf,
+                  rv_lambda_star, rv_mgf)
 from .mc import (SimConfig, estimate_rv_tail, estimate_smalltime_tail,
                  exact_gaussian_tail)
 from .models import check_assumptions, make_constant_sigma, make_heston
@@ -81,19 +81,13 @@ def criterion_02_curvature_logprice() -> CriterionResult:
     """|curvature(Lambda*, -theta/2) * q - 1| <= 1e-3 under at least one d variant."""
     m = REFERENCE
     q = heston_large_time_params(_reference_model()).q
-    center = -m["theta"] / 2
-    residuals = {}
-    for variant in D_VARIANTS:
-        params = LdpHestonParams(m["kappa"], m["theta"], m["xi"], m["rho"],
-                                 d_variant=variant)
-        curv = curvature(lambda x: heston_lambda_star(params, x), center)
-        residuals[variant] = abs(curv * q - 1.0)
-    passing = [v for v in D_VARIANTS if residuals[v] <= 1e-3]
+    residuals, passing = curvature_identity(
+        LdpHestonParams(m["kappa"], m["theta"], m["xi"], m["rho"]), q)
     return CriterionResult(
         2, "curvature identity, log-price rate function",
-        passed=bool(passing),
-        details={"residuals": residuals, "passing_variant": passing[0] if passing else None},
-        notes=f"passing variant recorded: {passing[0] if passing else 'none'}")
+        passed=passing is not None,
+        details={"residuals": residuals, "passing_variant": passing},
+        notes=f"passing variant recorded: {passing or 'none'}")
 
 
 def criterion_03_curvature_rv() -> CriterionResult:
@@ -258,8 +252,6 @@ def _rv_mgf_saddle_tail(kappa, theta, xi, y0, c, t):
     """Saddlepoint tail P(V_t >= c) from the exact cumulant function."""
     from scipy.optimize import brentq
     from scipy.special import ndtr
-
-    from .ldp import RealizedVarLdp, rv_mgf
 
     params = RealizedVarLdp(kappa, theta, xi, y0)
     step = 1e-7

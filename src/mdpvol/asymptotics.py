@@ -114,8 +114,6 @@ def quote_catalog(model: ModelSpec, lt: LargeTimeParams, q_share: float,
     p = model.params
     rv = None
     if model.kind == "heston":
-        from .ldp import RealizedVarLdp
-
         rv = RealizedVarLdp(p["kappa"], p["theta"], p["xi"], model.y0)
     quotes = [
         AsymptoticQuote("small_time_call", smalltime_call_exponent(model, k),

@@ -14,7 +14,8 @@ import argparse
 import sys
 import time
 
-from .config import EXPERIMENTS, parse_config, validate_config
+from .config import (EXPERIMENTS, config_document, parse_config,
+                     validate_config)
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      QuadratureError, SimulationOverflowError,
                      SingularSystemError, UnsupportedModelError)
@@ -60,15 +61,8 @@ def _load_config(args) -> "ExperimentConfig":
         config = parse_config(text)
     else:
         config = validate_config({})
-    doc = {
-        "experiment": args.experiment,
-        "seed": config.seed,
-        "model": dict(config.model),
-        "regime": dict(config.regime),
-        "params": dict(config.params),
-    }
-    if config.out_prefix is not None:
-        doc["out_prefix"] = config.out_prefix
+    doc = config_document(config)
+    doc["experiment"] = args.experiment
     if args.experiment == "mc":
         if args.model is not None:
             doc["model"]["kind"] = args.model

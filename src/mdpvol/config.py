@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import ConfigError, DomainError
+from .ldp import D_VARIANTS
 from .models import (ModelSpec, make_constant_sigma, make_heston,
                      make_power_family, make_stein_stein)
 from .scaling import ScalingRegime
@@ -57,6 +58,12 @@ _PARAM_KEYS = (
     "target", "t", "k", "x", "x_values", "paths", "steps", "antithetic",
     "x_min", "x_max", "n_points", "d_variant", "functional", "q_g",
 )
+# the values a string-valued params key may take
+_PARAM_CHOICES: Mapping[str, tuple] = {
+    "target": ("smalltime_tail", "rv_tail", "call"),
+    "functional": ("linear", "half_centered_variance"),
+    "d_variant": D_VARIANTS,
+}
 
 
 @dataclass(frozen=True)
@@ -113,9 +120,17 @@ def _check_integer(block: Mapping, key: str, where: str, violations: list,
 def _check_params(params: Mapping, violations: list) -> None:
     _check_integer(params, "paths", "params", violations, lo=1)
     _check_integer(params, "steps", "params", violations, lo=1)
+    _check_integer(params, "n_points", "params", violations, lo=3)
     _check_number(params, "t", "params", violations, lo=0, lo_strict=True)
     _check_number(params, "k", "params", violations, lo=0)
     _check_number(params, "x", "params", violations)
+    _check_number(params, "x_min", "params", violations)
+    _check_number(params, "x_max", "params", violations)
+    _check_number(params, "q_g", "params", violations, lo=0.5, hi=1, hi_strict=True)
+    for key, allowed in _PARAM_CHOICES.items():
+        if key in params and params[key] not in allowed:
+            violations.append(f"params.{key}: expected one of {', '.join(allowed)}, "
+                              f"got {params[key]!r}{_suggest(str(params[key]), allowed)}")
     if "x_values" in params:
         values = params["x_values"]
         if not isinstance(values, list) or not values:
@@ -214,8 +229,8 @@ def parse_config(text: str) -> ExperimentConfig:
     return validate_config(raw)
 
 
-def print_config(config: ExperimentConfig) -> str:
-    """Canonical JSON text of a config; parse(print(c)) round-trips to c."""
+def config_document(config: ExperimentConfig) -> dict:
+    """The config as a JSON document of fresh dicts; validate_config inverts it."""
     doc = {
         "experiment": config.experiment,
         "seed": config.seed,
@@ -225,7 +240,12 @@ def print_config(config: ExperimentConfig) -> str:
     }
     if config.out_prefix is not None:
         doc["out_prefix"] = config.out_prefix
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return doc
+
+
+def print_config(config: ExperimentConfig) -> str:
+    """Canonical JSON text of a config; parse(print(c)) round-trips to c."""
+    return json.dumps(config_document(config), sort_keys=True, indent=2) + "\n"
 
 
 def build_model(config: ExperimentConfig) -> ModelSpec:

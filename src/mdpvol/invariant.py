@@ -32,7 +32,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError, GrowthError, QuadratureError, UnsupportedModelError
-from .models import ModelSpec
+from .models import ModelSpec, _is_cir_form
 from .paths import DiscretePath
 from .quadrature import (geometric_edges, integrate_logweight,
                          segment_cumulative, segment_integrals)
@@ -352,17 +352,13 @@ def invariant_for_model(model: ModelSpec) -> InvariantMeasure:
     if not model.y_only:
         raise UnsupportedModelError(
             "fast dynamics depend on the slow variable; no single invariant measure")
+    p = model.params
     if model.kind == "heston":
-        p = model.params
         return gamma_invariant(p["kappa"], p["theta"], p["xi"])
     if model.kind == "power":
-        p = model.params
-        b = p.get("b", 0.0)
-        a = p.get("a", 0.0)
-        nu_g = p.get("nu_g")
-        if b < 0 and a > 0 and nu_g is not None and 0.5 <= nu_g < 1:
-            return speed_measure(-b, a / (-b), p["c_g"], nu_g)
-        raise UnsupportedModelError(
-            "power model is not of mean-reverting power-diffusion form")
+        if not _is_cir_form(model):
+            raise UnsupportedModelError(
+                "power model is not of mean-reverting power-diffusion form")
+        return speed_measure(-p["b"], p["a"] / (-p["b"]), p["c_g"], p["nu_g"])
     raise UnsupportedModelError(
         f"no invariant-measure construction for kind '{model.kind}'")

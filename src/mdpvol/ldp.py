@@ -34,7 +34,7 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import DomainError
@@ -251,3 +251,20 @@ def curvature(fn: Callable[[float], float], x0: float) -> float:
     coarse = five_point(h)
     fine = five_point(h / 2)
     return (16 * fine - coarse) / 15.0
+
+
+def curvature_identity(params: LdpHestonParams,
+                       q: float) -> tuple[dict[str, float], str | None]:
+    """Residuals |curvature(Lambda*, -theta/2) * q - 1| under each d variant.
+
+    The large-time MDP rate (x + theta/2)^2 / (2 q) is the quadratic of
+    Lambda* at its minimum, so the residual of a consistent variant vanishes.
+    Returns the residual per variant (``params.d_variant`` is ignored) and the
+    first variant within 1e-3, or None.
+    """
+    residuals = {}
+    for variant in D_VARIANTS:
+        p_v = replace(params, d_variant=variant)
+        curv = curvature(lambda x: heston_lambda_star(p_v, x), -params.theta / 2)
+        residuals[variant] = abs(curv * q - 1.0)
+    return residuals, next((v for v in D_VARIANTS if residuals[v] <= 1e-3), None)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .asymptotics import smalltime_call_exponent
 from .errors import DomainError, SimulationOverflowError
 from .models import ModelSpec
 from .scaling import ScaledCoefficients
@@ -311,26 +312,17 @@ def estimate_call_smalltime(model: ModelSpec, t: float, k: float, beta: float,
                             config: SimConfig) -> CallEstimate:
     """Estimate E(e^{X_t} - e^{k_t})_+ with k_t = k sqrt(t) h(t), k > 0.
 
-    Requires the declared finite-exponential-moment flag on the model; the
-    normalized log is log(estimate) / h(t)^2 with small-time target
-    -k^2 / (2 sigma^2(x0, y0)).
+    The normalized log is log(estimate) / h(t)^2; the small-time target and
+    its preconditions (k > 0, the model's finite-exponential-moment flag, a
+    non-zero spot volatility) are those of ``smalltime_call_exponent``.
     """
-    if k <= 0:
-        raise DomainError(f"k: the small-time call asymptotics require k > 0, got {k}")
+    target = smalltime_call_exponent(model, k)
     if not 0 < t < 1:
         raise DomainError(f"t: must lie in (0, 1), got {t}")
     if not 0 < beta < 0.5:
         raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
-    if not model.finite_exp_moments:
-        raise DomainError(
-            "model: declared finite-exponential-moment flag is required "
-            "for call-price asymptotics")
     h = t ** (-beta)
     k_t = k * math.sqrt(t) * h
-    sigma0 = model.spot_sigma()
-    if sigma0 == 0:
-        raise DomainError("sigma(x0, y0): must be non-zero")
-    target = -k ** 2 / (2 * sigma0 ** 2)
     batch = simulate(model, replace(config, t_end=t), fields=("x_terminal",))
     log_strike = model.x0 + k_t
     payoff = np.maximum(np.exp(batch.x_terminal) - math.exp(log_strike), 0.0)

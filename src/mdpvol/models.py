@@ -343,14 +343,6 @@ def make_lsv(sigma_local: Callable, vol_mult: Callable, f: Coefficient,
     )
 
 
-def eval_coeffs(model: ModelSpec, x, y) -> tuple:
-    """Pointwise coefficient evaluation (sigma, f, g) at (x, y).
-
-    Total by construction: square-root kinds clamp y at 0 inside the handles.
-    """
-    return model.sigma(x, y), model.f(x, y), model.g(x, y)
-
-
 def with_functional_growth(model: ModelSpec, q_h: float) -> ModelSpec:
     """Copy of the model with the integrated-functional growth bound declared."""
     return replace(model, growth=replace(model.growth, q_h=q_h))

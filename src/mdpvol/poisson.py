@@ -70,37 +70,23 @@ class PoissonSolution:
         return np.interp(np.asarray(y, dtype=float), self.grid, self.u_prime_values)
 
 
-def solve_phi_heston(kappa: float, theta: float) -> PoissonSolution:
-    """Closed-form solution of L u = (y - theta)/2 for the square-root factor.
+def solve_phi_cir(kappa: float, theta: float, drift_coeff: float = -0.5) -> PoissonSolution:
+    """Closed-form solution of L u = -drift_coeff (y - theta) for the square-root factor.
 
-    u'(y) = -1/(2 kappa) identically; u(y) = -(y - theta) / (2 kappa) is
-    already centered because the invariant mean of the factor is theta.
+    u'(y) = drift_coeff / kappa identically; u(y) = drift_coeff (y - theta) / kappa
+    is already centered because the invariant mean of the factor is theta.  The
+    price dynamics have drift_coeff = -1/2 (L u = (y - theta)/2, the Phi of the
+    large-time constants); the share-measure dynamics use +1/2, flipping the
+    sign of u'.
     """
     if kappa <= 0:
         raise DomainError(f"kappa: must be positive, got {kappa}")
     if theta <= 0:
         raise DomainError(f"theta: must be positive, got {theta}")
     grid = np.geomspace(max(1e-10, 1e-6 * theta), 60 * theta, _GRID_POINTS)
-    u_prime = np.full_like(grid, -0.5 / kappa)
-    u = -(grid - theta) / (2 * kappa)
-    return PoissonSolution(grid=grid, u_values=u, u_prime_values=u_prime,
-                           closed_form="heston_phi_prime",
-                           centering_residual=0.0)
-
-
-def solve_phi_cir(kappa: float, theta: float, drift_coeff: float = -0.5) -> PoissonSolution:
-    """Closed-form solution of L u = -drift_coeff (y - theta), constant u'.
-
-    With drift_coeff = -1/2 this is ``solve_phi_heston``; the share-measure
-    dynamics use drift_coeff = +1/2, flipping the sign of u'.
-    """
-    if kappa <= 0:
-        raise DomainError(f"kappa: must be positive, got {kappa}")
-    sol = solve_phi_heston(kappa, theta)
-    scale = drift_coeff / (-0.5)
     return PoissonSolution(
-        grid=sol.grid, u_values=scale * sol.u_values,
-        u_prime_values=scale * sol.u_prime_values,
+        grid=grid, u_values=drift_coeff * (grid - theta) / kappa,
+        u_prime_values=np.full_like(grid, drift_coeff / kappa),
         closed_form="heston_phi_prime" if drift_coeff == -0.5 else "cir_phi_prime_flipped",
         centering_residual=0.0)
 
@@ -195,15 +181,20 @@ def generator_residuals(f: Callable, g: Callable, solution: PoissonSolution,
 
     u'' comes from second-order central differences of the stored u' on the
     (generally non-uniform) grid, so the first and last nodes carry no value:
-    entry j belongs to grid node j + 1.
+    entry j belongs to grid node j + 1.  The spacings enter the stencil scaled
+    by 2^-e, with e the binary exponent of their node, so that its cubic
+    denominator does not underflow on the tiny nodes of a Gamma law with small
+    shape; scaling by a power of two is exact, and is undone on u''.
     """
     y = solution.grid
     up = solution.u_prime_values
-    h_minus = y[1:-1] - y[:-2]
-    h_plus = y[2:] - y[1:-1]
-    u_second = (h_minus ** 2 * up[2:] + (h_plus ** 2 - h_minus ** 2) * up[1:-1]
-                - h_plus ** 2 * up[:-2]) / (h_plus * h_minus * (h_plus + h_minus))
     yi = y[1:-1]
+    _, e = np.frexp(yi)
+    h_minus = np.ldexp(yi - y[:-2], -e)
+    h_plus = np.ldexp(y[2:] - yi, -e)
+    u_second = np.ldexp(
+        (h_minus ** 2 * up[2:] + (h_plus ** 2 - h_minus ** 2) * up[1:-1]
+         - h_plus ** 2 * up[:-2]) / (h_plus * h_minus * (h_plus + h_minus)), -e)
     return np.abs(np.asarray(f(yi), dtype=float) * up[1:-1]
                   + 0.5 * np.asarray(g(yi), dtype=float) ** 2 * u_second
                   - np.asarray(rhs(yi), dtype=float))

@@ -166,8 +166,7 @@ def general_quadratic_rate(spec: QuadraticRateSpec, xi_path: DiscretePath) -> fl
 
 
 def large_time_params(model: ModelSpec, measure: InvariantMeasure,
-                      poisson_phi: PoissonSolution, gamma: float,
-                      zeta: float) -> LargeTimeParams:
+                      poisson_phi: PoissonSolution, zeta: float) -> LargeTimeParams:
     """Large-time MDP constants from the invariant measure and Poisson solution.
 
     alpha = zeta * x_drift_coeff * int sigma^2 dmu and
@@ -176,8 +175,6 @@ def large_time_params(model: ModelSpec, measure: InvariantMeasure,
     """
     if not model.y_only:
         raise UnsupportedModelError("large-time constants need y-only fast coefficients")
-    if gamma <= 0:
-        raise DomainError(f"gamma: must be positive, got {gamma}")
     x0 = model.x0
 
     def sigma2(y):
@@ -204,15 +201,15 @@ def large_time_params(model: ModelSpec, measure: InvariantMeasure,
     return LargeTimeParams(alpha=alpha, q=q, q_closed_form=q_closed)
 
 
-def heston_large_time_params(model: ModelSpec, zeta: float = 0.0,
-                             gamma: float = 1.0) -> LargeTimeParams:
+def heston_large_time_params(model: ModelSpec, zeta: float = 0.0) -> LargeTimeParams:
     """Convenience pipeline: invariant measure + constant-derivative Phi + constants."""
     if model.kind != "heston":
-        raise UnsupportedModelError("closed pipeline available for the square-root factor only")
+        raise UnsupportedModelError("closed pipeline available for the square-root "
+                                    f"factor (kind 'heston') only, got '{model.kind}'")
     p = model.params
     measure = gamma_invariant(p["kappa"], p["theta"], p["xi"])
     phi = solve_phi_cir(p["kappa"], p["theta"], drift_coeff=model.x_drift_coeff)
-    return large_time_params(model, measure, phi, gamma, zeta)
+    return large_time_params(model, measure, phi, zeta)
 
 
 def qbar_integrated(model: ModelSpec, H: Callable, measure: InvariantMeasure,
@@ -348,10 +345,9 @@ def share_measure_model(model: ModelSpec) -> ModelSpec:
         f"share-measure tilt not implemented for kind '{model.kind}'")
 
 
-def share_large_time_params(model: ModelSpec, zeta: float = 0.0,
-                            gamma: float = 1.0) -> LargeTimeParams:
+def share_large_time_params(model: ModelSpec, zeta: float = 0.0) -> LargeTimeParams:
     """Large-time constants of the share-measure dynamics (q^Q route)."""
-    return heston_large_time_params(share_measure_model(model), zeta, gamma)
+    return heston_large_time_params(share_measure_model(model), zeta)
 
 
 def endpoint_rate(q: float, x: float, alpha: float = 0.0,

@@ -22,11 +22,12 @@ import numpy as np
 from . import asymptotics as asy
 from . import ldp as ldp_mod
 from .config import ExperimentConfig, build_model, build_regime, subseed
-from .errors import ConfigError
+from .errors import UnsupportedModelError
 from .invariant import (gamma_invariant, integrate, measure_mean,
                         measure_variance, speed_measure)
 from .mc import (SimConfig, estimate_call_smalltime, estimate_rv_tail,
                  estimate_smalltime_tail)
+from .models import ModelSpec
 from .poisson import generator_residuals, solve_poisson_cev
 from .rates import (endpoint_rate, heston_large_time_params,
                     share_large_time_params)
@@ -83,16 +84,28 @@ def _out(outdir: str, config: ExperimentConfig, name: str) -> str:
     return os.path.join(outdir, f"{prefix}{name}")
 
 
-def _measure_for(config: ExperimentConfig):
-    m = config.model
-    q_g = config.params.get("q_g", 0.5)
+def _heston_model(config: ExperimentConfig) -> ModelSpec:
+    """The config's model, which must be Heston: the runner uses its kappa, theta, xi."""
+    model = build_model(config)
+    if model.kind != "heston":
+        raise UnsupportedModelError(
+            f"{config.experiment}: needs model.kind 'heston', got '{model.kind}'")
+    return model
+
+
+def _factor_measure(model: ModelSpec, q_g: float):
+    """Invariant measure of dY = kappa (theta - Y) dt + xi Y^q_g dZ, Heston's drift.
+
+    q_g = 1/2 is the Heston factor itself, with its closed-form Gamma law.
+    """
+    p = model.params
     if q_g == 0.5:
-        return gamma_invariant(m["kappa"], m["theta"], m["xi"])
-    return speed_measure(m["kappa"], m["theta"], m["xi"], q_g)
+        return gamma_invariant(p["kappa"], p["theta"], p["xi"])
+    return speed_measure(p["kappa"], p["theta"], p["xi"], q_g)
 
 
 def run_invariant(config: ExperimentConfig, outdir: str) -> list[str]:
-    measure = _measure_for(config)
+    measure = _factor_measure(_heston_model(config), config.params.get("q_g", 0.5))
     shape = "" if measure.shape is None else measure.shape
     rate = "" if measure.rate is None else measure.rate
     rows = [(measure.kind, shape, rate, measure_mean(measure),
@@ -103,19 +116,17 @@ def run_invariant(config: ExperimentConfig, outdir: str) -> list[str]:
 
 
 def run_poisson(config: ExperimentConfig, outdir: str) -> list[str]:
-    m = config.model
-    kappa, theta, xi = m["kappa"], m["theta"], m["xi"]
+    model = _heston_model(config)
+    p = model.params
+    kappa, theta, xi = p["kappa"], p["theta"], p["xi"]
     q_g = config.params.get("q_g", 0.5)
-    functional = config.params.get("functional", "linear")
-    measure = _measure_for(config)
-    if functional == "linear":
+    measure = _factor_measure(model, q_g)
+    if config.params.get("functional", "linear") == "linear":
         def H(y):
             return y
-    elif functional == "half_centered_variance":
+    else:  # "half_centered_variance"
         def H(y):
             return 0.5 * y
-    else:
-        raise ConfigError([f"params.functional: unknown functional '{functional}'"])
     sol = solve_poisson_cev(H, measure, kappa, theta, xi, q_g, q_h=1.0)
     h_bar = integrate(measure, H).value
 
@@ -148,27 +159,18 @@ def run_rate(config: ExperimentConfig, outdir: str) -> list[str]:
     return [path]
 
 
-def _ldp_grid(config: ExperimentConfig):
-    theta = config.model["theta"]
-    center = -theta / 2
-    x_min = config.params.get("x_min", center - 0.1)
-    x_max = config.params.get("x_max", center + 0.1)
-    n_points = int(config.params.get("n_points", 101))
-    if n_points < 3:
-        raise ConfigError(["params.n_points: need at least 3 grid points"])
-    return np.linspace(x_min, x_max, n_points)
-
-
 def _ldp_rows(config: ExperimentConfig):
-    model = build_model(config)
-    m = config.model
-    variant = config.params.get("d_variant", "as_printed")
-    params = ldp_mod.LdpHestonParams(m["kappa"], m["theta"], m["xi"], m["rho"],
-                                     d_variant=variant)
+    model = _heston_model(config)
+    p = model.params
+    params = ldp_mod.LdpHestonParams(p["kappa"], p["theta"], p["xi"], model.rho,
+                                     d_variant=config.params.get("d_variant",
+                                                                 "as_printed"))
     lt = heston_large_time_params(model, zeta=0.0)
-    grid = _ldp_grid(config)
+    center = -params.theta / 2
+    grid = np.linspace(config.params.get("x_min", center - 0.1),
+                       config.params.get("x_max", center + 0.1),
+                       config.params.get("n_points", 101))
     lam = np.array([ldp_mod.heston_lambda_star(params, x) for x in grid])
-    center = -m["theta"] / 2
     shift = float(np.min(lam))
     quad = (grid - center) ** 2 / (2 * lt.q) + shift
     diff = np.abs(lam - quad)
@@ -186,21 +188,12 @@ def run_ldp(config: ExperimentConfig, outdir: str) -> list[str]:
 
 def run_compare(config: ExperimentConfig, outdir: str) -> list[str]:
     rows, params, lt = _ldp_rows(config)
-    m = config.model
-    center = -m["theta"] / 2
-    residuals = {}
-    for variant in ldp_mod.D_VARIANTS:
-        p_v = ldp_mod.LdpHestonParams(m["kappa"], m["theta"], m["xi"], m["rho"],
-                                      d_variant=variant)
-        curv = ldp_mod.curvature(lambda x: ldp_mod.heston_lambda_star(p_v, x),
-                                 center)
-        residuals[variant] = abs(curv * lt.q - 1.0)
-    passing = [v for v in ldp_mod.D_VARIANTS if residuals[v] <= 1e-3]
+    residuals, passing = ldp_mod.curvature_identity(params, lt.q)
     summary = {
         "d_variant_used": params.d_variant,
         "q": lt.q,
-        "curvature_identity_residual": {k: v for k, v in residuals.items()},
-        "passing_variant": passing[0] if passing else None,
+        "curvature_identity_residual": residuals,
+        "passing_variant": passing,
         "min_lambda_star": min(row[1] for row in rows),
     }
     csv_path = _out(outdir, config, "compare.csv")
@@ -225,18 +218,15 @@ def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
     )
     if target_kind == "smalltime_tail":
         est = estimate_smalltime_tail(model, t, p.get("k", 0.2), regime.beta, sim)
-        row = (est.p_hat, est.ci_halfwidth, est.normalized_log,
-               est.analytic_target, est.normalized_log - est.analytic_target)
+        value = est.p_hat
     elif target_kind == "rv_tail":
         est = estimate_rv_tail(model, t, p.get("x", 0.05), regime.beta, sim)
-        row = (est.p_hat, est.ci_halfwidth, est.normalized_log,
-               est.analytic_target, est.normalized_log - est.analytic_target)
-    elif target_kind == "call":
+        value = est.p_hat
+    else:  # "call"
         est = estimate_call_smalltime(model, t, p.get("k", 0.2), regime.beta, sim)
-        row = (est.value, est.ci_halfwidth, est.normalized_log,
-               est.analytic_target, est.normalized_log - est.analytic_target)
-    else:
-        raise ConfigError([f"params.target: unknown target '{target_kind}'"])
+        value = est.value
+    row = (value, est.ci_halfwidth, est.normalized_log, est.analytic_target,
+           est.normalized_log - est.analytic_target)
     path = _out(outdir, config, "mc.csv")
     write_csv(path, CSV_HEADERS["mc"], [row])
     return [path]

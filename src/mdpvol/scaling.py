@@ -107,14 +107,6 @@ def tail_exponent(nu_sigma: float, nu_g: float) -> float:
     return (1 - nu_g + nu_sigma) / (2 * (1 - nu_g))
 
 
-def zeta_from_family(regime: ScalingRegime) -> float:
-    """The limit constant zeta of the regime; exactly zeta_c by the parametrization.
-
-    Zero means eps/delta is identically gamma.
-    """
-    return regime.zeta_c
-
-
 def mdp_growth_condition(q_g: float, q_h: float, beta: float) -> bool:
     """Whether sqrt(eps) h(eps)^{(q_g + q_h - 1)/(1 - q_g)} vanishes for h = eps^{-beta}.
 

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 
 import pytest
@@ -41,10 +43,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps({"params": {
                 "paths": 2.5, "steps": 0, "t": -1.0, "k": -0.1, "x": "z",
-                "x_values": [0.1, "a"], "antithetic": 1}}))
+                "x_values": [0.1, "a"], "antithetic": 1, "n_points": 2,
+                "x_min": None, "x_max": float("inf"), "q_g": 1,
+                "target": "call_price", "functional": "y",
+                "d_variant": "standrd"}}))
         text = " | ".join(info.value.violations)
-        for key in ("paths", "steps", "t", "k", "x", "x_values[1]", "antithetic"):
+        for key in ("paths", "steps", "t", "k", "x", "x_values[1]", "antithetic",
+                    "n_points", "x_min", "x_max", "q_g", "target", "functional",
+                    "d_variant"):
             assert f"params.{key}:" in text
+        assert "did you mean 'standard'" in text
 
     def test_all_violations_reported(self):
         with pytest.raises(ConfigError) as info:
@@ -121,12 +129,46 @@ class TestCliRuns:
     @pytest.mark.parametrize("sub, params, field", [
         ("mc", {"paths": "abc"}, "params.paths"),
         ("rate", {"x_values": "ab"}, "params.x_values"),
+        ("ldp", {"x_min": "a"}, "params.x_min"),
+        ("ldp", {"x_max": [0.1]}, "params.x_max"),
+        ("ldp", {"n_points": "abc"}, "params.n_points"),
+        ("compare", {"n_points": 3.7}, "params.n_points"),
+        ("poisson", {"q_g": "x"}, "params.q_g"),
+        ("poisson", {"functional": "quadratic"}, "params.functional"),
+        ("mc", {"target": "tail"}, "params.target"),
+        ("ldp", {"d_variant": "printed"}, "params.d_variant"),
     ])
     def test_bad_param_type_exit_code(self, tmp_path, capsys, sub, params, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"params": params}))
         assert main([sub, "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert f"config error: {field}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["invariant", "poisson"])
+    @pytest.mark.parametrize("model", [
+        {"kind": "stein_stein", "a": 0.3, "b": -1, "c": 0.4, "y0": 0.2},
+        {"kind": "power"},
+    ], ids=["stein_stein", "power"])
+    def test_non_heston_factor_rejected(self, tmp_path, capsys, sub, model):
+        # both runners build the square-root factor from Heston's kappa,
+        # theta, xi; another kind has none to give
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"'{model['kind']}'" in capsys.readouterr().err
+        assert not (tmp_path / f"{sub}.csv").exists()
+
+    def test_poisson_residuals_finite_at_small_gamma_shape(self, tmp_path):
+        # Gamma shape 2 kappa theta / xi^2 = 0.03: the solve grid starts near
+        # 1e-290, where the unscaled stencil's denominator underflows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"model": {"kappa": 0.97, "theta": 0.0132, "xi": 0.916}}))
+        assert main(["poisson", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "poisson.csv", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2046
+        assert all(math.isfinite(float(row["residual"])) for row in rows)
 
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,10 +1,11 @@
 """Golden outputs of the runners and bitwise pins of the oracles.
 
 The files under ``tests/golden/<case>/`` are what each runner writes for the
-case's config (the ``mc`` cases at small seeded batches); the test reruns the runner into a temporary directory and
-compares the bytes.  The scalar pins record the Gaussian and saddlepoint
-oracles and the truncation of the Gamma invariant measure with ``float.hex``,
-so any change in their float operations shows as a failure.
+case's config (the ``mc`` cases on small seeded batches); the test reruns the
+runner into a temporary directory and compares the bytes.  The scalar pins
+record the Gaussian and saddlepoint oracles and the truncation of the Gamma
+invariant measure with ``float.hex``, so any change in their float operations
+shows as a failure.
 """
 
 import os

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from mdpvol import (DomainError, check_assumptions, eval_coeffs,
-                    make_constant_sigma, make_heston, make_lsv,
-                    make_power_family, make_stein_stein, with_functional_growth)
+from mdpvol import (DomainError, check_assumptions, make_constant_sigma,
+                    make_heston, make_lsv, make_power_family, make_stein_stein,
+                    with_functional_growth)
 from mdpvol.models import GrowthExponents
 
 
 class TestMakeHeston:
     def test_sigma_at_reference(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
-        assert eval_coeffs(model, 0.0, 0.1)[0] == pytest.approx(np.sqrt(0.1), abs=0)
+        assert model.sigma(0.0, 0.1) == pytest.approx(np.sqrt(0.1), abs=0)
 
     def test_growth_exponents(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
@@ -34,7 +34,8 @@ class TestMakeHeston:
 
     def test_negative_y_clamped(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
-        sigma, f, g = eval_coeffs(model, 0.0, -0.01)
+        sigma, f, g = (model.sigma(0.0, -0.01), model.f(0.0, -0.01),
+                       model.g(0.0, -0.01))
         assert sigma == 0.0
         assert g == 0.0
         assert f == pytest.approx(2 * 0.1)
@@ -48,7 +49,7 @@ class TestMakeHeston:
 class TestMakeSteinStein:
     def test_sigma_is_y(self):
         model = make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2)
-        assert eval_coeffs(model, 0.0, 0.2)[0] == 0.2
+        assert model.sigma(0.0, 0.2) == 0.2
 
     def test_growth_exponents(self):
         model = make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2)
@@ -61,7 +62,7 @@ class TestMakeSteinStein:
 
     def test_drift_evaluation(self):
         model = make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2)
-        assert eval_coeffs(model, 0.0, 0.5)[1] == pytest.approx(-0.4)
+        assert model.f(0.0, 0.5) == pytest.approx(-0.4)
 
 
 class TestMakePowerFamily:
@@ -72,18 +73,18 @@ class TestMakePowerFamily:
                                   -0.5, 0.0, 0.1)
         x = np.linspace(-1, 1, 7)[:, None]
         y = np.linspace(0.0, 2.0, 33)[None, :]
-        for idx in range(3):
+        for name in ("sigma", "f", "g"):
             np.testing.assert_allclose(
-                eval_coeffs(power, x, y)[idx], eval_coeffs(heston, x, y)[idx],
+                getattr(power, name)(x, y), getattr(heston, name)(x, y),
                 rtol=0, atol=1e-15)
 
     def test_reproduces_stein_stein(self):
         ss = make_stein_stein(0.1, -1.0, 0.3, 0.2, 0.0, 0.2)
         power = make_power_family(0.1, -1.0, 0.3, 1.0, 0.0, 1.0, 0.2, 0.0, 0.2)
         y = np.linspace(0.0, 2.0, 17)
-        for idx in range(3):
+        for name in ("sigma", "f", "g"):
             np.testing.assert_allclose(
-                eval_coeffs(power, 0.0, y)[idx], eval_coeffs(ss, 0.0, y)[idx],
+                getattr(power, name)(0.0, y), getattr(ss, name)(0.0, y),
                 rtol=0, atol=1e-15)
 
     def test_exponent_region_enforced(self):
@@ -126,7 +127,7 @@ class TestAssumptionChecks:
 class TestOtherKinds:
     def test_constant_sigma(self):
         model = make_constant_sigma(0.2)
-        sigma, f, g = eval_coeffs(model, 0.3, 1.7)
+        sigma, f, g = model.sigma(0.3, 1.7), model.f(0.3, 1.7), model.g(0.3, 1.7)
         assert (sigma, f, g) == (0.2, 0.0, 0.0)
 
     def test_lsv_stores_factorized_handles(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mdpvol import (DomainError, gamma_invariant, generator_residual,
-                    integrate, solve_phi_heston, solve_poisson_cev,
+                    integrate, solve_phi_cir, solve_poisson_cev,
                     speed_measure)
 
 KAPPA, THETA, XI = 2.0, 0.1, 0.5
@@ -20,21 +20,21 @@ def linear_solution(measure):
 
 class TestClosedFormPhi:
     def test_constant_derivative(self):
-        sol = solve_phi_heston(2.0, THETA)
+        sol = solve_phi_cir(2.0, THETA)
         ys = np.linspace(0.01, 2.0, 50)
         np.testing.assert_allclose(sol.u_prime(ys), -0.25, atol=0)
 
     def test_half_kappa(self):
-        sol = solve_phi_heston(0.5, THETA)
+        sol = solve_phi_cir(0.5, THETA)
         assert sol.u_prime(0.3) == pytest.approx(-1.0, abs=0)
 
     def test_centered_against_invariant_measure(self, measure):
-        sol = solve_phi_heston(KAPPA, THETA)
+        sol = solve_phi_cir(KAPPA, THETA)
         value, _ = integrate(measure, sol.u)
         assert abs(value) <= 1e-10
 
     def test_exact_generator_residual(self):
-        sol = solve_phi_heston(KAPPA, THETA)
+        sol = solve_phi_cir(KAPPA, THETA)
         res = generator_residual(lambda y: KAPPA * (THETA - y),
                                  lambda y: XI * np.sqrt(y), sol,
                                  lambda y: 0.5 * (y - THETA))
@@ -50,7 +50,7 @@ class TestSpeedMeasureSolver:
     def test_half_variance_matches_phi(self, measure):
         sol = solve_poisson_cev(lambda y: 0.5 * y, measure, KAPPA, THETA, XI,
                                 0.5, q_h=1.0)
-        closed = solve_phi_heston(KAPPA, THETA)
+        closed = solve_phi_cir(KAPPA, THETA)
         window = np.linspace(0.01, 1.0, 400)
         gap = np.max(np.abs(sol.u_prime(window) - closed.u_prime(window)))
         assert gap <= 1e-4

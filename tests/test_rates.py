@@ -10,7 +10,7 @@ from mdpvol import (INFINITE_RATE, DiscretePath, DomainError,
                     general_quadratic_rate, heston_large_time_params,
                     large_time_params, make_heston, minimize_endpoint,
                     qbar_integrated, share_measure_model, small_time_rate_1d,
-                    small_time_rate_2d, solve_phi_heston, solve_poisson_cev)
+                    small_time_rate_2d, solve_phi_cir, solve_poisson_cev)
 
 Q_REF = 0.1140625  # theta (1 + xi^2/(4 kappa^2) - rho xi / kappa) at the reference set
 
@@ -102,8 +102,8 @@ class TestLargeTimeParams:
     def test_reference_q(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         measure = gamma_invariant(2, 0.1, 0.5)
-        phi = solve_phi_heston(2, 0.1)
-        lt = large_time_params(model, measure, phi, 1.0, 0.0)
+        phi = solve_phi_cir(2, 0.1)
+        lt = large_time_params(model, measure, phi, 0.0)
         assert lt.alpha == 0.0
         assert lt.q == pytest.approx(0.1140625, rel=1e-6)
         assert lt.q_closed_form == pytest.approx(0.1140625, rel=1e-15)
@@ -128,7 +128,7 @@ class TestLargeTimeParams:
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         measure = gamma_invariant(2, 0.1, 0.5)
         phi = solve_poisson_cev(lambda y: 0.5 * y, measure, 2, 0.1, 0.5, 0.5, q_h=1.0)
-        lt = large_time_params(model, measure, phi, 1.0, 0.0)
+        lt = large_time_params(model, measure, phi, 0.0)
         assert lt.q == pytest.approx(0.1140625, rel=1e-6)
 
 

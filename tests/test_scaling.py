@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdpvol import (DomainError, ScalingRegime, h_eval, make_heston,
-                    mdp_growth_condition, rescaled_coefficients, tail_exponent,
-                    zeta_from_family)
+                    mdp_growth_condition, rescaled_coefficients, tail_exponent)
 
 
 @pytest.fixture
@@ -46,9 +45,9 @@ class TestRegimeValidation:
             ScalingRegime(**kwargs)
 
     def test_zeta(self, regime):
-        assert zeta_from_family(regime) == 0.0
-        assert zeta_from_family(ScalingRegime(0.25, 1.0, 0.5)) == 0.5
-        assert zeta_from_family(ScalingRegime(0.25, 1.0, -1.0)) == -1.0
+        assert regime.zeta_c == 0.0
+        assert ScalingRegime(0.25, 1.0, 0.5).zeta_c == 0.5
+        assert ScalingRegime(0.25, 1.0, -1.0).zeta_c == -1.0
 
 
 class TestRescaledCoefficients:

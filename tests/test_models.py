@@ -123,6 +123,30 @@ class TestAssumptionChecks:
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         assert check_assumptions(model).passed("mean-reversion")
 
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1), True),
+        (lambda: make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2), False),
+        (lambda: make_constant_sigma(0.2), False),
+        (lambda: make_lsv(lambda x: 1.0 + 0 * np.asarray(x),
+                          lambda y: np.sqrt(np.maximum(y, 0.0)),
+                          lambda x, y: 0.2 - 2.0 * np.asarray(y),
+                          lambda x, y: 0.5 * np.sqrt(np.maximum(y, 0.0)),
+                          0.0, 0.0, 0.1,
+                          GrowthExponents(nu_sigma=0.5, nu_g=0.5,
+                                          q_sigma=0.5, q_g=0.5)), False),
+        (lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.0, 0.1), True),
+        (lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.75, 0.25, 0.0, 0.0, 0.1),
+         True),
+        (lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.25, 0.5, 0.0, 0.0, 0.1),
+         False),
+        (lambda: make_power_family(-0.2, -2.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.0, 0.1),
+         False),
+    ], ids=["heston", "stein_stein", "constant_sigma", "lsv", "power_cir",
+            "power_cir_qg075", "power_qg025", "power_negative_a"])
+    def test_cir_branch_per_preset(self, build, expected):
+        assert check_assumptions(build(), q_h=1.0).passed("functional-growth-cir") \
+            is expected
+
 
 class TestOtherKinds:
     def test_constant_sigma(self):

@@ -5,6 +5,7 @@ Library layout:
 - ``models``: model catalog (Heston, Stein-Stein, power family, constant
   volatility, LSV) and assumption checks;
 - ``scaling``: space-time rescaling and the limit constants;
+- ``families``: per-family model facts, the one dispatch on a model's kind;
 - ``invariant``: invariant measures of the fast factor and quadrature;
 - ``poisson``: Poisson equations for the fast-factor generator;
 - ``rates``: quadratic rate functions and variational minimizers;
@@ -22,13 +23,14 @@ from .asymptotics import (AsymptoticQuote, largetime_call_exponent,
 from .errors import (ConfigError, DomainError, GridMismatchError, GrowthError,
                      QuadratureError, SimulationOverflowError,
                      SingularSystemError, UnsupportedModelError)
+from .families import family
 from .invariant import (InvariantMeasure, averaged_drift, averaged_state_path,
-                        gamma_invariant, integrate, invariant_for_model,
-                        measure_mean, measure_variance, speed_measure)
+                        gamma_invariant, integrate, measure_mean,
+                        measure_variance, speed_measure)
 from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   curvature_identity, fenchel_legendre_numeric, heston_lambda,
                   heston_lambda_star, heston_u_star, rv_lambda_inf,
-                  rv_lambda_star, rv_mgf)
+                  rv_lambda_star, rv_mdp_exponent, rv_mgf)
 from .mc import (CallEstimate, PathBatch, SimConfig, TailEstimate,
                  estimate_call_smalltime, estimate_rv_tail,
                  estimate_smalltime_tail, exact_gaussian_call,
@@ -44,8 +46,8 @@ from .rates import (INFINITE_RATE, LargeTimeParams, QbarResult,
                     QuadraticRateSpec, contract_two_to_one, endpoint_rate,
                     general_quadratic_rate, heston_large_time_params,
                     large_time_params, minimize_endpoint, qbar_integrated,
-                    share_large_time_params, share_measure_model,
-                    small_time_rate_1d, small_time_rate_2d)
+                    share_large_time_params, small_time_rate_1d,
+                    small_time_rate_2d)
 from .scaling import (ScaledCoefficients, ScalingRegime, h_eval,
                       mdp_growth_condition, rescaled_coefficients,
                       tail_exponent)

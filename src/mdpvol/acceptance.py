@@ -29,7 +29,7 @@ from .config import DEFAULT_MODEL, DEFAULT_SEED, subseed, validate_config
 from .invariant import gamma_invariant, integrate, speed_measure
 from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   curvature_identity, fenchel_legendre_numeric, rv_lambda_inf,
-                  rv_lambda_star, rv_mgf)
+                  rv_lambda_star, rv_mdp_exponent, rv_mgf)
 from .mc import (SimConfig, estimate_rv_tail, estimate_smalltime_tail,
                  exact_gaussian_tail)
 from .models import check_assumptions, make_constant_sigma, make_heston
@@ -128,9 +128,9 @@ def criterion_05_poisson_oracle() -> CriterionResult:
     measure = gamma_invariant(kappa, theta, xi)
     window = np.linspace(0.01, 1.0, 512)
 
-    sol_linear = solve_poisson_cev(lambda y: y, measure, kappa, theta, xi, 0.5, q_h=1.0)
+    sol_linear = solve_poisson_cev(lambda y: y, measure, q_h=1.0)
     err_linear = float(np.max(np.abs(sol_linear.u_prime(window) + 1.0 / kappa)))
-    sol_phi = solve_poisson_cev(lambda y: 0.5 * y, measure, kappa, theta, xi, 0.5, q_h=1.0)
+    sol_phi = solve_poisson_cev(lambda y: 0.5 * y, measure, q_h=1.0)
     err_phi = float(np.max(np.abs(sol_phi.u_prime(window) + 0.5 / kappa)))
 
     def f(y):
@@ -283,7 +283,7 @@ def criterion_09_rv_trend(seed: int = DEFAULT_SEED) -> CriterionResult:
     model = _reference_model()
     m = REFERENCE
     beta, x = 0.25, 0.05
-    target = -m["kappa"] ** 2 * x ** 2 / (2 * m["xi"] ** 2 * m["theta"])
+    target = rv_mdp_exponent(RealizedVarLdp(m["kappa"], m["theta"], m["xi"], m["y0"]), x)
     t_values = (25.0, 50.0, 100.0)
     averaged = []
     for t in t_values:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .ldp import RealizedVarLdp, rv_lambda_star
+from .errors import DomainError, UnsupportedModelError
+from .families import family
+from .ldp import RealizedVarLdp, rv_lambda_star, rv_mdp_exponent
 from .models import ModelSpec
 from .rates import LargeTimeParams, endpoint_rate, share_large_time_params
 
@@ -101,9 +102,7 @@ def rv_option_quotes(params: RealizedVarLdp, x: float, beta: float,
         raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
     if t <= 0:
         raise DomainError(f"t: must be positive, got {t}")
-    ldp_quote = x - rv_lambda_star(params, x)
-    mdp_quote = -params.kappa ** 2 * x ** 2 / (2 * params.xi ** 2 * params.theta)
-    return ldp_quote, mdp_quote
+    return x - rv_lambda_star(params, x), rv_mdp_exponent(params, x)
 
 
 def quote_catalog(model: ModelSpec, lt: LargeTimeParams, q_share: float,
@@ -111,10 +110,10 @@ def quote_catalog(model: ModelSpec, lt: LargeTimeParams, q_share: float,
                   t: float) -> list[AsymptoticQuote]:
     """Every asymptotic quote for one model at the given strikes and horizon."""
     leading, correction = largetime_put_quote(lt, -abs(x), beta, t)
-    p = model.params
-    rv = None
-    if model.kind == "heston":
-        rv = RealizedVarLdp(p["kappa"], p["theta"], p["xi"], model.y0)
+    try:
+        rv = RealizedVarLdp(*family(model).square_root_factor(), model.y0)
+    except UnsupportedModelError:  # no realised-variance rates for this family
+        rv = None
     quotes = [
         AsymptoticQuote("small_time_call", smalltime_call_exponent(model, k),
                         "k > 0", "h(t)^2 = t^(-2*beta)"),

@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .config import (EXPERIMENTS, config_document, parse_config,
+from .config import (EXPERIMENTS, MODEL_KINDS, config_document, parse_config,
                      validate_config)
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      QuadratureError, SimulationOverflowError,
@@ -37,8 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         if name == "mc":
-            p.add_argument("--model", choices=("heston", "stein_stein",
-                                               "constant_sigma", "power"))
+            p.add_argument("--model", choices=MODEL_KINDS)
             p.add_argument("--t", type=float)
             p.add_argument("--k", type=float)
             p.add_argument("--x", type=float)

@@ -52,7 +52,7 @@ _MODEL_KEYS = ("kind", "kappa", "theta", "xi", "rho", "x0", "y0",
                "a", "b", "c", "c_g", "c_sigma", "nu_g", "nu_sigma")
 _REGIME_KEYS = ("beta", "gamma", "zeta_c")
 _TOP_KEYS = ("experiment", "seed", "model", "regime", "params", "out_prefix")
-_MODEL_KINDS = ("heston", "stein_stein", "power", "constant_sigma")
+MODEL_KINDS = ("heston", "stein_stein", "power", "constant_sigma")
 
 _PARAM_KEYS = (
     "target", "t", "k", "x", "x_values", "paths", "steps", "antithetic",
@@ -172,10 +172,10 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     else:
         _check_keys(raw_model, _MODEL_KEYS, "model", violations)
         model.update({k: v for k, v in raw_model.items() if k in _MODEL_KEYS})
-        if raw_model and "kind" in raw_model and raw_model["kind"] not in _MODEL_KINDS:
+        if raw_model and "kind" in raw_model and raw_model["kind"] not in MODEL_KINDS:
             violations.append(
                 f"model.kind: unknown kind '{raw_model['kind']}'"
-                f"{_suggest(str(raw_model['kind']), _MODEL_KINDS)}")
+                f"{_suggest(str(raw_model['kind']), MODEL_KINDS)}")
         _check_number(model, "kappa", "model", violations, lo=0, lo_strict=True)
         _check_number(model, "theta", "model", violations, lo=0, lo_strict=True)
         _check_number(model, "xi", "model", violations)

@@ -31,8 +31,8 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, GrowthError, QuadratureError, UnsupportedModelError
-from .models import ModelSpec, _is_cir_form
+from .errors import DomainError, GrowthError, QuadratureError
+from .models import ModelSpec
 from .paths import DiscretePath
 from .quadrature import (geometric_edges, integrate_logweight,
                          segment_cumulative, segment_integrals)
@@ -340,25 +340,3 @@ def averaged_state_path(model: ModelSpec, measure: InvariantMeasure,
         xs[i + 1] = x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     return DiscretePath(np.linspace(0.0, horizon, n_steps + 1), xs)
 
-
-def invariant_for_model(model: ModelSpec) -> InvariantMeasure:
-    """The invariant measure of a model's fast factor, where available.
-
-    Supported families: the square-root factor (closed-form Gamma) and the
-    mean-reverting power-diffusion family (speed measure).  Models whose fast
-    dynamics depend on the slow variable have no single invariant measure and
-    are rejected.
-    """
-    if not model.y_only:
-        raise UnsupportedModelError(
-            "fast dynamics depend on the slow variable; no single invariant measure")
-    p = model.params
-    if model.kind == "heston":
-        return gamma_invariant(p["kappa"], p["theta"], p["xi"])
-    if model.kind == "power":
-        if not _is_cir_form(model):
-            raise UnsupportedModelError(
-                "power model is not of mean-reverting power-diffusion form")
-        return speed_measure(-p["b"], p["a"] / (-p["b"]), p["c_g"], p["nu_g"])
-    raise UnsupportedModelError(
-        f"no invariant-measure construction for kind '{model.kind}'")

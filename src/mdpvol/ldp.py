@@ -188,6 +188,11 @@ def rv_lambda_star(params: RealizedVarLdp, x: float) -> float:
     return params.kappa ** 2 * (x - params.theta) ** 2 / (2 * params.xi ** 2 * x)
 
 
+def rv_mdp_exponent(params: RealizedVarLdp, x: float) -> float:
+    """Realised-variance moderate-deviations exponent -J_V(x) = -kappa^2 x^2 / (2 xi^2 theta)."""
+    return -params.kappa ** 2 * x ** 2 / (2 * params.xi ** 2 * params.theta)
+
+
 def fenchel_legendre_numeric(fn: Callable[[float], float], u_lo: float,
                              u_hi: float, x: float,
                              fprime: Callable[[float], float] | None = None,

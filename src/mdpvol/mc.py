@@ -44,6 +44,8 @@ import numpy as np
 
 from .asymptotics import smalltime_call_exponent
 from .errors import DomainError, SimulationOverflowError
+from .families import family
+from .ldp import RealizedVarLdp, rv_mdp_exponent
 from .models import ModelSpec
 from .scaling import ScaledCoefficients
 
@@ -292,18 +294,15 @@ def estimate_rv_tail(model: ModelSpec, t: float, x: float, beta: float,
     The normalized log is log(p) / t^{2 beta}; the analytic target is the
     integrated-variance rate -kappa^2 x^2 / (2 xi^2 theta).
     """
-    if model.kind != "heston":
-        raise DomainError("model: realised-variance tail needs the square-root model")
+    kappa, theta, xi = family(model).square_root_factor()
     if x <= 0:
         raise DomainError(f"x: must be positive, got {x}")
     if not 0 < beta < 0.5:
         raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
     if t <= 0:
         raise DomainError(f"t: must be positive, got {t}")
-    p = model.params
-    kappa, theta, xi = p["kappa"], p["theta"], p["xi"]
     threshold = x * t ** (beta + 0.5) + theta * t
-    target = -kappa ** 2 * x ** 2 / (2 * xi ** 2 * theta)
+    target = rv_mdp_exponent(RealizedVarLdp(kappa, theta, xi, model.y0), x)
     batch = simulate(model, replace(config, t_end=t), fields=("integrated_variance",))
     return _tail_from_batch(batch.integrated_variance, threshold, t ** (2 * beta), target)
 

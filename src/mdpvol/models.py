@@ -37,8 +37,6 @@ from .errors import DomainError
 
 Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-KINDS = ("heston", "stein_stein", "lsv", "power", "constant_sigma", "custom")
-
 
 @dataclass(frozen=True)
 class GrowthExponents:
@@ -71,7 +69,7 @@ class ModelSpec:
     x0, y0 : float
         Initial log-price and factor level.
     kind : str
-        One of ``KINDS``.
+        The family name; ``families.family`` dispatches on it.
     growth : GrowthExponents
         Declared growth metadata.
     params : mapping
@@ -350,16 +348,9 @@ def with_functional_growth(model: ModelSpec, q_h: float) -> ModelSpec:
 
 def _is_cir_form(model: ModelSpec) -> bool:
     """True when the fast dynamics are mean-reverting with g = xi y^{q_g}, q_g in [1/2, 1)."""
-    if not model.y_only:
-        return False
-    if model.kind == "heston":
-        return True
-    if model.kind == "power":
-        a = model.params.get("a", 0.0)
-        b = model.params.get("b", 0.0)
-        nu_g = model.params.get("nu_g")
-        return b < 0 and a > 0 and nu_g is not None and 0.5 <= nu_g < 1
-    return False
+    nu_g = model.growth.nu_g
+    return (model.y_only and model.params.get("b", 0.0) < 0 < model.params.get("a", 0.0)
+            and nu_g is not None and 0.5 <= nu_g < 1)
 
 
 def check_assumptions(model: ModelSpec, q_h: float | None = None,

@@ -45,7 +45,8 @@ import numpy as np
 from .errors import DomainError, SingularSystemError, UnsupportedModelError
 from .invariant import (InvariantMeasure, gamma_invariant, integrate,
                         integrate_tabulated)
-from .models import ModelSpec, make_heston, make_stein_stein
+from .families import family
+from .models import ModelSpec
 from .paths import DiscretePath, require_same_grid
 from .poisson import PoissonSolution, solve_phi_cir
 
@@ -73,8 +74,8 @@ class QuadraticRateSpec:
 class LargeTimeParams:
     """Drift and variance constants (alpha, q) of the large-time quadratic rate.
 
-    ``q_closed_form`` carries the square-root-factor closed form when the
-    model admits one, for cross-checking against the quadrature value.
+    ``q_closed_form`` carries the square-root-factor closed form, set by
+    ``heston_large_time_params``, to cross-check the quadrature value.
     """
 
     alpha: float
@@ -190,26 +191,18 @@ def large_time_params(model: ModelSpec, measure: InvariantMeasure,
         return s ** 2 + (phi_p * g) ** 2 + 2 * model.rho * s * g * phi_p
 
     q = _integrate_with_solution(measure, poisson_phi, q_integrand)
-
-    q_closed = None
-    if model.kind == "heston":
-        p = model.params
-        kappa, theta, xi = p["kappa"], p["theta"], p["xi"]
-        sign = 1.0 if model.x_drift_coeff < 0 else -1.0
-        q_closed = theta * (1 + xi ** 2 / (4 * kappa ** 2)
-                            - sign * model.rho * xi / kappa)
-    return LargeTimeParams(alpha=alpha, q=q, q_closed_form=q_closed)
+    return LargeTimeParams(alpha=alpha, q=q)
 
 
 def heston_large_time_params(model: ModelSpec, zeta: float = 0.0) -> LargeTimeParams:
-    """Convenience pipeline: invariant measure + constant-derivative Phi + constants."""
-    if model.kind != "heston":
-        raise UnsupportedModelError("closed pipeline available for the square-root "
-                                    f"factor (kind 'heston') only, got '{model.kind}'")
-    p = model.params
-    measure = gamma_invariant(p["kappa"], p["theta"], p["xi"])
-    phi = solve_phi_cir(p["kappa"], p["theta"], drift_coeff=model.x_drift_coeff)
-    return large_time_params(model, measure, phi, zeta)
+    """Square-root-factor pipeline: Gamma measure + constant-derivative Phi + constants,
+    with q_closed_form (its rho term flips sign under the share measure)."""
+    kappa, theta, xi = family(model).square_root_factor()
+    phi = solve_phi_cir(kappa, theta, drift_coeff=model.x_drift_coeff)
+    lt = large_time_params(model, gamma_invariant(kappa, theta, xi), phi, zeta)
+    sign = 1.0 if model.x_drift_coeff < 0 else -1.0
+    return replace(lt, q_closed_form=theta * (1 + xi ** 2 / (4 * kappa ** 2)
+                                              - sign * model.rho * xi / kappa))
 
 
 def qbar_integrated(model: ModelSpec, H: Callable, measure: InvariantMeasure,
@@ -307,47 +300,9 @@ def contract_two_to_one(sigma0: float, g0: float, rho: float,
     return small_time_rate_2d(sigma0, g0, rho, phi, psi), psi
 
 
-def share_measure_model(model: ModelSpec) -> ModelSpec:
-    """Dynamics under the measure with density e^{X_t}: drift of X flips sign,
-    factor drift gains rho g sigma.
-
-    For the square-root factor the tilted drift stays of mean-reverting
-    square-root form with kappa_q = kappa - rho xi and
-    theta_q = kappa theta / (kappa - rho xi), which requires
-    kappa - rho xi > 0; otherwise the tilted factor is no longer
-    mean-reverting and the change of measure is refused.
-    """
-    if not model.y_only:
-        raise UnsupportedModelError("share-measure tilt needs y-only coefficients")
-    rho = model.rho
-    if model.kind == "heston":
-        p = model.params
-        kappa, theta, xi = p["kappa"], p["theta"], p["xi"]
-        kappa_q = kappa - rho * xi
-        if kappa_q <= 0:
-            raise DomainError(
-                f"kappa - rho xi = {kappa_q:g} must be positive for the tilted factor")
-        theta_q = kappa * theta / kappa_q
-        tilted = make_heston(kappa_q, theta_q, xi, rho, model.x0, model.y0,
-                             moment_flag=model.finite_exp_moments)
-        return replace(tilted, x_drift_coeff=0.5)
-    if model.kind == "stein_stein":
-        p = model.params
-        a, b, c = p["a"], p["b"], p["c"]
-        b_q = b + rho * c
-        if b_q >= 0:
-            raise DomainError(
-                f"b + rho c = {b_q:g} must be negative for the tilted factor")
-        tilted = make_stein_stein(a, b_q, c, rho, model.x0, model.y0,
-                                  moment_flag=model.finite_exp_moments)
-        return replace(tilted, x_drift_coeff=0.5)
-    raise UnsupportedModelError(
-        f"share-measure tilt not implemented for kind '{model.kind}'")
-
-
 def share_large_time_params(model: ModelSpec, zeta: float = 0.0) -> LargeTimeParams:
     """Large-time constants of the share-measure dynamics (q^Q route)."""
-    return heston_large_time_params(share_measure_model(model), zeta)
+    return heston_large_time_params(family(model).share_measure(), zeta)
 
 
 def endpoint_rate(q: float, x: float, alpha: float = 0.0,

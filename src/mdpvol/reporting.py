@@ -22,12 +22,12 @@ import numpy as np
 from . import asymptotics as asy
 from . import ldp as ldp_mod
 from .config import ExperimentConfig, build_model, build_regime, subseed
-from .errors import UnsupportedModelError
+from .errors import ConfigError
+from .families import family
 from .invariant import (gamma_invariant, integrate, measure_mean,
                         measure_variance, speed_measure)
 from .mc import (SimConfig, estimate_call_smalltime, estimate_rv_tail,
                  estimate_smalltime_tail)
-from .models import ModelSpec
 from .poisson import generator_residuals, solve_poisson_cev
 from .rates import (endpoint_rate, heston_large_time_params,
                     share_large_time_params)
@@ -84,28 +84,18 @@ def _out(outdir: str, config: ExperimentConfig, name: str) -> str:
     return os.path.join(outdir, f"{prefix}{name}")
 
 
-def _heston_model(config: ExperimentConfig) -> ModelSpec:
-    """The config's model, which must be Heston: the runner uses its kappa, theta, xi."""
-    model = build_model(config)
-    if model.kind != "heston":
-        raise UnsupportedModelError(
-            f"{config.experiment}: needs model.kind 'heston', got '{model.kind}'")
-    return model
-
-
-def _factor_measure(model: ModelSpec, q_g: float):
-    """Invariant measure of dY = kappa (theta - Y) dt + xi Y^q_g dZ, Heston's drift.
-
-    q_g = 1/2 is the Heston factor itself, with its closed-form Gamma law.
-    """
-    p = model.params
+def _factor_measure(config: ExperimentConfig):
+    """Invariant measure of dY = kappa (theta - Y) dt + xi Y^q_g dZ, with the
+    model's square-root factor; q_g = 1/2 is that factor, with its Gamma law."""
+    kappa, theta, xi = family(build_model(config)).square_root_factor()
+    q_g = config.params.get("q_g", 0.5)
     if q_g == 0.5:
-        return gamma_invariant(p["kappa"], p["theta"], p["xi"])
-    return speed_measure(p["kappa"], p["theta"], p["xi"], q_g)
+        return gamma_invariant(kappa, theta, xi)
+    return speed_measure(kappa, theta, xi, q_g)
 
 
 def run_invariant(config: ExperimentConfig, outdir: str) -> list[str]:
-    measure = _factor_measure(_heston_model(config), config.params.get("q_g", 0.5))
+    measure = _factor_measure(config)
     shape = "" if measure.shape is None else measure.shape
     rate = "" if measure.rate is None else measure.rate
     rows = [(measure.kind, shape, rate, measure_mean(measure),
@@ -116,22 +106,19 @@ def run_invariant(config: ExperimentConfig, outdir: str) -> list[str]:
 
 
 def run_poisson(config: ExperimentConfig, outdir: str) -> list[str]:
-    model = _heston_model(config)
-    p = model.params
-    kappa, theta, xi = p["kappa"], p["theta"], p["xi"]
-    q_g = config.params.get("q_g", 0.5)
-    measure = _factor_measure(model, q_g)
+    measure = _factor_measure(config)
+    p = measure.params
     if config.params.get("functional", "linear") == "linear":
         def H(y):
             return y
     else:  # "half_centered_variance"
         def H(y):
             return 0.5 * y
-    sol = solve_poisson_cev(H, measure, kappa, theta, xi, q_g, q_h=1.0)
+    sol = solve_poisson_cev(H, measure, q_h=1.0)
     h_bar = integrate(measure, H).value
 
-    resid = generator_residuals(lambda y: kappa * (theta - y),
-                                lambda y: xi * y ** q_g, sol,
+    resid = generator_residuals(lambda y: p["kappa"] * (p["theta"] - y),
+                                lambda y: p["xi"] * y ** p["q_g"], sol,
                                 lambda y: H(y) - h_bar)
     rows = [(float(sol.grid[j + 1]), float(sol.u_values[j + 1]),
              float(sol.u_prime_values[j + 1]), float(resid[j]))
@@ -160,9 +147,8 @@ def run_rate(config: ExperimentConfig, outdir: str) -> list[str]:
 
 
 def _ldp_rows(config: ExperimentConfig):
-    model = _heston_model(config)
-    p = model.params
-    params = ldp_mod.LdpHestonParams(p["kappa"], p["theta"], p["xi"], model.rho,
+    model = build_model(config)
+    params = ldp_mod.LdpHestonParams(*family(model).square_root_factor(), model.rho,
                                      d_variant=config.params.get("d_variant",
                                                                  "as_printed"))
     lt = heston_large_time_params(model, zeta=0.0)
@@ -208,6 +194,9 @@ def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
     regime = build_regime(config)
     p = config.params
     target_kind = p.get("target", "smalltime_tail")
+    if target_kind == "rv_tail" and "t" not in p:
+        raise ConfigError(["params.t: required for target rv_tail, a large-time "
+                           "tail that the small-time default t = 0.01 cannot reach"])
     t = p.get("t", 0.01)
     sim = SimConfig(
         n_paths=int(p.get("paths", 100_000)),

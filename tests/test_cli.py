@@ -158,6 +158,20 @@ class TestCliRuns:
         assert f"'{model['kind']}'" in capsys.readouterr().err
         assert not (tmp_path / f"{sub}.csv").exists()
 
+    @pytest.mark.parametrize("extra, code", [([], 1), (["--t", "1"], 0)],
+                             ids=["no_t", "t_flag"])
+    def test_rv_tail_requires_t(self, tmp_path, capsys, extra, code):
+        # the small-time default t = 0.01 puts the large-time realised-variance
+        # threshold out of reach of every path; --t merges after the file is
+        # validated, so it must still supply the horizon
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"params": {"target": "rv_tail", "paths": 2000, "steps": 10}}))
+        assert main(["mc", "--config", str(cfg), "--out", str(tmp_path)] + extra) == code
+        assert ("config error: params.t: required" in capsys.readouterr().err) \
+            == (code == 1)
+        assert (tmp_path / "mc.csv").exists() == (code == 0)
+
     def test_poisson_residuals_finite_at_small_gamma_shape(self, tmp_path):
         # Gamma shape 2 kappa theta / xi^2 = 0.03: the solve grid starts near
         # 1e-290, where the unscaled stencil's denominator underflows

@@ -3,7 +3,7 @@ import pytest
 
 from mdpvol import (DomainError, GrowthError, UnsupportedModelError,
                     averaged_drift, averaged_state_path, gamma_invariant,
-                    integrate, invariant_for_model, make_constant_sigma,
+                    family, integrate, make_constant_sigma,
                     make_heston, make_lsv, speed_measure)
 from mdpvol.models import GrowthExponents
 
@@ -140,7 +140,7 @@ class TestAveragedPath:
 class TestInvariantForModel:
     def test_heston_dispatch(self):
         model = make_heston(**REF, rho=-0.5, x0=0.0, y0=0.1)
-        assert invariant_for_model(model).kind == "gamma"
+        assert family(model).invariant().kind == "gamma"
 
     def test_x_dependent_fast_dynamics_rejected(self):
         model = make_lsv(lambda x: 1.0 + 0 * np.asarray(x),
@@ -149,4 +149,4 @@ class TestInvariantForModel:
                          lambda x, y: np.ones_like(np.asarray(y, dtype=float)),
                          0.0, 0.0, 0.2, GrowthExponents(q_sigma=0, q_g=0))
         with pytest.raises(UnsupportedModelError):
-            invariant_for_model(model)
+            family(model).invariant()

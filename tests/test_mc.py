@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mdpvol import (DomainError, SimConfig, SimulationOverflowError,
-                    estimate_call_smalltime, estimate_rv_tail,
+                    UnsupportedModelError, estimate_call_smalltime, estimate_rv_tail,
                     estimate_smalltime_tail, exact_gaussian_call,
                     exact_gaussian_tail, make_constant_sigma, make_heston,
                     rescaled_coefficients, simulate)
@@ -172,7 +172,7 @@ class TestRvTail:
     def test_requires_square_root_model(self):
         model = make_constant_sigma(0.2)
         config = SimConfig(n_paths=10, n_steps=2, t_end=1.0, seed=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(UnsupportedModelError, match="'constant_sigma'"):
             estimate_rv_tail(model, 1.0, 0.05, 0.25, config)
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mdpvol import (DomainError, gamma_invariant, generator_residual,
-                    integrate, solve_phi_cir, solve_poisson_cev,
-                    speed_measure)
+from mdpvol import (gamma_invariant, generator_residual, integrate,
+                    solve_phi_cir, solve_poisson_cev, speed_measure)
 
 KAPPA, THETA, XI = 2.0, 0.1, 0.5
 
@@ -15,7 +14,7 @@ def measure():
 
 @pytest.fixture(scope="module")
 def linear_solution(measure):
-    return solve_poisson_cev(lambda y: y, measure, KAPPA, THETA, XI, 0.5, q_h=1.0)
+    return solve_poisson_cev(lambda y: y, measure, q_h=1.0)
 
 
 class TestClosedFormPhi:
@@ -48,8 +47,7 @@ class TestSpeedMeasureSolver:
         assert gap <= 1e-4
 
     def test_half_variance_matches_phi(self, measure):
-        sol = solve_poisson_cev(lambda y: 0.5 * y, measure, KAPPA, THETA, XI,
-                                0.5, q_h=1.0)
+        sol = solve_poisson_cev(lambda y: 0.5 * y, measure, q_h=1.0)
         closed = solve_phi_cir(KAPPA, THETA)
         window = np.linspace(0.01, 1.0, 400)
         gap = np.max(np.abs(sol.u_prime(window) - closed.u_prime(window)))
@@ -57,7 +55,7 @@ class TestSpeedMeasureSolver:
 
     def test_constant_functional_gives_zero(self, measure):
         sol = solve_poisson_cev(lambda y: np.full_like(np.asarray(y, float), 3.0),
-                                measure, KAPPA, THETA, XI, 0.5, q_h=0.0)
+                                measure, q_h=0.0)
         assert np.max(np.abs(sol.u_values)) <= 1e-9
         assert np.max(np.abs(sol.u_prime_values)) <= 1e-9
 
@@ -91,14 +89,10 @@ class TestSpeedMeasureSolver:
         # -0.0675, far above the numerical residual floor
         assert res >= 0.05
 
-    def test_measure_params_validated(self, measure):
-        with pytest.raises(DomainError):
-            solve_poisson_cev(lambda y: y, measure, KAPPA, THETA, XI, 0.75)
-
     def test_cev_family_solution(self):
         q_g = 0.75
         measure = speed_measure(KAPPA, THETA, XI, q_g)
-        sol = solve_poisson_cev(lambda y: y, measure, KAPPA, THETA, XI, q_g, q_h=1.0)
+        sol = solve_poisson_cev(lambda y: y, measure, q_h=1.0)
         assert sol.centering_residual <= 1e-6
         assert sol.two_sided_gap <= 1e-5
         mean = integrate(measure, lambda y: y).value
@@ -111,8 +105,7 @@ class TestSpeedMeasureSolver:
 class TestGrowthBehaviour:
     def test_tail_slope_bounded_by_declared_growth(self, measure):
         # H with q_h = 2: |u'| should grow at most like y^{q_h - 1 + 0.2}
-        sol = solve_poisson_cev(lambda y: y ** 2, measure, KAPPA, THETA, XI,
-                                0.5, q_h=2.0)
+        sol = solve_poisson_cev(lambda y: y ** 2, measure, q_h=2.0)
         grid = sol.grid
         upper = grid >= grid[-1] / 10
         logs_y = np.log(grid[upper])

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 from mdpvol import (INFINITE_RATE, DiscretePath, DomainError,
                     GridMismatchError, QuadraticRateSpec, SingularSystemError,
-                    contract_two_to_one, endpoint_rate, gamma_invariant,
+                    contract_two_to_one, endpoint_rate, family, gamma_invariant,
                     general_quadratic_rate, heston_large_time_params,
                     large_time_params, make_heston, minimize_endpoint,
-                    qbar_integrated, share_measure_model, small_time_rate_1d,
-                    small_time_rate_2d, solve_phi_cir, solve_poisson_cev)
+                    qbar_integrated, small_time_rate_1d, small_time_rate_2d,
+                    solve_poisson_cev)
 
 Q_REF = 0.1140625  # theta (1 + xi^2/(4 kappa^2) - rho xi / kappa) at the reference set
 
@@ -101,9 +101,7 @@ class TestGeneralQuadraticRate:
 class TestLargeTimeParams:
     def test_reference_q(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
-        measure = gamma_invariant(2, 0.1, 0.5)
-        phi = solve_phi_cir(2, 0.1)
-        lt = large_time_params(model, measure, phi, 0.0)
+        lt = heston_large_time_params(model)
         assert lt.alpha == 0.0
         assert lt.q == pytest.approx(0.1140625, rel=1e-6)
         assert lt.q_closed_form == pytest.approx(0.1140625, rel=1e-15)
@@ -127,7 +125,7 @@ class TestLargeTimeParams:
         # same constants via the numeric speed-measure Poisson route
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         measure = gamma_invariant(2, 0.1, 0.5)
-        phi = solve_poisson_cev(lambda y: 0.5 * y, measure, 2, 0.1, 0.5, 0.5, q_h=1.0)
+        phi = solve_poisson_cev(lambda y: 0.5 * y, measure, q_h=1.0)
         lt = large_time_params(model, measure, phi, 0.0)
         assert lt.q == pytest.approx(0.1140625, rel=1e-6)
 
@@ -136,7 +134,7 @@ class TestQbar:
     def test_reference_value(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         measure = gamma_invariant(2, 0.1, 0.5)
-        sol = solve_poisson_cev(lambda y: y, measure, 2, 0.1, 0.5, 0.5, q_h=1.0)
+        sol = solve_poisson_cev(lambda y: y, measure, q_h=1.0)
         qbar = qbar_integrated(model, lambda y: y, measure, sol, 1.0)
         assert qbar.value == pytest.approx(0.00625, rel=1e-6)
         assert not qbar.degenerate
@@ -144,7 +142,7 @@ class TestQbar:
     def test_gamma_scaling(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         measure = gamma_invariant(2, 0.1, 0.5)
-        sol = solve_poisson_cev(lambda y: y, measure, 2, 0.1, 0.5, 0.5, q_h=1.0)
+        sol = solve_poisson_cev(lambda y: y, measure, q_h=1.0)
         one = qbar_integrated(model, lambda y: y, measure, sol, 1.0).value
         two = qbar_integrated(model, lambda y: y, measure, sol, 2.0).value
         assert two == pytest.approx(one / 4, rel=1e-12)
@@ -153,7 +151,7 @@ class TestQbar:
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         measure = gamma_invariant(2, 0.1, 0.5)
         sol = solve_poisson_cev(lambda y: np.full_like(np.asarray(y, float), 2.0),
-                                measure, 2, 0.1, 0.5, 0.5, q_h=0.0)
+                                measure, q_h=0.0)
         qbar = qbar_integrated(model, lambda y: y * 0 + 2.0, measure, sol, 1.0)
         assert qbar.degenerate
         assert qbar.value == pytest.approx(0.0, abs=1e-14)
@@ -229,14 +227,14 @@ class TestContraction:
 class TestShareMeasure:
     def test_heston_tilt(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
-        tilted = share_measure_model(model)
+        tilted = family(model).share_measure()
         assert tilted.params["kappa"] == pytest.approx(2.25)
         assert tilted.params["theta"] == pytest.approx(0.2 / 2.25)
         assert tilted.x_drift_coeff == 0.5
 
     def test_uncorrelated_keeps_factor_drift(self):
         model = make_heston(2, 0.1, 0.5, 0.0, 0.0, 0.1)
-        tilted = share_measure_model(model)
+        tilted = family(model).share_measure()
         assert tilted.params["kappa"] == pytest.approx(2.0)
         assert tilted.params["theta"] == pytest.approx(0.1)
         assert tilted.x_drift_coeff == 0.5
@@ -244,11 +242,11 @@ class TestShareMeasure:
     def test_non_mean_reverting_tilt_rejected(self):
         model = make_heston(2, 0.1, 4.0, 1.0, 0.0, 0.1)
         with pytest.raises(DomainError):
-            share_measure_model(model)
+            family(model).share_measure()
 
     def test_tilted_drift_matches_f_plus_rho_g_sigma(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
-        tilted = share_measure_model(model)
+        tilted = family(model).share_measure()
         y = np.linspace(0.0, 2.0, 41)
         expect = model.f(0.0, y) + model.rho * model.g(0.0, y) * model.sigma(0.0, y)
         np.testing.assert_allclose(tilted.f(0.0, y), expect, atol=1e-14)

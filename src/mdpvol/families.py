@@ -83,4 +83,5 @@ _FAMILIES = {"heston": Heston, "stein_stein": SteinStein, "power": Power}
 
 
 def family(model: ModelSpec) -> Family:
+    """The family object of a built model; a kind with no facts gets ``Family``."""
     return _FAMILIES.get(model.kind, Family)(model)

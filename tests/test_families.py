@@ -25,10 +25,11 @@ MODELS = {
 FACTS = {
     ("heston", "square_root_factor"): lambda v: v == (2, 0.1, 0.5),
     ("heston", "invariant"): lambda v: (v.kind, v.shape) == ("gamma", 0.4 / 0.25),
-    ("heston", "share_measure"): lambda v: (v.kind, v.params["kappa"], v.x_drift_coeff)
-    == ("heston", 2.25, 0.5),
-    ("stein_stein", "share_measure"): lambda v: (v.kind, v.x_drift_coeff)
-    == ("stein_stein", 0.5) and v.params["b"] == pytest.approx(-1.15, abs=1e-15),
+    ("heston", "share_measure"):
+        lambda v: (v.kind, v.params["kappa"], v.x_drift_coeff) == ("heston", 2.25, 0.5),
+    ("stein_stein", "share_measure"):
+        lambda v: (v.kind, v.x_drift_coeff) == ("stein_stein", 0.5)
+        and v.params["b"] == pytest.approx(-1.15, abs=1e-15),
     # the speed measure, even where nu_g = 1/2 would allow the Gamma law
     ("power", "invariant"): lambda v: (v.kind, v.params["q_g"]) == ("speed", 0.5),
 }

@@ -6,11 +6,11 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 
-from mdpvol import (DomainError, SimConfig, SimulationOverflowError,
+from mdpvol import (DomainError, RealizedVarLdp, SimConfig, SimulationOverflowError,
                     UnsupportedModelError, estimate_call_smalltime, estimate_rv_tail,
                     estimate_smalltime_tail, exact_gaussian_call,
                     exact_gaussian_tail, make_constant_sigma, make_heston,
-                    rescaled_coefficients, simulate)
+                    rescaled_coefficients, rv_mgf, simulate)
 from mdpvol import mc
 from mdpvol.mc import PATH_FIELDS, PathBatch
 from mdpvol.models import GrowthExponents, ModelSpec
@@ -92,6 +92,21 @@ class TestSimulate:
             exact = -0.5 * (0.1 * t + (0.2 - 0.1) * (1 - math.exp(-2 * t)) / 2)
             errs.append(abs(np.mean(means) - exact))
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("u", [-4.0, -2.0, -1.0, 0.5])
+    def test_integrated_variance_mgf_matches_heston(self, u):
+        # E exp(u V_t) of the Euler engine against exp(rv_mgf(u, t)), the
+        # closed-form Heston cumulant function.  The scheme is weak order one;
+        # the allowance 0.1 |u| dt (relative) is about 2.5 times the bias
+        # measured at this model (y0 = 2 theta) with 2e6 paths.
+        model = make_heston(2.0, 0.1, 0.5, -0.5, 0.0, 0.2)
+        t, steps = 1.0, 100
+        config = SimConfig(n_paths=200_000, n_steps=steps, t_end=t, seed=17)
+        v = simulate(model, config, fields=("integrated_variance",)).integrated_variance
+        sample = np.exp(u * v)
+        exact = math.exp(rv_mgf(RealizedVarLdp(2.0, 0.1, 0.5, 0.2), u, t))
+        se = sample.std() / math.sqrt(config.n_paths)
+        assert abs(sample.mean() - exact) <= 4 * se + 0.1 * abs(u) * (t / steps) * exact
 
     def test_rescaled_system_matches_smalltime_law(self, heston):
         eps = 0.01
@@ -326,6 +341,24 @@ class TestThreadedChunks:
             assert getattr(default, name).tobytes() == expected
             assert getattr(runs[1][0], name).tobytes() == expected
         assert repr(astuple(runs[0][1])) == repr(astuple(runs[1][1]))
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_whole_chunks_independent_of_later_paths(self, heston, antithetic):
+        # the first k whole chunks of a batch are the same bytes whatever
+        # number of paths follows them
+        head = 2 * mc._CHUNK
+        copies = 2 if antithetic else 1
+
+        def run(n_paths):
+            return simulate(heston, SimConfig(n_paths=n_paths, n_steps=3, t_end=0.01,
+                                              seed=9, antithetic=antithetic))
+
+        short = run(head)
+        for extra in (1, mc._CHUNK + 77):
+            longer = run(head + extra)
+            for name in PATH_FIELDS:
+                assert (getattr(longer, name)[:copies * head].tobytes()
+                        == getattr(short, name).tobytes())
 
     def test_only_requested_fields(self, heston):
         config = SimConfig(n_paths=5000, n_steps=10, t_end=0.5, seed=6)

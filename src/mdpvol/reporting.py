@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import ldp as ldp_mod
 from .config import ExperimentConfig, build_model, build_regime, subseed
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .families import family
 from .invariant import (gamma_invariant, integrate, measure_mean,
                         measure_variance, speed_measure)
@@ -156,11 +157,28 @@ def _ldp_rows(config: ExperimentConfig):
     grid = np.linspace(config.params.get("x_min", center - 0.1),
                        config.params.get("x_max", center + 0.1),
                        config.params.get("n_points", 101))
-    lam = np.array([ldp_mod.heston_lambda_star(params, x) for x in grid])
-    shift = float(np.min(lam))
+    lam = np.empty(len(grid))
+    undefined = []  # (x, reason) where the closed form of Lambda* does not exist
+    for i, x in enumerate(grid):
+        try:
+            lam[i] = ldp_mod.heston_lambda_star(params, x)
+        except DomainError as exc:
+            lam[i] = np.nan
+            undefined.append((x, exc))
+    defined = ~np.isnan(lam)
+    if not defined.any():
+        raise DomainError(f"Lambda* is undefined at every x of the grid; "
+                          f"at x={grid[0]:g}: {undefined[0][1]}")
+    if undefined:
+        x, exc = undefined[0]
+        print(f"warning: Lambda* is undefined at {len(undefined)} of {len(grid)} "
+              f"x values (d_variant {params.d_variant}); their cells are left "
+              f"empty; first at x={x:g}: {exc}", file=sys.stderr)
+    shift = float(np.min(lam[defined]))
     quad = (grid - center) ** 2 / (2 * lt.q) + shift
     diff = np.abs(lam - quad)
     rows = [(float(grid[i]), float(lam[i]), float(quad[i]), float(diff[i]))
+            if defined[i] else (float(grid[i]), "", "", "")
             for i in range(len(grid))]
     return rows, params, lt
 
@@ -180,7 +198,7 @@ def run_compare(config: ExperimentConfig, outdir: str) -> list[str]:
         "q": lt.q,
         "curvature_identity_residual": residuals,
         "passing_variant": passing,
-        "min_lambda_star": min(row[1] for row in rows),
+        "min_lambda_star": min(row[1] for row in rows if row[1] != ""),
     }
     csv_path = _out(outdir, config, "compare.csv")
     json_path = _out(outdir, config, "compare_summary.json")

@@ -245,3 +245,30 @@ class TestCompareOutputs:
         window = (np.abs(xs) > 0.01) & (np.abs(xs) < 0.06) & (diffs > 0)
         slope = np.polyfit(np.log(np.abs(xs[window])), np.log(diffs[window]), 1)[0]
         assert slope >= 2.7
+
+    def test_undefined_lambda_star_rows_left_empty(self, tmp_path, capsys):
+        # under the printed cubic radicand, d(u)^2 turns negative inside
+        # (u_minus, u_plus) for this model: those rows keep x, leave the other
+        # cells empty, and the shift is the minimum over the defined rows
+        model = {"kind": "heston", "kappa": 1.7, "theta": 0.017, "xi": 0.68,
+                 "rho": -0.5, "x0": 0.0, "y0": 0.017}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        for sub, name in (("ldp", "ldp.csv"), ("compare", "compare.csv")):
+            assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            err = capsys.readouterr().err
+            assert "Lambda* is undefined at 34 of 101 x values" in err
+            assert "radicand of d(u) is negative" in err
+            with open(tmp_path / name, encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))[1:]
+            assert len(rows) == 101
+            empty = [row for row in rows if row[1:] == ["", "", ""]]
+            defined = [[float(cell) for cell in row] for row in rows if row[1]]
+            assert len(empty) == 34 and len(defined) == 67
+            assert all(math.isfinite(float(row[0])) for row in empty)
+            # the quadratic is shifted to the defined minimum of Lambda*
+            lam_min = min(row[1] for row in defined)
+            center = min(defined, key=lambda row: abs(row[0] + 0.017 / 2))
+            assert center[2] == pytest.approx(lam_min, abs=1e-5)
+        with open(tmp_path / "compare_summary.json", encoding="utf-8") as handle:
+            assert json.load(handle)["min_lambda_star"] == lam_min

@@ -7,13 +7,16 @@ steps, and the stored factor values are the clamped ones.  Correlated
 increments are built from independent draws as W = rho Z + sqrt(1 - rho^2) Zp,
 with Z driving the factor.
 
-Paths are generated in fixed-size chunks of 2^17, each drawing from a
-counter-based Philox stream keyed by (seed, chunk index).  The chunks run on
-one worker thread per core the process may use (capped at the number of
-chunks; there is no setting for it).  Each worker owns one preallocated
-workspace, steps its chunks with in-place array operations only, and writes
-every chunk straight into that chunk's slice of the output arrays, so the
-batch is laid out in chunk order whatever the thread schedule.
+Stream layout ``STREAM_LAYOUT`` ("sfc64-seedseq-2^14"): paths are generated
+in fixed-size chunks of 2^14, and chunk j draws from an SFC64 generator
+seeded by ``SeedSequence((seed mod 2^64, j))``.  The chunks run on one worker
+thread per core the process may use (capped at the number of chunks; there
+is no setting for it), worker w taking chunks w, w + workers, ...  Each
+worker owns one preallocated workspace, steps its chunks with in-place array
+operations only, and writes every chunk straight into that chunk's slice of
+the output arrays, so the batch is laid out in chunk order whatever the
+thread schedule.  The first k whole chunks of a batch do not depend on the
+number of paths after them.
 
 Reproducibility contract: the float operations of a path and their order do
 not depend on the worker count, so serial and threaded runs agree bitwise and
@@ -50,7 +53,8 @@ from .models import ModelSpec
 from .scaling import ScaledCoefficients
 
 _OVERFLOW_GUARD = 1e12
-_CHUNK = 1 << 17
+_CHUNK = 1 << 14
+STREAM_LAYOUT = "sfc64-seedseq-2^14"
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 PATH_FIELDS = ("x_terminal", "y_terminal", "integrated_variance", "x_running_max")
@@ -120,10 +124,13 @@ class CallEstimate:
     n_paths: int
 
 
-def _philox(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(chunk_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
+    entropy = (seed & 0xFFFFFFFFFFFFFFFF, chunk_index)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
+
+
+# mdpbench/tracing.py wraps the factory under this name to count chunk streams
+_philox = _chunk_stream
 
 
 def _worker_count(n_chunks: int) -> int:
@@ -202,7 +209,7 @@ def simulate(model: ModelSpec, config: SimConfig,
             z, w = draws[0, :m], draws[1, :m]
             coeff_out = (s[:m], tmp[:m], g[:m])  # (sigma, f, g), f held in tmp
             s_m, f_m, g_m = coeff_out
-            rng = _philox(config.seed, chunk_index)
+            rng = _chunk_stream(config.seed, chunk_index)
             for _ in range(config.n_steps):
                 rng.standard_normal(out=z[:n])
                 rng.standard_normal(out=w[:n])

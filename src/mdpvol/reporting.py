@@ -27,8 +27,8 @@ from .errors import ConfigError, DomainError
 from .families import family
 from .invariant import (gamma_invariant, integrate, measure_mean,
                         measure_variance, speed_measure)
-from .mc import (SimConfig, estimate_call_smalltime, estimate_rv_tail,
-                 estimate_smalltime_tail)
+from .mc import (STREAM_LAYOUT, SimConfig, estimate_call_smalltime,
+                 estimate_rv_tail, estimate_smalltime_tail)
 from .poisson import generator_residuals, solve_poisson_cev
 from .rates import (endpoint_rate, heston_large_time_params,
                     share_large_time_params)
@@ -39,7 +39,7 @@ CSV_HEADERS: Mapping[str, Sequence[str]] = {
     "rate": ("x", "J", "J_Q", "q", "q_Q", "alpha"),
     "ldp": ("x", "lambda_star", "mdp_quadratic", "difference"),
     "compare": ("x", "ldp_rate", "mdp_quadratic_shifted", "abs_diff"),
-    "mc": ("p_hat", "ci", "normalized_log", "target", "gap"),
+    "mc": ("p_hat", "ci", "normalized_log", "target", "gap", "stream_layout"),
     "asymptotics": ("regime", "x_or_k", "exponent", "speed"),
 }
 
@@ -233,7 +233,7 @@ def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
         est = estimate_call_smalltime(model, t, p.get("k", 0.2), regime.beta, sim)
         value = est.value
     row = (value, est.ci_halfwidth, est.normalized_log, est.analytic_target,
-           est.normalized_log - est.analytic_target)
+           est.normalized_log - est.analytic_target, STREAM_LAYOUT)
     path = _out(outdir, config, "mc.csv")
     write_csv(path, CSV_HEADERS["mc"], [row])
     return [path]

@@ -296,22 +296,26 @@ def _bitwise_case(name: str) -> str:
                    estimate_call_smalltime(model, 0.05, 0.2, 0.25, config))
 
 
-# Digests of the full-truncation Euler engine's outputs, recorded before the
-# engine was restructured: any change to the draws, the order of the float
+# Digests of the full-truncation Euler engine's outputs under the stream
+# layout DIGEST_LAYOUT: any change to the draws, the order of the float
 # operations or the chunk layout changes them.
+DIGEST_LAYOUT = "sfc64-seedseq-2^14"
 BITWISE_DIGESTS = {
-    "heston_chunks": "e095ca5237781ca79c8f88ba72679fe066068f84f1fbb36336272504d282d43b",
-    "heston_antithetic": "0668aa49e52228a531e2e18706e58fc0d8646577a4765e00fe8242ff37e1809c",
-    "heston_scaled": "82bfa1ca38f8f41dc7ffb9e132c00fe0581916a56d8b8ff200f551e1f3671c9e",
-    "constant_sigma": "43a980124a0da17aabad0029835995517c92c624d4b4613b51ce6a64ba7f45ca",
-    "stein_stein": "aa7bd8e8879fc053ed4c35502386fb69a3a34eb77afef35c0f09b631d14bc9a5",
-    "power_fractional": "d76a4b7d95b53647f4b11efaeb4884d2f33b53e48a44dcf009adb252b6216d77",
-    "lsv": "f5815c0cc04b75e75b8e669c2393f93035972afbaaa668dc62d06b777368982b",
-    "bare_handles": "0f64ced0234aa79e4e8bcfe3e7dcf20f646847b25eab36a1a2b10d21561c93fa",
+    "heston_chunks": "6ab0c0e83d350c9e66af7ba41a500b8e9004935035e28b000f15bcab13615c2e",
+    "heston_antithetic": "d0c9b63375af268ae453cabf65b1f7fd6f9362d6cf0414396e79f86870eef528",
+    "heston_scaled": "99bca09c2e56e4febc6961d92f861b04644ec6ff4fb986440abfb5c45f63c6b4",
+    "constant_sigma": "605a8099857ffd62f31c2e1e5cf59dcdf8518943e8a9cda76cc96161add095a4",
+    "stein_stein": "cd5055643abca487b4385482bd9cc918b7d7af2ce171bf66c473d2d0a9a54266",
+    "power_fractional": "1b207bb61352c5ef966cb8632a9357332c48a16bb6d3103ebbe84bfbee1b53e7",
+    "lsv": "a6baa9aa43af163f0ec96c26f2de02bac096bd6988c24df4ed5bd8f998a98dc7",
+    "bare_handles": "50476e057286922c488f6498a76ae9130a6623283be94a7c26bab093ef13074a",
 }
 
 
 class TestBitwiseLock:
+    def test_digests_name_the_layout(self):
+        assert mc.STREAM_LAYOUT == DIGEST_LAYOUT
+
     @pytest.mark.parametrize("name", sorted(BITWISE_DIGESTS))
     def test_outputs_unchanged(self, name):
         assert _bitwise_case(name) == BITWISE_DIGESTS[name]
@@ -381,8 +385,8 @@ class TestThreadedChunks:
         # the level; the level is placed so that two of four chunks overflow.
         # At this seed they are chunks 1 and 2, which two workers run on
         # different threads, chunk 2 as its first.
-        seed, n_chunks, dt = 7, 4, 0.5
-        peaks = [mc._philox(seed, j).standard_normal((2, 1 << 17))[1].max()
+        seed, n_chunks, dt = 10, 4, 0.5
+        peaks = [mc._chunk_stream(seed, j).standard_normal((2, mc._CHUNK))[1].max()
                  for j in range(n_chunks)]
         order = np.argsort(peaks)
         z_level = 0.5 * (peaks[order[-2]] + peaks[order[-3]])
@@ -398,8 +402,51 @@ class TestThreadedChunks:
 
         model = ModelSpec(sigma=sigma, f=zero, g=zero, rho=0.0, x0=0.0, y0=0.1,
                           kind="custom", growth=GrowthExponents())
-        config = SimConfig(n_paths=n_chunks << 17, n_steps=2, t_end=2 * dt, seed=seed)
+        config = SimConfig(n_paths=n_chunks * mc._CHUNK, n_steps=2, t_end=2 * dt,
+                           seed=seed)
         for workers in (1, 2, 4):
             _set_workers(monkeypatch, workers)
             with pytest.raises(SimulationOverflowError, match=f"chunk {expected};"):
                 simulate(model, config)
+
+    @pytest.mark.parametrize("n_paths", [1 << 16, 3 << 17, 200_000, 1_000_000])
+    def test_two_workers_share_paths_evenly(self, monkeypatch, n_paths):
+        # the batch sizes of the benchmark and of criteria 7-9: on two workers
+        # neither runs more than 52% of the paths.  The pool runs the workers
+        # one after the other here, so each chunk stream opened is credited
+        # to the worker that opened it.
+        running = []
+        owner = {}
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                results = []
+                for item in items:
+                    running[:] = [item]
+                    results.append(fn(item))
+                return results
+
+        def stream(seed, chunk_index, open_stream=mc._chunk_stream):
+            owner[chunk_index] = running[0] if running else 0
+            return open_stream(seed, chunk_index)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(mc, "_chunk_stream", stream)
+        _set_workers(monkeypatch, 2)
+        simulate(make_constant_sigma(0.2),
+                 SimConfig(n_paths=n_paths, n_steps=1, t_end=0.01, seed=3),
+                 fields=("x_terminal",))
+        share = [0, 0]
+        for chunk_index, worker in owner.items():
+            share[worker] += min(mc._CHUNK, n_paths - chunk_index * mc._CHUNK)
+        assert sum(share) == n_paths
+        assert max(share) <= 0.52 * n_paths, share

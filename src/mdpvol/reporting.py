@@ -157,23 +157,20 @@ def _ldp_rows(config: ExperimentConfig):
     grid = np.linspace(config.params.get("x_min", center - 0.1),
                        config.params.get("x_max", center + 0.1),
                        config.params.get("n_points", 101))
-    lam = np.empty(len(grid))
-    undefined = []  # (x, reason) where the closed form of Lambda* does not exist
+    lam = np.full(len(grid), np.nan)
+    undefined = []  # where the closed form of Lambda* does not exist
     for i, x in enumerate(grid):
         try:
             lam[i] = ldp_mod.heston_lambda_star(params, x)
         except DomainError as exc:
-            lam[i] = np.nan
-            undefined.append((x, exc))
+            undefined.append(f"x={x:g}: {exc}")
     defined = ~np.isnan(lam)
-    if not defined.any():
-        raise DomainError(f"Lambda* is undefined at every x of the grid; "
-                          f"at x={grid[0]:g}: {undefined[0][1]}")
     if undefined:
-        x, exc = undefined[0]
-        print(f"warning: Lambda* is undefined at {len(undefined)} of {len(grid)} "
-              f"x values (d_variant {params.d_variant}); their cells are left "
-              f"empty; first at x={x:g}: {exc}", file=sys.stderr)
+        message = (f"Lambda* is undefined at {len(undefined)} of {len(grid)} x values "
+                   f"(d_variant {params.d_variant}); first at {undefined[0]}")
+        if not defined.any():
+            raise DomainError(message)
+        print(f"warning: {message}; their cells are left empty", file=sys.stderr)
     shift = float(np.min(lam[defined]))
     quad = (grid - center) ** 2 / (2 * lt.q) + shift
     diff = np.abs(lam - quad)

@@ -272,3 +272,8 @@ class TestCompareOutputs:
             assert center[2] == pytest.approx(lam_min, abs=1e-5)
         with open(tmp_path / "compare_summary.json", encoding="utf-8") as handle:
             assert json.load(handle)["min_lambda_star"] == lam_min
+        # a grid with no defined row is an error
+        cfg.write_text(json.dumps({"model": model,
+                                   "params": {"x_min": 0.03, "x_max": 0.09}}))
+        assert main(["ldp", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "Lambda* is undefined at 101 of 101" in capsys.readouterr().err

@@ -35,7 +35,7 @@ from .errors import DomainError, GrowthError, QuadratureError
 from .models import ModelSpec
 from .paths import DiscretePath
 from .quadrature import (geometric_edges, integrate_logweight,
-                         segment_cumulative, segment_integrals)
+                         segment_cumulative, segment_nodes)
 
 # Smallest usable left truncation point: keeps (shape-1) * log(y_lo) inside
 # the exponent range of float64 for every shape in (0, 1).
@@ -263,34 +263,51 @@ def integrate(measure: InvariantMeasure, phi: Callable, *,
     return IntegralResult(value, err + tail_term)
 
 
-def integrate_tabulated(measure: InvariantMeasure, grid: np.ndarray,
-                        fn: Callable) -> IntegralResult:
-    """Integral of fn dmu for fn that is only piecewise smooth across ``grid``.
+class TabulatedRule:
+    """Integrals against a measure of functions only piecewise smooth across a grid.
 
     Linear interpolants of grid-backed solutions have kinks at the grid nodes;
     aligning the quadrature segments with the grid keeps per-segment
     Gauss-Legendre spectrally accurate.  A grid narrower than the measure's
-    truncated domain is padded outward geometrically (fn is expected to
-    extrapolate, as numpy interpolants do by holding boundary values);
-    boundary masses enter as in ``integrate``.
+    truncated domain is padded outward geometrically (integrands are expected
+    to extrapolate, as numpy interpolants do by holding boundary values);
+    boundary masses enter as in ``integrate``.  The density is evaluated once,
+    at construction, on the order-8 and order-16 nodes, and every integral
+    reuses it; the order-8 value gives the error estimate.
     """
-    parts = [np.asarray(grid, dtype=float)]
-    if grid[0] > measure.y_lo * (1 + 1e-12):
-        parts.insert(0, np.geomspace(measure.y_lo, grid[0], 65)[:-1])
-    if grid[-1] < measure.y_hi * (1 - 1e-12):
-        parts.append(np.geomspace(grid[-1], measure.y_hi, 65)[1:])
-    full = np.concatenate(parts)
 
-    def weighted(z):
-        return np.asarray(fn(z), dtype=float) * np.exp(measure.log_density(z))
+    def __init__(self, measure: InvariantMeasure, grid: np.ndarray):
+        grid = np.asarray(grid, dtype=float)
+        below = above = np.empty(0)
+        if grid[0] > measure.y_lo * (1 + 1e-12):
+            below = np.geomspace(measure.y_lo, grid[0], 65)[:-1]
+        if grid[-1] < measure.y_hi * (1 - 1e-12):
+            above = np.geomspace(grid[-1], measure.y_hi, 65)[1:]
+        full = np.concatenate((below, grid, above))
+        self.measure = measure
+        self.ends = full[[0]], full[[-1]]
+        # where the points of ``grid`` sit among the padded segment ends
+        self.grid_points = slice(len(below), len(below) + len(grid))
+        self.coarse, self.fine = (
+            (nodes, np.exp(measure.log_density(nodes)), w, half)
+            for nodes, w, half in (segment_nodes(full, order) for order in (8, 16)))
 
-    coarse = float(np.sum(segment_integrals(weighted, full, order=8)))
-    value = float(np.sum(segment_integrals(weighted, full, order=16)))
-    err = abs(value - coarse)
-    f_lo = float(np.atleast_1d(fn(np.asarray([full[0]])))[0])
-    f_hi = float(np.atleast_1d(fn(np.asarray([full[-1]])))[0])
-    value += f_lo * measure.mass_below + f_hi * measure.mass_above
-    return IntegralResult(value, err)
+    @staticmethod
+    def _segments(fn: Callable, level) -> np.ndarray:
+        nodes, dens, w, half = level
+        return np.sum(np.asarray(fn(nodes), dtype=float) * dens * w, axis=1) * half
+
+    def segment_integrals(self, fn: Callable) -> np.ndarray:
+        """Integral of fn dmu over each padded segment, by the order-16 rule."""
+        return self._segments(fn, self.fine)
+
+    def integrate(self, fn: Callable) -> IntegralResult:
+        coarse, value = (float(np.sum(self._segments(fn, level)))
+                         for level in (self.coarse, self.fine))
+        f_lo, f_hi = (float(np.atleast_1d(fn(end))[0]) for end in self.ends)
+        return IntegralResult(
+            value + (f_lo * self.measure.mass_below + f_hi * self.measure.mass_above),
+            abs(value - coarse))
 
 
 def measure_mean(measure: InvariantMeasure) -> float:

@@ -22,12 +22,15 @@ Hbar = int H dmu.  Two routes are provided:
 
 The solve grid is geometric on the measure's truncation interval: the
 derivative is a ratio of exponentially small quantities in the tails, and
-geometric spacing keeps its relative error uniform.  Near the origin, where
-a Gamma density with shape below one is singular but integrable, the inner
-integral starts from the truncation point with the analytic leading-order
-correction (H(y_lo) - Hbar) * mass_below applied on [0, y_lo].  u itself is
-recovered by cumulative trapezoid of u' plus a centering shift; direct double
-integration is avoided.
+geometric spacing keeps its relative error uniform.  Where 1/2 g^2 m is not
+a normal float at an end of that interval (a Gamma law with shape above ~60
+truncates where its log density is near -1300), the grid covers only the
+part where it is, and the integrals still span the whole interval.  Near the
+origin, where a Gamma density with shape below one is singular but
+integrable, the inner integral starts from the truncation point with the
+analytic leading-order correction (H(y_lo) - Hbar) * mass_below applied on
+[0, y_lo].  u itself is recovered by cumulative trapezoid of u' plus a
+centering shift; direct double integration is avoided.
 
 Solutions are immutable and shareable; each solve is single-threaded.
 """
@@ -40,8 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, GrowthError
-from .invariant import InvariantMeasure, integrate_tabulated
-from .quadrature import segment_integrals
+from .invariant import InvariantMeasure, TabulatedRule
 
 _GRID_POINTS = 2048
 
@@ -91,6 +93,29 @@ def solve_phi_cir(kappa: float, theta: float, drift_coeff: float = -0.5) -> Pois
         centering_residual=0.0)
 
 
+def _solve_grid(measure: InvariantMeasure, n_grid: int):
+    """Geometric solve grid and 1/2 g^2 m on it.
+
+    The grid spans the measure's truncation interval or, where 1/2 g^2 m is
+    not a normal float at its ends, the part between the first and last of
+    those nodes where it is, since u' divides by it.
+    """
+    xi, q_g = measure.params["xi"], measure.params["q_g"]
+
+    def half_g2_m(y):
+        return 0.5 * xi ** 2 * y ** (2 * q_g) * np.exp(measure.log_density(y))
+
+    grid = np.geomspace(measure.y_lo, measure.y_hi, n_grid)
+    values = half_g2_m(grid)
+    normal = np.flatnonzero(values >= np.finfo(float).tiny)
+    if 1 < len(normal) < n_grid:
+        grid = np.geomspace(grid[normal[0]], grid[normal[-1]], n_grid)
+        values = half_g2_m(grid)
+    if not np.all(values >= np.finfo(float).tiny):
+        raise DomainError("measure density vanished on the solve grid")
+    return grid, values
+
+
 def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
                       q_h: float = 1.0, n_grid: int = _GRID_POINTS) -> PoissonSolution:
     """Speed-measure solve of L u = H - Hbar for the power-diffusion factor.
@@ -100,21 +125,17 @@ def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
     GrowthError when |u'| at the top of the grid exceeds ten times the bound
     K (1 + y^{q_h - 1}) fitted on the grid interior.
     """
-    xi, q_g = measure.params["xi"], measure.params["q_g"]
-    grid = np.geomspace(measure.y_lo, measure.y_hi, n_grid)
-
-    def density(z):
-        return np.exp(measure.log_density(z))
-
-    def weighted_h(z):
-        return np.asarray(H(z), dtype=float) * np.exp(measure.log_density(z))
+    grid, half_g2_m = _solve_grid(measure, n_grid)
+    # The rule's segments cover the whole truncation interval: those of the
+    # grid, and padding where _solve_grid cut the grid short.
+    rule = TabulatedRule(measure, grid)
 
     # Hbar is computed with the same segment rule as the cumulative integrals,
     # so the total of (H - Hbar) m over the truncated domain vanishes to
     # roundoff; the tail ratios of u' would otherwise be dominated by any
     # inconsistency between two quadrature rules.
-    dens_seg = segment_integrals(density, grid)
-    h_seg = segment_integrals(weighted_h, grid)
+    dens_seg = rule.segment_integrals(np.ones_like)
+    h_seg = rule.segment_integrals(H)
     h_lo, h_hi = float(H(measure.y_lo)), float(H(measure.y_hi))
     total_mass = float(np.sum(dens_seg)) + measure.mass_below + measure.mass_above
     h_bar = (float(np.sum(h_seg)) + h_lo * measure.mass_below
@@ -124,14 +145,12 @@ def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
     # left[j] = int_0^{grid[j]}, right[j] = int_{grid[j]}^inf; the two forms
     # agree only through the centering of H - Hbar, so their gap is a real
     # consistency check of Hbar and of the truncation handling.
-    left = np.concatenate(([0.0], np.cumsum(seg)))
+    on_grid = rule.grid_points
+    left = np.concatenate(([0.0], np.cumsum(seg)))[on_grid]
     left += (h_lo - h_bar) * measure.mass_below
-    right = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+    right = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))[on_grid]
     right += (h_hi - h_bar) * measure.mass_above
 
-    half_g2_m = 0.5 * xi ** 2 * grid ** (2 * q_g) * np.exp(measure.log_density(grid))
-    if np.any(half_g2_m <= 0):
-        raise DomainError("measure density vanished on the solve grid")
     u_prime_left = left / half_g2_m
     u_prime_right = -right / half_g2_m
 
@@ -143,7 +162,7 @@ def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
     # is the full centered integral, which vanishes) and the right-tail
     # integral suffers it symmetrically in the lower tail, so the reported
     # derivative switches representation at the mass median.
-    median_idx = int(np.searchsorted(np.cumsum(dens_seg), 0.5 * total_mass))
+    median_idx = int(np.searchsorted(np.cumsum(dens_seg), 0.5 * total_mass)) - on_grid.start
     u_prime = np.concatenate((u_prime_left[: median_idx + 1],
                               u_prime_right[median_idx + 1:]))
 
@@ -157,11 +176,9 @@ def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
 
     u_raw = np.concatenate(([0.0], np.cumsum(
         0.5 * (u_prime[1:] + u_prime[:-1]) * np.diff(grid))))
-    shift = integrate_tabulated(measure, grid,
-                                lambda y: np.interp(y, grid, u_raw)).value
+    shift = rule.integrate(lambda y: np.interp(y, grid, u_raw)).value
     u_vals = u_raw - shift
-    residual = abs(integrate_tabulated(measure, grid,
-                                       lambda y: np.interp(y, grid, u_vals)).value)
+    residual = abs(rule.integrate(lambda y: np.interp(y, grid, u_vals)).value)
 
     return PoissonSolution(grid=grid, u_values=u_vals, u_prime_values=u_prime,
                            closed_form=None, centering_residual=residual,

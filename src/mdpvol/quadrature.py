@@ -89,13 +89,22 @@ def integrate_logweight(fn: Callable, log_weight: Callable, edges: np.ndarray,
         order *= 2
 
 
-def segment_integrals(fn: Callable, grid: np.ndarray, order: int = 16) -> np.ndarray:
-    """Integral of a smooth fn over each segment of a sorted grid (one GL rule each)."""
+def segment_nodes(grid: np.ndarray, order: int = 16):
+    """Gauss-Legendre nodes on each segment of a sorted grid, one row per segment.
+
+    Returns ``(nodes, w, half)``: the integral of fn over segment j is
+    ``np.sum(fn(nodes) * w, axis=1)[j] * half[j]``.
+    """
     x, w = _leggauss(order)
     half = 0.5 * np.diff(grid)
     mid = 0.5 * (grid[1:] + grid[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    return np.sum(fn(nodes) * w[None, :], axis=1) * half
+    return mid[:, None] + half[:, None] * x[None, :], w, half
+
+
+def segment_integrals(fn: Callable, grid: np.ndarray, order: int = 16) -> np.ndarray:
+    """Integral of a smooth fn over each segment of a sorted grid (one GL rule each)."""
+    nodes, w, half = segment_nodes(grid, order)
+    return np.sum(fn(nodes) * w, axis=1) * half
 
 
 def segment_cumulative(fn: Callable, grid: np.ndarray, order: int = 16) -> np.ndarray:

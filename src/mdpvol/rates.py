@@ -43,8 +43,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularSystemError, UnsupportedModelError
-from .invariant import (InvariantMeasure, gamma_invariant, integrate,
-                        integrate_tabulated)
+from .invariant import (InvariantMeasure, TabulatedRule, gamma_invariant,
+                        integrate)
 from .families import family
 from .models import ModelSpec
 from .paths import DiscretePath, require_same_grid
@@ -97,7 +97,7 @@ def _integrate_with_solution(measure: InvariantMeasure,
     measure's own panel rule.
     """
     if solution.closed_form is None:
-        return integrate_tabulated(measure, solution.grid, integrand).value
+        return TabulatedRule(measure, solution.grid).integrate(integrand).value
     return integrate(measure, integrand).value
 
 

@@ -10,12 +10,12 @@ rerunning a subcommand with an equal config reproduces the files bitwise.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import operator
 import os
 import sys
 import tempfile
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,13 +44,6 @@ CSV_HEADERS: Mapping[str, Sequence[str]] = {
 }
 
 
-def fmt(value) -> str:
-    """Deterministic cell formatting: 17 significant digits for floats."""
-    if isinstance(value, float):
-        return f"{value + 0.0:.17g}"  # +0.0 folds -0.0 into 0.0
-    return str(value)
-
-
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -66,13 +59,30 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV with LF line endings, UTF-8, a header row, and 17-digit floats."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
-    _atomic_write(path, buffer.getvalue())
+    """CSV with LF line endings, UTF-8, a header row, and 17-digit floats.
+
+    A float cell (NumPy float64 included) is written as ``%.17g``, with -0.0
+    as 0; any other cell as ``str()``.  The whole file is formatted by one
+    %-template pass over its cells.  Cells are never quoted, since every
+    cell the runners write is a number, an identifier or empty: a cell
+    holding ',', '"', CR or LF raises DomainError instead, as does a row
+    whose length is not the header's.
+    """
+    rows = [header, *rows]
+    if any(len(row) != len(header) for row in rows):
+        raise DomainError(f"{path}: every CSV row needs {len(header)} cells")
+    cells = list(chain.from_iterable(rows))
+    separators = ("," * (len(header) - 1) + "\n") * len(rows)
+    template = "".join(map(operator.add, ["%.17g" if isinstance(cell, float) else "%s"
+                                          for cell in cells], separators))
+    # + 0.0 folds -0.0 into 0.0
+    text = template % tuple([cell + 0.0 if isinstance(cell, float) else cell
+                             for cell in cells])
+    if (text.count(",") != separators.count(",") or text.count("\n") != len(rows)
+            or '"' in text or "\r" in text):
+        bad = next(cell for cell in cells if any(c in str(cell) for c in ',"\r\n'))
+        raise DomainError(f"{path}: CSV cell {bad!r} holds a character that is not quoted")
+    _atomic_write(path, text)
 
 
 def write_json(path: str, payload) -> None:
@@ -121,9 +131,9 @@ def run_poisson(config: ExperimentConfig, outdir: str) -> list[str]:
     resid = generator_residuals(lambda y: p["kappa"] * (p["theta"] - y),
                                 lambda y: p["xi"] * y ** p["q_g"], sol,
                                 lambda y: H(y) - h_bar)
-    rows = [(float(sol.grid[j + 1]), float(sol.u_values[j + 1]),
-             float(sol.u_prime_values[j + 1]), float(resid[j]))
-            for j in range(len(resid))]
+    # resid[j] belongs to grid node j + 1
+    rows = zip(sol.grid[1:-1].tolist(), sol.u_values[1:-1].tolist(),
+               sol.u_prime_values[1:-1].tolist(), resid.tolist())
     path = _out(outdir, config, "poisson.csv")
     write_csv(path, CSV_HEADERS["poisson"], rows)
     return [path]

@@ -184,6 +184,28 @@ class TestCliRuns:
         assert len(rows) == 2046
         assert all(math.isfinite(float(row["residual"])) for row in rows)
 
+    def test_poisson_at_large_gamma_shape(self, tmp_path):
+        # Gamma shape 100.6: the truncation point y_lo = 9.5e-7 sits where
+        # the log density is -1273.6, so 1/2 g^2 m underflows on the lower
+        # part of the truncation interval and the grid starts above it
+        kappa, theta, xi = 2.8, 0.95, 0.23
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kappa": kappa, "theta": theta, "xi": xi}}))
+        assert main(["poisson", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "poisson.csv", encoding="utf-8") as handle:
+            rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(handle)]
+        assert len(rows) == 2046 and rows[0]["y"] > 1e-4
+        assert all(math.isfinite(v) for row in rows for v in row.values())
+        # the oracle u' = -1/kappa of the sweep's check, on its window
+        # [theta/2, 2 theta] clipped to four standard deviations theta/sqrt(shape)
+        # of the invariant law (the whole window at shape <= 16); further up,
+        # the boundary term at y_hi, the 1 - 1e-12 quantile, dominates u'
+        sd = theta * xi / math.sqrt(2 * kappa * theta)
+        central = [row["u_prime"] for row in rows
+                   if max(theta / 2, theta - 4 * sd) <= row["y"] <= min(2 * theta, theta + 4 * sd)]
+        assert len(central) > 100
+        assert max(abs(kappa * u + 1) for u in central) <= 1e-8
+
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json }")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,26 @@ class TestGrowthBehaviour:
                                  lambda y: XI * np.sqrt(y), zero,
                                  lambda y: np.zeros_like(y))
         assert res == 0.0
+
+
+class TestDensityEvaluations:
+    @pytest.mark.parametrize("construct", [
+        lambda: gamma_invariant(KAPPA, THETA, XI),
+        lambda: speed_measure(KAPPA, THETA, XI, 0.75),
+    ], ids=["gamma", "speed_qg075"])
+    def test_density_evaluated_once_per_node(self, construct):
+        # one solve needs the density at its order-16 and order-8 segment
+        # nodes and on the grid, plus a few scalars; each node once
+        measure = construct()
+        points = []
+
+        def log_density(y):
+            points.append(np.size(y))
+            return measure.log_density(y)
+
+        n_grid = 2048
+        solve_poisson_cev(lambda y: y,
+                          dataclasses.replace(measure, log_density=log_density),
+                          n_grid=n_grid)
+        segments = n_grid - 1
+        assert sum(points) <= 16 * segments + 8 * segments + n_grid + 8

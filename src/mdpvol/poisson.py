@@ -105,13 +105,14 @@ def _solve_grid(measure: InvariantMeasure, n_grid: int):
     def half_g2_m(y):
         return 0.5 * xi ** 2 * y ** (2 * q_g) * np.exp(measure.log_density(y))
 
+    tiny = np.finfo(float).tiny  # the smallest normal float
     grid = np.geomspace(measure.y_lo, measure.y_hi, n_grid)
     values = half_g2_m(grid)
-    normal = np.flatnonzero(values >= np.finfo(float).tiny)
+    normal = np.flatnonzero(values >= tiny)
     if 1 < len(normal) < n_grid:
         grid = np.geomspace(grid[normal[0]], grid[normal[-1]], n_grid)
         values = half_g2_m(grid)
-    if not np.all(values >= np.finfo(float).tiny):
+    if not np.all(values >= tiny):
         raise DomainError("measure density vanished on the solve grid")
     return grid, values
 

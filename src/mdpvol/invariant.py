@@ -302,6 +302,8 @@ class TabulatedRule:
         return self._segments(fn, self.fine)
 
     def integrate(self, fn: Callable) -> IntegralResult:
+        """Integral of fn dmu, with the order-16 value's distance from the
+        order-8 one as its error."""
         coarse, value = (float(np.sum(self._segments(fn, level)))
                          for level in (self.coarse, self.fine))
         f_lo, f_hi = (float(np.atleast_1d(fn(end))[0]) for end in self.ends)

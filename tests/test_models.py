@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,75 @@ class TestOtherKinds:
                          GrowthExponents(q_sigma=0.5, q_g=0.0))
         assert model.sigma_local(0.0) == 1.0
         assert model.spot_sigma() == pytest.approx(np.exp(0.2))
+
+
+def _lsv():
+    return make_lsv(lambda x: 1.0 + 0.1 * np.asarray(x),
+                    lambda y: np.sqrt(np.maximum(y, 0.0)),
+                    lambda x, y: 0.25 - 1.5 * np.asarray(y),
+                    lambda x, y: 0.4 * np.sqrt(np.maximum(y, 0.0)),
+                    0.0, 0.0, 0.1,
+                    GrowthExponents(nu_sigma=0.5, nu_g=0.5, q_sigma=0.5, q_g=0.5))
+
+
+HANDLE_PRESETS = {
+    "heston": lambda: make_heston(2.0, 0.1, 0.5, -0.5, 0.0, 0.1),
+    "stein_stein": lambda: make_stein_stein(0.1, -1.0, 0.3, 0.2, 0.0, 0.2),
+    "power_frac_050": lambda: make_power_family(0.3, -2.5, 0.45, 1.3, 0.5, 0.5,
+                                                -0.3, 0.0, 0.1),
+    "power_frac_025": lambda: make_power_family(0.2, -2.0, 0.5, 1.3, 0.75, 0.25,
+                                                0.1, 0.0, 0.1),
+    "power_int": lambda: make_power_family(0.15, -1.2, 0.35, 1.2, 0.0, 1.0,
+                                           0.2, 0.0, 0.2),
+    "constant_sigma": lambda: make_constant_sigma(0.2),
+    "lsv": _lsv,
+}
+
+_PIN_Y = np.array([-1.5, -0.3, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-8,
+                   0.01, 0.1, 0.25, 0.5, 1.0, 1.7, 3.0, 1e10])
+_PIN_X = np.linspace(-1.0, 1.0, len(_PIN_Y))
+# scalars (a negative factor and zero among them), equal-length arrays, a
+# scalar x against an array y, and a broadcast grid
+_PIN_INPUTS = ((0.0, 0.1), (0.3, -0.2), (0.0, 0.0), (-0.5, 1.7),
+               (_PIN_X, _PIN_Y), (0.0, _PIN_Y), (_PIN_X[::3, None], _PIN_Y[None, :]))
+
+
+def _handle_digest(model, name):
+    """SHA-256 of one coefficient on every pin input, broadcast to its shape."""
+    digest = hashlib.sha256()
+    for x, y in _PIN_INPUTS:
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        value = np.broadcast_to(np.asarray(getattr(model, name)(x, y), dtype=float), shape)
+        digest.update(repr(shape).encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+HANDLE_PINS = {
+    ("heston", "sigma"): "e5e5411a023c9bf1ec3e8195eac6d38c1e1e6b35bf3122e27db057856c2f2a84",
+    ("heston", "f"): "dde7b53622e6e2edfaec81ea2e93d6c5c953c7f0e7b06ee235e23f3f5c219b19",
+    ("heston", "g"): "bfd8c9ba002959369c0f5bf2778aedf1b32c2455660867ef937b0cf51472c9d6",
+    ("stein_stein", "sigma"): "40862087314aab2674cc7737ce76b169abbde0d774ce4558d7a7e5da16e7583d",
+    ("stein_stein", "f"): "f215b25fa9e1c871d872858c110a5302fec5b54cd602dc3a9a8b8e6d54c8f106",
+    ("stein_stein", "g"): "04ffb88eb72daa90956112e36773d247a6f4cbbcc1bb130c3bb169a925ae2c13",
+    ("power_frac_050", "sigma"): "153598497a0bcea7ab41ae7a62714a02817cce078f1d6d2890f68c207be35ac6",
+    ("power_frac_050", "f"): "95a8170b1f76960df96b80e548af80dbe2512edeb5bd3deded685bc2659ad6e5",
+    ("power_frac_050", "g"): "bf39c2ab123285f583b48d789585b378388fa607f3432cc847f3ab69e7596bcf",
+    ("power_frac_025", "sigma"): "6314ae91def3df0bd240f0aa6c899bd9f2625b06307ce036af2ac9b129aa9b00",
+    ("power_frac_025", "f"): "968873860b18f97a3ccdea8179a78448ee225413fdd5aee9cca66a9b17da2aec",
+    ("power_frac_025", "g"): "69de020f464b0b580e53dc72feaa7ef52fcabf36373349ad0b279a32c217c215",
+    ("power_int", "sigma"): "06d5ee29750e33a2dc9ac19869112aee0777f172e4da9d5456c1ac69bd13728d",
+    ("power_int", "f"): "f1599124da7a9b1d5a74b5a948517df07e6b1f2e889fe765f14d4e85e5a120a1",
+    ("power_int", "g"): "0a929f1d95757c0b2f4f4a64ba3c9f3e1b620b1d3514e9969bdd7d87af238cd7",
+    ("constant_sigma", "sigma"): "8220734f914fd30584cb2f2e8e72a60bd190cd20d2060d88bec28929d5566b27",
+    ("constant_sigma", "f"): "b8e23bae1116f5b445c257928591011839a4b4cc3bb37c426fda40ba8825a726",
+    ("constant_sigma", "g"): "b8e23bae1116f5b445c257928591011839a4b4cc3bb37c426fda40ba8825a726",
+    ("lsv", "sigma"): "a75152be8de422abc7f8c6b99147b56a2e35cdb536df699f39b18bacda81a68d",
+    ("lsv", "f"): "c41a771ad27d6ced8a241a59ffe4a4ff5ed08ab234dcc6cea182fc1e620117e9",
+    ("lsv", "g"): "15148591b57172fc1e25a20333c72f14b443b2499f133a4978e4a497d7618dec",
+}
+
+
+@pytest.mark.parametrize("preset, name", sorted(HANDLE_PINS))
+def test_coefficient_pins(preset, name):
+    assert _handle_digest(HANDLE_PRESETS[preset](), name) == HANDLE_PINS[(preset, name)]

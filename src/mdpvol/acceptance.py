@@ -133,15 +133,9 @@ def criterion_05_poisson_oracle() -> CriterionResult:
     sol_phi = solve_poisson_cev(lambda y: 0.5 * y, measure, q_h=1.0)
     err_phi = float(np.max(np.abs(sol_phi.u_prime(window) + 0.5 / kappa)))
 
-    def f(y):
-        return kappa * (theta - y)
-
-    def g(y):
-        return xi * np.sqrt(y)
-
     mean = integrate(measure, lambda y: y).value
-    res_linear = generator_residual(f, g, sol_linear, lambda y: y - mean)
-    res_phi = generator_residual(f, g, sol_phi, lambda y: 0.5 * (y - mean))
+    res_linear = generator_residual(measure, sol_linear, lambda y: y - mean)
+    res_phi = generator_residual(measure, sol_phi, lambda y: 0.5 * (y - mean))
     residual = max(res_linear, res_phi)
     return CriterionResult(
         5, "speed-measure Poisson solver vs constant-derivative solutions",

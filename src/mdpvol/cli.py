@@ -81,9 +81,15 @@ def _load_config(args) -> "ExperimentConfig":
 def _run_acceptance(config, outdir: str, only=None) -> int:
     import os
 
-    from .acceptance import run_all
+    from .acceptance import ALL_CRITERIA, run_all
     from .reporting import write_json
 
+    unknown = sorted(set(only or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
+    if unknown:
+        print(f"config error: --criterion: no criterion with id "
+              f"{', '.join(map(str, unknown))} (ids are 1-{len(ALL_CRITERIA)})",
+              file=sys.stderr)
+        return EXIT_CONFIG
     t0 = time.monotonic()
     results, payload = run_all(config.seed, only=only)
     elapsed = time.monotonic() - t0

@@ -12,12 +12,16 @@ model (sigma = sqrt(y), f = kappa (theta - y), g = xi sqrt(y)), Stein-Stein
 g = c_g y^nu_g, f = a + b y), a constant-volatility reference model, and
 local-stochastic-volatility models with a factorized sigma.
 
-Coefficient handles are total functions: square-root-type models clamp the
-factor argument at zero inside every coefficient (full-truncation convention),
-which both keeps evaluation defined for transient negative factor values and
+Each model defines its coefficients once, as an in-place kernel that writes
+sigma, f and g at (x, y) into three caller-owned arrays: the Monte Carlo hot
+loop calls it on its workspaces, and ``ModelSpec.sigma``/``f``/``g`` call it on
+fresh arrays.  A model given by bare handles gets its kernel from
+``fused_from_handles``.  Coefficients are total functions: square-root-type
+models clamp the factor argument at zero (full-truncation convention), which
+both keeps evaluation defined for transient negative factor values and
 matches the Monte Carlo discretization scheme.
 
-Growth exponents are declared metadata, not inferred from the handles:
+Growth exponents are declared metadata, not inferred from the coefficients:
 ``nu_sigma``/``nu_g`` describe exact power-law coefficients, while
 ``q_sigma``/``q_g``/``q_h`` are polynomial-growth bounds used by the
 assumption checker.  Presets fill them in; custom models must declare them.
@@ -57,13 +61,15 @@ class GrowthExponents:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A concrete two-factor model: coefficient handles plus metadata.
+    """A concrete two-factor model: one coefficient kernel plus metadata.
 
     Attributes
     ----------
-    sigma, f, g : callables (x, y) -> array
-        Volatility level, factor drift, factor diffusion.  Vectorized over
-        numpy arrays; square-root kinds clamp y at 0 internally.
+    coeffs_fused : callable (x, y, out) -> None
+        The model's only coefficient definition: writes the volatility level
+        sigma, the factor drift f and the factor diffusion g at (x, y) into
+        the three caller-owned arrays of ``out``, all of the shape of x and
+        y.  Square-root kinds clamp y at 0 inside it.
     rho : float
         Correlation between the price and factor Brownian motions.
     x0, y0 : float
@@ -85,22 +91,9 @@ class ModelSpec:
     finite_exp_moments : bool
         Declared flag: E[exp(p X_t)] is finite for every p >= 1 and all
         sufficiently small t.  Required by the small-time call asymptotics.
-    sigma_local, vol_mult : callables, optional
-        For the LSV kind, sigma(x, y) = sigma_local(x) * vol_mult(y) is kept
-        factorized so the spot volatility sigma_local(x0) * vol_mult(y0) is
-        available exactly.
-    coeffs_fused : callable (x, y, out) -> None
-        The simulation hot loop's only coefficient path: writes sigma, f and
-        g at (x, y) into the three caller-owned arrays of ``out``, bitwise
-        equal to the three handles.  Presets compute them in place; a model
-        built from bare handles gets a default that copies the handle
-        results into ``out``.  A ``replace`` that swaps a handle must pass a
-        matching ``coeffs_fused`` too.
     """
 
-    sigma: Coefficient
-    f: Coefficient
-    g: Coefficient
+    coeffs_fused: Callable
     rho: float
     x0: float
     y0: float
@@ -111,22 +104,33 @@ class ModelSpec:
     y_only: bool = True
     clamp_y: bool = False
     finite_exp_moments: bool = True
-    sigma_local: Callable[[np.ndarray], np.ndarray] | None = None
-    vol_mult: Callable[[np.ndarray], np.ndarray] | None = None
-    coeffs_fused: Callable | None = None
 
-    def __post_init__(self):
-        if self.coeffs_fused is None:
-            object.__setattr__(self, "coeffs_fused",
-                               _copy_handles(self.sigma, self.f, self.g))
+    def coefficients(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sigma, f, g) at x and y broadcast together, as three new arrays."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape))
+        self.coeffs_fused(x, y, out)
+        return out
+
+    def sigma(self, x, y) -> np.ndarray:
+        """Volatility level."""
+        return self.coefficients(x, y)[0]
+
+    def f(self, x, y) -> np.ndarray:
+        """Factor drift."""
+        return self.coefficients(x, y)[1]
+
+    def g(self, x, y) -> np.ndarray:
+        """Factor diffusion."""
+        return self.coefficients(x, y)[2]
 
     def spot_sigma(self) -> float:
         """Volatility level at the initial state."""
         return float(self.sigma(self.x0, self.y0))
 
 
-def _copy_handles(sigma: Coefficient, f: Coefficient, g: Coefficient) -> Callable:
-    """The fused coefficient interface of a model given by bare handles."""
+def fused_from_handles(sigma: Coefficient, f: Coefficient, g: Coefficient) -> Callable:
+    """The coefficient kernel of a model given by three handles (x, y) -> array."""
 
     def fused(x, y, out):
         out[0][...] = sigma(x, y)
@@ -177,15 +181,6 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
     _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
     _require(y0 > 0, "y0", f"must be positive, got {y0}")
 
-    def sigma(x, y):
-        return np.sqrt(np.maximum(y, 0.0))
-
-    def f(x, y):
-        return kappa * (theta - np.maximum(y, 0.0))
-
-    def g(x, y):
-        return xi * np.sqrt(np.maximum(y, 0.0))
-
     def fused(x, y, out):
         root, drift, diffusion = out
         np.maximum(y, 0.0, out=root)
@@ -195,11 +190,11 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
         np.multiply(root, xi, out=diffusion)
 
     return ModelSpec(
-        sigma=sigma, f=f, g=g, rho=rho, x0=x0, y0=y0, kind="heston",
+        coeffs_fused=fused, rho=rho, x0=x0, y0=y0, kind="heston",
         growth=GrowthExponents(nu_sigma=0.5, nu_g=0.5, q_sigma=0.5, q_g=0.5),
         params={"kappa": kappa, "theta": theta, "xi": xi,
                 "a": kappa * theta, "b": -kappa, "c_sigma": 1.0, "c_g": xi},
-        clamp_y=True, finite_exp_moments=moment_flag, coeffs_fused=fused,
+        clamp_y=True, finite_exp_moments=moment_flag,
     )
 
 
@@ -209,15 +204,6 @@ def make_stein_stein(a: float, b: float, c: float, rho: float,
     _require(c != 0, "c", "must be non-zero")
     _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
 
-    def sigma(x, y):
-        return np.asarray(y, dtype=float) + 0.0
-
-    def f(x, y):
-        return a + b * np.asarray(y, dtype=float)
-
-    def g(x, y):
-        return np.full_like(np.asarray(y, dtype=float), float(c))
-
     def fused(x, y, out):
         vol, drift, diffusion = out
         np.add(y, 0.0, out=vol)
@@ -226,10 +212,10 @@ def make_stein_stein(a: float, b: float, c: float, rho: float,
         diffusion.fill(c)
 
     return ModelSpec(
-        sigma=sigma, f=f, g=g, rho=rho, x0=x0, y0=y0, kind="stein_stein",
+        coeffs_fused=fused, rho=rho, x0=x0, y0=y0, kind="stein_stein",
         growth=GrowthExponents(nu_sigma=1.0, nu_g=0.0, q_sigma=1.0, q_g=0.0),
         params={"a": a, "b": b, "c": c, "c_sigma": 1.0, "c_g": c},
-        finite_exp_moments=moment_flag, coeffs_fused=fused,
+        finite_exp_moments=moment_flag,
     )
 
 
@@ -250,19 +236,6 @@ def make_power_family(a: float, b: float, c_g: float, c_sigma: float,
 
     fractional = (nu_sigma != int(nu_sigma)) or (nu_g != int(nu_g))
 
-    def _yc(y):
-        y = np.asarray(y, dtype=float)
-        return np.maximum(y, 0.0) if fractional else y
-
-    def sigma(x, y):
-        return c_sigma * _yc(y) ** nu_sigma
-
-    def f(x, y):
-        return a + b * np.asarray(y, dtype=float)
-
-    def g(x, y):
-        return c_g * _yc(y) ** nu_g
-
     def fused(x, y, out):
         vol, drift, diffusion = out
         base = np.maximum(y, 0.0, out=drift) if fractional else y
@@ -274,12 +247,12 @@ def make_power_family(a: float, b: float, c_g: float, c_sigma: float,
         drift += a
 
     return ModelSpec(
-        sigma=sigma, f=f, g=g, rho=rho, x0=x0, y0=y0, kind="power",
+        coeffs_fused=fused, rho=rho, x0=x0, y0=y0, kind="power",
         growth=GrowthExponents(nu_sigma=nu_sigma, nu_g=nu_g,
                                q_sigma=nu_sigma, q_g=nu_g),
         params={"a": a, "b": b, "c_g": c_g, "c_sigma": c_sigma,
                 "nu_g": nu_g, "nu_sigma": nu_sigma},
-        clamp_y=fractional, finite_exp_moments=moment_flag, coeffs_fused=fused,
+        clamp_y=fractional, finite_exp_moments=moment_flag,
     )
 
 
@@ -293,22 +266,15 @@ def make_constant_sigma(sigma_level: float, x0: float = 0.0,
     """
     _require(sigma_level != 0, "sigma_level", "must be non-zero")
 
-    def sigma(x, y):
-        return np.full_like(np.asarray(y, dtype=float), float(sigma_level))
-
-    def zero(x, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
-
     def fused(x, y, out):
         out[0].fill(sigma_level)
         out[1].fill(0.0)
         out[2].fill(0.0)
 
     return ModelSpec(
-        sigma=sigma, f=zero, g=zero, rho=0.0, x0=x0, y0=y0,
-        kind="constant_sigma",
+        coeffs_fused=fused, rho=0.0, x0=x0, y0=y0, kind="constant_sigma",
         growth=GrowthExponents(nu_sigma=None, nu_g=None, q_sigma=0.0, q_g=0.0),
-        params={"c_sigma": sigma_level}, coeffs_fused=fused,
+        params={"c_sigma": sigma_level},
     )
 
 
@@ -317,8 +283,7 @@ def make_lsv(sigma_local: Callable, vol_mult: Callable, f: Coefficient,
              growth: GrowthExponents, *, moment_flag: bool = True) -> ModelSpec:
     """Local-stochastic-volatility model with sigma(x, y) = sigma_local(x) * vol_mult(y).
 
-    The two factors of sigma are stored separately so the spot level
-    sigma_local(x0) * vol_mult(y0) entering the small-time rate is exact.
+    Requires |rho| <= 1 and a non-zero spot level sigma_local(x0) * vol_mult(y0).
     """
     _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
     spot = float(sigma_local(x0)) * float(vol_mult(y0))
@@ -327,17 +292,10 @@ def make_lsv(sigma_local: Callable, vol_mult: Callable, f: Coefficient,
     def sigma(x, y):
         return np.asarray(sigma_local(x), dtype=float) * np.asarray(vol_mult(y), dtype=float)
 
-    def fused(x, y, out):
-        np.multiply(np.asarray(sigma_local(x), dtype=float),
-                    np.asarray(vol_mult(y), dtype=float), out=out[0])
-        out[1][...] = f(x, y)
-        out[2][...] = g(x, y)
-
     return ModelSpec(
-        sigma=sigma, f=f, g=g, rho=rho, x0=x0, y0=y0, kind="lsv",
-        growth=growth, params={}, y_only=False,
+        coeffs_fused=fused_from_handles(sigma, f, g), rho=rho, x0=x0, y0=y0,
+        kind="lsv", growth=growth, params={}, y_only=False,
         finite_exp_moments=moment_flag,
-        sigma_local=sigma_local, vol_mult=vol_mult, coeffs_fused=fused,
     )
 
 

@@ -186,10 +186,12 @@ def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
                            two_sided_gap=gap)
 
 
-def generator_residuals(f: Callable, g: Callable, solution: PoissonSolution,
+def generator_residuals(measure: InvariantMeasure, solution: PoissonSolution,
                         rhs: Callable) -> np.ndarray:
     """|f u' + 1/2 g^2 u'' - rhs| at each interior node of the solve grid.
 
+    The generator is that of the measure's factor, f = kappa (theta - y) and
+    g = xi y^{q_g}, with the four constants read from ``measure.params``.
     u'' comes from second-order central differences of the stored u' on the
     (generally non-uniform) grid, so the first and last nodes carry no value:
     entry j belongs to grid node j + 1.  The spacings enter the stencil scaled
@@ -206,18 +208,20 @@ def generator_residuals(f: Callable, g: Callable, solution: PoissonSolution,
     u_second = np.ldexp(
         (h_minus ** 2 * up[2:] + (h_plus ** 2 - h_minus ** 2) * up[1:-1]
          - h_plus ** 2 * up[:-2]) / (h_plus * h_minus * (h_plus + h_minus)), -e)
-    return np.abs(np.asarray(f(yi), dtype=float) * up[1:-1]
-                  + 0.5 * np.asarray(g(yi), dtype=float) ** 2 * u_second
+    p = measure.params
+    f = p["kappa"] * (p["theta"] - yi)
+    g = p["xi"] * yi ** p["q_g"]
+    return np.abs(f * up[1:-1] + 0.5 * g ** 2 * u_second
                   - np.asarray(rhs(yi), dtype=float))
 
 
-def generator_residual(f: Callable, g: Callable, solution: PoissonSolution,
+def generator_residual(measure: InvariantMeasure, solution: PoissonSolution,
                        rhs: Callable) -> float:
     """Sup-norm of ``generator_residuals`` away from the ends of the solve grid.
 
     The outer 1/64 of interior nodes on each side are excluded, as one-sided
     stencils would be required there.
     """
-    resid = generator_residuals(f, g, solution, rhs)
+    resid = generator_residuals(measure, solution, rhs)
     margin = max(1, len(resid) // 64)
     return float(np.max(resid[margin:-margin]))

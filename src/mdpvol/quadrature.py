@@ -47,12 +47,8 @@ def geometric_edges(y_lo: float, y_hi: float, max_ratio: float = 4.0,
 
 def panel_nodes(edges: np.ndarray, order: int):
     """All Gauss-Legendre nodes on the panels and the log of their weights."""
-    x, w = _leggauss(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    log_w = (np.log(half)[:, None] + np.log(w)[None, :]).ravel()
-    return nodes, log_w
+    nodes, w, half = segment_nodes(edges, order)
+    return nodes.ravel(), (np.log(half)[:, None] + np.log(w)[None, :]).ravel()
 
 
 def integrate_logweight(fn: Callable, log_weight: Callable, edges: np.ndarray,

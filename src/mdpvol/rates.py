@@ -128,8 +128,8 @@ def small_time_rate_2d(sigma0: float, g0: float, rho: float,
 def small_time_rate_1d(sigma0: float, phi: DiscretePath) -> float:
     """One-component small-time action (2 sigma0^2)^{-1} int phi'^2 dt.
 
-    For a local-stochastic-volatility model the scalar input is the factorized
-    spot level sigma_local(x0) * vol_mult(y0).
+    For a local-stochastic-volatility model the scalar input is the spot
+    level sigma_local(x0) * vol_mult(y0), ``model.spot_sigma()``.
     """
     if sigma0 == 0:
         raise DomainError("sigma0: must be non-zero")
@@ -185,8 +185,7 @@ def large_time_params(model: ModelSpec, measure: InvariantMeasure,
     alpha = zeta * model.x_drift_coeff * sig2_bar
 
     def q_integrand(y):
-        s = model.sigma(x0, y)
-        g = model.g(x0, y)
+        s, _, g = model.coefficients(x0, y)
         phi_p = poisson_phi.u_prime(y)
         return s ** 2 + (phi_p * g) ** 2 + 2 * model.rho * s * g * phi_p
 

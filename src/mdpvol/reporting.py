@@ -118,7 +118,6 @@ def run_invariant(config: ExperimentConfig, outdir: str) -> list[str]:
 
 def run_poisson(config: ExperimentConfig, outdir: str) -> list[str]:
     measure = _factor_measure(config)
-    p = measure.params
     if config.params.get("functional", "linear") == "linear":
         def H(y):
             return y
@@ -128,9 +127,7 @@ def run_poisson(config: ExperimentConfig, outdir: str) -> list[str]:
     sol = solve_poisson_cev(H, measure, q_h=1.0)
     h_bar = integrate(measure, H).value
 
-    resid = generator_residuals(lambda y: p["kappa"] * (p["theta"] - y),
-                                lambda y: p["xi"] * y ** p["q_g"], sol,
-                                lambda y: H(y) - h_bar)
+    resid = generator_residuals(measure, sol, lambda y: H(y) - h_bar)
     # resid[j] belongs to grid node j + 1
     rows = zip(sol.grid[1:-1].tolist(), sol.u_values[1:-1].tolist(),
                sol.u_prime_values[1:-1].tolist(), resid.tolist())

@@ -121,6 +121,18 @@ class TestCliRuns:
                 open(tmp_path / "b" / "mc.csv", "rb") as fb:
             assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize("ids, named", [(["13"], "13"), (["0"], "0"),
+                                            (["4", "13", "0"], "0, 13")])
+    def test_unknown_criterion_rejected(self, tmp_path, capsys, ids, named):
+        args = ["acceptance", "--out", str(tmp_path)]
+        for cid in ids:
+            args += ["--criterion", cid]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --criterion: ")
+        assert f"id {named} " in err
+        assert not (tmp_path / "acceptance.json").exists()
+
     def test_invalid_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"regime": {"beta": 0.9}}))

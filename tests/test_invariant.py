@@ -120,13 +120,14 @@ class TestAveragedPath:
         np.testing.assert_allclose(path.values, -0.05 * path.times, atol=1e-9)
 
     def test_zero_drift_constant_path(self, gamma_ref):
-        from mdpvol.models import ModelSpec
+        from mdpvol.models import ModelSpec, fused_from_handles
 
         def zero(x, y):
             return np.zeros_like(np.asarray(y, dtype=float))
 
-        model = ModelSpec(sigma=zero, f=zero, g=zero, rho=0.0, x0=0.4, y0=0.2,
-                          kind="custom", growth=GrowthExponents())
+        model = ModelSpec(coeffs_fused=fused_from_handles(zero, zero, zero),
+                          rho=0.0, x0=0.4, y0=0.2, kind="custom",
+                          growth=GrowthExponents())
         path = averaged_state_path(model, gamma_ref, 1.0, 2.0, 8)
         np.testing.assert_allclose(path.values, 0.4, atol=0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -13,7 +14,7 @@ from mdpvol import (DomainError, RealizedVarLdp, SimConfig, SimulationOverflowEr
                     rescaled_coefficients, rv_mgf, simulate)
 from mdpvol import mc
 from mdpvol.mc import PATH_FIELDS, PathBatch
-from mdpvol.models import GrowthExponents, ModelSpec
+from mdpvol.models import GrowthExponents, ModelSpec, fused_from_handles
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,19 @@ class TestSimulate:
         # identical driving noise, identical laws: means agree to roundoff
         assert a.x_terminal.mean() == pytest.approx(b.x_terminal.mean(), abs=1e-12)
 
+    def test_swapped_kernel_called_once_per_chunk_and_step(self, heston):
+        calls = []
+
+        def counted(x, y, out):
+            calls.append(len(x))
+            heston.coeffs_fused(x, y, out)
+
+        model = dataclasses.replace(heston, coeffs_fused=counted)
+        config = SimConfig(n_paths=mc._CHUNK + 5, n_steps=3, t_end=0.01, seed=2)
+        swapped = simulate(model, config)
+        assert sorted(calls) == [5] * 3 + [mc._CHUNK] * 3
+        assert _digest(swapped) == _digest(simulate(heston, config))
+
     def test_overflow_guard(self):
         def huge_sigma(x, y):
             return np.full_like(np.asarray(y, dtype=float), 1e9)
@@ -126,8 +140,9 @@ class TestSimulate:
         def zero(x, y):
             return np.zeros_like(np.asarray(y, dtype=float))
 
-        model = ModelSpec(sigma=huge_sigma, f=zero, g=zero, rho=0.0, x0=0.0,
-                          y0=0.1, kind="custom", growth=GrowthExponents())
+        model = ModelSpec(coeffs_fused=fused_from_handles(huge_sigma, zero, zero),
+                          rho=0.0, x0=0.0, y0=0.1, kind="custom",
+                          growth=GrowthExponents())
         with pytest.raises(SimulationOverflowError):
             simulate(model, SimConfig(n_paths=10, n_steps=5, t_end=1.0, seed=1))
 
@@ -243,8 +258,9 @@ def _lsv_model():
 
 
 def _bare_model():
-    return ModelSpec(sigma=lambda x, y: 0.2 + 0.1 * np.cos(y),
-                     f=lambda x, y: -y, g=lambda x, y: np.full_like(y, 0.3),
+    return ModelSpec(coeffs_fused=fused_from_handles(
+                         lambda x, y: 0.2 + 0.1 * np.cos(y), lambda x, y: -y,
+                         lambda x, y: np.full_like(y, 0.3)),
                      rho=0.4, x0=0.0, y0=0.5, kind="custom",
                      growth=GrowthExponents())
 
@@ -401,8 +417,9 @@ class TestThreadedChunks:
         def zero(x, y):
             return np.zeros_like(y)
 
-        model = ModelSpec(sigma=sigma, f=zero, g=zero, rho=0.0, x0=0.0, y0=0.1,
-                          kind="custom", growth=GrowthExponents())
+        model = ModelSpec(coeffs_fused=fused_from_handles(sigma, zero, zero),
+                          rho=0.0, x0=0.0, y0=0.1, kind="custom",
+                          growth=GrowthExponents())
         config = SimConfig(n_paths=n_chunks * mc._CHUNK, n_steps=2, t_end=2 * dt,
                            seed=seed)
         for workers in (1, 2, 4):

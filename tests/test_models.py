@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -163,7 +164,7 @@ class TestOtherKinds:
                          lambda x, y: np.ones_like(np.asarray(y, dtype=float)),
                          0.0, 0.0, 0.2,
                          GrowthExponents(q_sigma=0.5, q_g=0.0))
-        assert model.sigma_local(0.0) == 1.0
+        assert model.sigma(0.0, 0.0) == 1.0
         assert model.spot_sigma() == pytest.approx(np.exp(0.2))
 
 
@@ -237,3 +238,22 @@ HANDLE_PINS = {
 @pytest.mark.parametrize("preset, name", sorted(HANDLE_PINS))
 def test_coefficient_pins(preset, name):
     assert _handle_digest(HANDLE_PRESETS[preset](), name) == HANDLE_PINS[(preset, name)]
+
+
+def test_coefficients_follow_swapped_kernel():
+    heston = make_heston(2.0, 0.1, 0.5, -0.5, 0.0, 0.1)
+    calls = []
+
+    def kernel(x, y, out):
+        calls.append(np.shape(x))
+        out[0].fill(0.3)
+        np.multiply(y, -1.0, out=out[1])
+        out[2].fill(0.7)
+
+    model = dataclasses.replace(heston, coeffs_fused=kernel)
+    y = np.array([-0.5, 0.0, 0.2, 1.0])
+    np.testing.assert_array_equal(model.sigma(0.0, y), np.full(4, 0.3))
+    np.testing.assert_array_equal(model.f(0.0, y), -y)
+    np.testing.assert_array_equal(model.g(0.0, y), np.full(4, 0.7))
+    assert model.spot_sigma() == 0.3
+    assert calls == [(4,), (4,), (4,), ()]

@@ -36,8 +36,7 @@ class TestClosedFormPhi:
 
     def test_exact_generator_residual(self):
         sol = solve_phi_cir(KAPPA, THETA)
-        res = generator_residual(lambda y: KAPPA * (THETA - y),
-                                 lambda y: XI * np.sqrt(y), sol,
+        res = generator_residual(gamma_invariant(KAPPA, THETA, XI), sol,
                                  lambda y: 0.5 * (y - THETA))
         assert res <= 1e-12
 
@@ -69,9 +68,7 @@ class TestSpeedMeasureSolver:
 
     def test_generator_residual(self, linear_solution, measure):
         mean = integrate(measure, lambda y: y).value
-        res = generator_residual(lambda y: KAPPA * (THETA - y),
-                                 lambda y: XI * np.sqrt(y), linear_solution,
-                                 lambda y: y - mean)
+        res = generator_residual(measure, linear_solution, lambda y: y - mean)
         assert res <= 1e-5
 
     def test_residual_detects_perturbation(self, linear_solution, measure):
@@ -84,9 +81,7 @@ class TestSpeedMeasureSolver:
             u_prime_values=linear_solution.u_prime_values + 0.2 * grid,
             closed_form=None, centering_residual=0.0)
         mean = integrate(measure, lambda y: y).value
-        res = generator_residual(lambda y: KAPPA * (THETA - y),
-                                 lambda y: XI * np.sqrt(y), perturbed,
-                                 lambda y: y - mean)
+        res = generator_residual(measure, perturbed, lambda y: y - mean)
         # L(0.1 y^2) = 0.2 kappa (theta - y) y + 0.1 xi^2 y; at y = 0.5 this is
         # -0.0675, far above the numerical residual floor
         assert res >= 0.05
@@ -98,9 +93,7 @@ class TestSpeedMeasureSolver:
         assert sol.centering_residual <= 1e-6
         assert sol.two_sided_gap <= 1e-5
         mean = integrate(measure, lambda y: y).value
-        res = generator_residual(lambda y: KAPPA * (THETA - y),
-                                 lambda y: XI * y ** q_g, sol,
-                                 lambda y: y - mean)
+        res = generator_residual(measure, sol, lambda y: y - mean)
         assert res <= 1e-5
 
 
@@ -115,16 +108,14 @@ class TestGrowthBehaviour:
         slope = np.polyfit(logs_y, logs_u, 1)[0]
         assert slope <= 2.0 - 1.0 + 0.2
 
-    def test_zero_solution_zero_residual(self):
+    def test_zero_solution_zero_residual(self, measure):
         from mdpvol.poisson import PoissonSolution
 
         grid = np.geomspace(0.01, 1.0, 64)
         zero = PoissonSolution(grid=grid, u_values=np.zeros_like(grid),
                                u_prime_values=np.zeros_like(grid),
                                closed_form=None, centering_residual=0.0)
-        res = generator_residual(lambda y: KAPPA * (THETA - y),
-                                 lambda y: XI * np.sqrt(y), zero,
-                                 lambda y: np.zeros_like(y))
+        res = generator_residual(measure, zero, lambda y: np.zeros_like(y))
         assert res == 0.0
 
 

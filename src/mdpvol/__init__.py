@@ -4,7 +4,7 @@ Library layout:
 
 - ``models``: model catalog (Heston, Stein-Stein, power family, constant
   volatility, LSV) and assumption checks;
-- ``scaling``: space-time rescaling and the limit constants;
+- ``scaling``: the normalization h(eps) and the limit constants;
 - ``families``: per-family model facts, the one dispatch on a model's kind;
 - ``invariant``: invariant measures of the fast factor and quadrature;
 - ``poisson``: Poisson equations for the fast-factor generator;
@@ -24,9 +24,8 @@ from .errors import (ConfigError, DomainError, GridMismatchError, GrowthError,
                      QuadratureError, SimulationOverflowError,
                      SingularSystemError, UnsupportedModelError)
 from .families import family
-from .invariant import (InvariantMeasure, averaged_drift, averaged_state_path,
-                        gamma_invariant, integrate, measure_mean,
-                        measure_variance, speed_measure)
+from .invariant import (InvariantMeasure, gamma_invariant, integrate,
+                        measure_mean, measure_variance, speed_measure)
 from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   curvature_identity, fenchel_legendre_numeric, heston_lambda,
                   heston_lambda_star, heston_u_star, rv_lambda_inf,
@@ -37,19 +36,14 @@ from .mc import (CallEstimate, PathBatch, SimConfig, TailEstimate,
                  exact_gaussian_tail, simulate)
 from .models import (AssumptionReport, GrowthExponents, ModelSpec,
                      check_assumptions, make_constant_sigma, make_heston,
-                     make_lsv, make_power_family, make_stein_stein,
-                     with_functional_growth)
+                     make_lsv, make_power_family, make_stein_stein)
 from .paths import DiscretePath
 from .poisson import (PoissonSolution, generator_residual, generator_residuals,
                       solve_phi_cir, solve_poisson_cev)
 from .rates import (INFINITE_RATE, LargeTimeParams, QbarResult,
-                    QuadraticRateSpec, contract_two_to_one, endpoint_rate,
-                    general_quadratic_rate, heston_large_time_params,
+                    contract_two_to_one, endpoint_rate, heston_large_time_params,
                     large_time_params, minimize_endpoint, qbar_integrated,
-                    share_large_time_params, small_time_rate_1d,
-                    small_time_rate_2d)
-from .scaling import (ScaledCoefficients, ScalingRegime, h_eval,
-                      mdp_growth_condition, rescaled_coefficients,
-                      tail_exponent)
+                    share_large_time_params, small_time_rate_1d, small_time_rate_2d)
+from .scaling import ScalingRegime, mdp_growth_condition
 
 __version__ = "0.1.0"

@@ -134,6 +134,10 @@ def main(argv=None) -> int:
     except (DomainError, UnsupportedModelError, GridMismatchError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError:
+        print(f"validation error: {args.experiment}: an input is so large that a "
+              "float overflows", file=sys.stderr)
+        return EXIT_CONFIG
     except (QuadratureError, SingularSystemError, SimulationOverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -32,8 +32,6 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError, GrowthError, QuadratureError
-from .models import ModelSpec
-from .paths import DiscretePath
 from .quadrature import (geometric_edges, integrate_logweight,
                          segment_cumulative, segment_nodes)
 
@@ -320,42 +318,3 @@ def measure_variance(measure: InvariantMeasure) -> float:
     m1 = measure_mean(measure)
     m2 = integrate(measure, lambda y: y ** 2).value
     return m2 - m1 ** 2
-
-
-def averaged_drift(model: ModelSpec, measure: InvariantMeasure,
-                   gamma: float) -> Callable[[float], float]:
-    """The averaged slow drift x -> gamma * c int sigma^2(x, y) mu(dy), c = x_drift_coeff.
-
-    For the Heston model with gamma = 1 this is the constant -theta/2.
-    """
-    if gamma <= 0:
-        raise DomainError(f"gamma: must be positive, got {gamma}")
-
-    def lam_bar(x: float) -> float:
-        res = integrate(measure, lambda y: model.sigma(x, y) ** 2)
-        return model.x_drift_coeff * gamma * res.value
-
-    return lam_bar
-
-
-def averaged_state_path(model: ModelSpec, measure: InvariantMeasure,
-                        gamma: float, horizon: float, n_steps: int) -> DiscretePath:
-    """Classical fourth-order one-step integration of dX = lam_bar(X) dt from x0.
-
-    Exact (to roundoff) whenever lam_bar does not depend on x.
-    """
-    if n_steps < 1:
-        raise DomainError(f"n_steps: must be >= 1, got {n_steps}")
-    lam = averaged_drift(model, measure, gamma)
-    dt = horizon / n_steps
-    xs = np.empty(n_steps + 1)
-    xs[0] = model.x0
-    for i in range(n_steps):
-        x = xs[i]
-        k1 = lam(x)
-        k2 = lam(x + 0.5 * dt * k1)
-        k3 = lam(x + 0.5 * dt * k2)
-        k4 = lam(x + dt * k3)
-        xs[i + 1] = x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    return DiscretePath(np.linspace(0.0, horizon, n_steps + 1), xs)
-

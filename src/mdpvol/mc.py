@@ -50,7 +50,6 @@ from .errors import DomainError, SimulationOverflowError
 from .families import family
 from .ldp import RealizedVarLdp, rv_mdp_exponent
 from .models import ModelSpec
-from .scaling import ScaledCoefficients
 
 _OVERFLOW_GUARD = 1e12
 _CHUNK = 1 << 14
@@ -143,12 +142,9 @@ def _worker_count(n_chunks: int) -> int:
 
 
 def simulate(model: ModelSpec, config: SimConfig,
-             scaled: ScaledCoefficients | None = None,
              fields=PATH_FIELDS) -> PathBatch:
-    """Full-truncation Euler batch of the (optionally rescaled) system.
+    """Full-truncation Euler batch of the model's system.
 
-    ``scaled`` supplies the coefficient multipliers of the rescaled system;
-    by default the original dynamics (all multipliers one) are simulated.
     ``fields`` names the ``PathBatch`` fields to compute; the others are None.
     Raises SimulationOverflowError and aborts if any |X| crosses 1e12.
     """
@@ -156,18 +152,13 @@ def simulate(model: ModelSpec, config: SimConfig,
     if unknown or not fields:
         raise DomainError(f"fields: need a nonempty subset of {PATH_FIELDS}, "
                           f"got {tuple(fields)}")
-    mult = scaled if scaled is not None else ScaledCoefficients.identity(model)
     dt = config.t_end / config.n_steps
     sqrt_dt = math.sqrt(dt)
     rho = model.rho
     rho_perp = math.sqrt(max(0.0, 1.0 - rho ** 2))
     clamp = model.clamp_y
     coeffs = model.coeffs_fused
-    # fold the rescaling multipliers and the time step into scalars
-    a_x = mult.drift_x * model.x_drift_coeff * dt
-    b_x = mult.diff_x * sqrt_dt
-    a_y = mult.drift_y * dt
-    b_y = mult.diff_y * sqrt_dt
+    a_x = model.x_drift_coeff * dt
     x0, y0 = float(model.x0), float(model.y0)
     # the stored factor at time 0, the first trapezoid sample of V
     y_first = float(np.maximum(y0, 0.0)) if clamp else y0
@@ -220,16 +211,16 @@ def simulate(model: ModelSpec, config: SimConfig,
                 w *= rho_perp
                 w += np.multiply(z, rho, out=s_m)
                 coeffs(x, y, coeff_out)
-                f_m *= a_y
+                f_m *= dt
                 y += f_m
                 g_m *= z
-                g_m *= b_y
+                g_m *= sqrt_dt
                 y += g_m
                 np.multiply(s_m, s_m, out=f_m)
                 f_m *= a_x
                 x += f_m
                 s_m *= w
-                s_m *= b_x
+                s_m *= sqrt_dt
                 x += s_m
                 if v is not None:
                     v += np.maximum(y, 0.0, out=f_m) if clamp else y

@@ -23,8 +23,8 @@ matches the Monte Carlo discretization scheme.
 
 Growth exponents are declared metadata, not inferred from the coefficients:
 ``nu_sigma``/``nu_g`` describe exact power-law coefficients, while
-``q_sigma``/``q_g``/``q_h`` are polynomial-growth bounds used by the
-assumption checker.  Presets fill them in; custom models must declare them.
+``q_sigma``/``q_g`` are polynomial-growth bounds used by the assumption
+checker.  Presets fill them in; custom models must declare them.
 
 ``ModelSpec`` values are immutable after construction and safe to share
 across threads; all operations in this module are pure.
@@ -32,7 +32,7 @@ across threads; all operations in this module are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -48,15 +48,14 @@ class GrowthExponents:
 
     ``nu_sigma`` and ``nu_g`` are exact power-law exponents (sigma ~ y^nu_sigma,
     g ~ y^nu_g) where the model has that form; ``q_sigma`` and ``q_g`` are
-    polynomial-growth bounds |sigma| <= K (1 + |y|^q_sigma) etc.; ``q_h`` bounds
-    the integrated functional H and is filled in per computation.
+    polynomial-growth bounds |sigma| <= K (1 + |y|^q_sigma) etc.  The bound q_h
+    of an integrated functional H is an argument of each computation.
     """
 
     nu_sigma: float | None = None
     nu_g: float | None = None
     q_sigma: float | None = None
     q_g: float | None = None
-    q_h: float | None = None
 
 
 @dataclass(frozen=True)
@@ -299,11 +298,6 @@ def make_lsv(sigma_local: Callable, vol_mult: Callable, f: Coefficient,
     )
 
 
-def with_functional_growth(model: ModelSpec, q_h: float) -> ModelSpec:
-    """Copy of the model with the integrated-functional growth bound declared."""
-    return replace(model, growth=replace(model.growth, q_h=q_h))
-
-
 def _is_cir_form(model: ModelSpec) -> bool:
     """True when the fast dynamics are mean-reverting with g = xi y^{q_g}, q_g in [1/2, 1)."""
     nu_g = model.growth.nu_g
@@ -328,12 +322,10 @@ def check_assumptions(model: ModelSpec, q_h: float | None = None,
       eps^{-beta} keeps sqrt(eps) h(eps)^{(q_g+q_h-1)/(1-q_g)} vanishing, i.e.
       1/2 - beta (q_g + q_h - 1) / (1 - q_g) > 0.
 
-    ``q_h`` falls back to the value declared in ``model.growth``.
+    Without ``q_h`` the two functional-growth checks fail as undeclared.
     """
     growth = model.growth
     q_sigma, q_g = growth.q_sigma, growth.q_g
-    if q_h is None:
-        q_h = growth.q_h
     checks = []
 
     if q_sigma is None or q_g is None:

@@ -8,8 +8,6 @@ paths started at zero:
                 - 2 rho phi' psi' / (sigma0 g0) + (psi'/g0)^2 ] dt;
 - small-time, one component (its contraction onto the first coordinate):
   I(phi) = (2 sigma0^2)^{-1} int phi'^2 dt;
-- the general nondegenerate quadratic form
-  S(xi) = 1/2 int (xi' - alpha - Db xi)^T (a a^T)^{-1} (xi' - alpha - Db xi) dt;
 - large-time: the contraction onto the endpoint of the action with constant
   drift alpha and variance q is J(x) = (x - alpha T)^2 / (2 q T).
 
@@ -51,23 +49,6 @@ from .paths import DiscretePath, require_same_grid
 from .poisson import PoissonSolution, solve_phi_cir
 
 INFINITE_RATE = float("inf")
-
-
-@dataclass(frozen=True)
-class QuadraticRateSpec:
-    """Data of the general quadratic action along a deterministic limit path.
-
-    ``drift_jacobian`` and ``diffusion_gram`` map time to the Jacobian Db and
-    the Gram matrix a a^T (scalars for one-dimensional paths, 2x2 arrays for
-    two-dimensional ones); the Gram must stay symmetric positive definite
-    along the path.  ``alpha_drift`` is the constant drift offset of the
-    large-time regime and 0 otherwise.
-    """
-
-    drift_jacobian: Callable[[float], np.ndarray]
-    diffusion_gram: Callable[[float], np.ndarray]
-    alpha_drift: float = 0.0
-    horizon: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -137,33 +118,6 @@ def small_time_rate_1d(sigma0: float, phi: DiscretePath) -> float:
         return INFINITE_RATE
     dphi = _forward_diff(phi)
     return float(np.sum(dphi ** 2) * phi.dt / (2 * sigma0 ** 2))
-
-
-def general_quadratic_rate(spec: QuadraticRateSpec, xi_path: DiscretePath) -> float:
-    """The nondegenerate quadratic action 1/2 int (xi' - alpha - Db xi)^T Gram^{-1} (...) dt.
-
-    Coefficients are evaluated at interval midpoints and xi at interval
-    averages; an eigenvalue of the Gram at or below 1e-12 raises
-    SingularSystemError.
-    """
-    if not xi_path.starts_at_zero():
-        return INFINITE_RATE
-    dxi = _forward_diff(xi_path)
-    mids = 0.5 * (xi_path.times[1:] + xi_path.times[:-1])
-    vals = xi_path.values
-    xi_mid = 0.5 * (vals[1:] + vals[:-1])
-    total = 0.0
-    for i, t in enumerate(mids):
-        db = np.atleast_2d(np.asarray(spec.drift_jacobian(t), dtype=float))
-        gram = np.atleast_2d(np.asarray(spec.diffusion_gram(t), dtype=float))
-        eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-        if np.min(eigs) <= 1e-12:
-            raise SingularSystemError(
-                f"diffusion Gram matrix has eigenvalue {np.min(eigs):.3e} <= 1e-12 at t={t:g}")
-        x = np.atleast_1d(xi_mid[i])
-        resid = np.atleast_1d(dxi[i]) - spec.alpha_drift - db @ x
-        total += float(resid @ np.linalg.solve(gram, resid))
-    return 0.5 * total * xi_path.dt
 
 
 def large_time_params(model: ModelSpec, measure: InvariantMeasure,

@@ -178,6 +178,13 @@ def _ldp_rows(config: ExperimentConfig):
         if not defined.any():
             raise DomainError(message)
         print(f"warning: {message}; their cells are left empty", file=sys.stderr)
+    # a Fenchel transform is never negative; -1e-12 spares roundoff
+    negative = np.flatnonzero(lam < -1e-12)
+    if negative.size:
+        print(f"warning: Lambda* is negative at {negative.size} of {len(grid)} x values "
+              f"(d_variant {params.d_variant}); first at x={grid[negative[0]]:g}: "
+              f"Lambda* = {lam[negative[0]]:g} (min {lam[negative].min():g}); "
+              "the closed-form u* is not the maximiser there", file=sys.stderr)
     shift = float(np.min(lam[defined]))
     quad = (grid - center) ** 2 / (2 * lt.q) + shift
     diff = np.abs(lam - quad)

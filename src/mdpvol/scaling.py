@@ -1,4 +1,4 @@
-"""Space-time rescaling of the two-factor system and its limit constants.
+"""Normalization and limit constants of the rescaled two-factor system.
 
 The rescaled process (delta X_{(eps/delta^2) t}, Y_{(eps/delta^2) t}) solves
 
@@ -7,10 +7,11 @@ The rescaled process (delta X_{(eps/delta^2) t}, Y_{(eps/delta^2) t}) solves
 
 so small-(eps, delta) asymptotics of the rescaled system translate into
 small-time (delta = 1) or scaled large-time (eps/delta -> gamma) statements
-about the original model.  The moderate-deviations normalization is
-sqrt(eps) h(eps) with h(eps) = eps^{-beta}, beta in (0, 1/2); the family is
-restricted to this power form because every concrete regime of interest uses
-it and a general h adds nothing testable.
+about the original model, which is what the estimators simulate.  The
+moderate-deviations normalization is sqrt(eps) h(eps) with h(eps) =
+eps^{-beta}, beta in (0, 1/2); the family is restricted to this power form
+because every concrete regime of interest uses it and a general h adds
+nothing testable.
 
 Deviations of eps/delta from its limit gamma are parametrized exactly as
 eps/delta = gamma + zeta_c * sqrt(eps) h(eps), which makes the limit constant
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .models import ModelSpec
 
 
 @dataclass(frozen=True)
@@ -46,65 +46,6 @@ class ScalingRegime:
             raise DomainError(f"gamma: must lie in (0, inf), got {self.gamma}")
         if not math.isfinite(self.zeta_c):
             raise DomainError(f"zeta_c: must be finite, got {self.zeta_c}")
-
-
-@dataclass(frozen=True)
-class ScaledCoefficients:
-    """Multipliers applied to (-sigma^2/2, sigma, f, g) in the rescaled system."""
-
-    model: ModelSpec
-    eps: float
-    delta: float
-    drift_x: float
-    diff_x: float
-    drift_y: float
-    diff_y: float
-
-    @classmethod
-    def identity(cls, model: ModelSpec) -> "ScaledCoefficients":
-        return cls(model, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-
-
-def h_eval(regime: ScalingRegime, eps: float) -> float:
-    """The normalizing factor h(eps) = eps^{-beta}; defined for eps in (0, 1]."""
-    if not 0 < eps <= 1:
-        raise DomainError(f"eps: must lie in (0, 1], got {eps}")
-    return eps ** (-regime.beta)
-
-
-def rescaled_coefficients(model: ModelSpec, eps: float, delta: float) -> ScaledCoefficients:
-    """Coefficient multipliers of the rescaled system for given (eps, delta).
-
-    drift_x = eps/delta, diff_x = sqrt(eps), drift_y = eps/delta^2,
-    diff_y = sqrt(eps)/delta.  With eps = delta = 1 this is the original
-    system; with delta = 1 and eps small it is the small-time system.
-    """
-    if not 0 < eps <= 1:
-        raise DomainError(f"eps: must lie in (0, 1], got {eps}")
-    if not 0 < delta <= 1:
-        raise DomainError(f"delta: must lie in (0, 1], got {delta}")
-    return ScaledCoefficients(
-        model=model, eps=eps, delta=delta,
-        drift_x=eps / delta,
-        diff_x=math.sqrt(eps),
-        drift_y=eps / delta ** 2,
-        diff_y=math.sqrt(eps) / delta,
-    )
-
-
-def tail_exponent(nu_sigma: float, nu_g: float) -> float:
-    """Space-scaling exponent (1 - nu_g + nu_sigma) / (2 (1 - nu_g)).
-
-    This is the exponent zeta for which eps^zeta X satisfies the moderate
-    deviations principle in the power-coefficient family; both the Heston
-    (1/2, 1/2) and Stein-Stein (1, 0) exponent pairs give 1.
-    """
-    if not 0 < nu_sigma <= 1:
-        raise DomainError(f"nu_sigma: must lie in (0, 1], got {nu_sigma}")
-    if not 0 <= nu_g <= 1 - nu_sigma:
-        raise DomainError(
-            f"nu_g: must lie in [0, 1 - nu_sigma] = [0, {1 - nu_sigma}], got {nu_g}")
-    return (1 - nu_g + nu_sigma) / (2 * (1 - nu_g))
 
 
 def mdp_growth_condition(q_g: float, q_h: float, beta: float) -> bool:

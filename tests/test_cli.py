@@ -234,6 +234,22 @@ class TestCliRuns:
         }))
         assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("experiment, doc", [
+        ("rate", {"params": {"x_values": [1e308]}}),
+        ("rate", {"regime": {"zeta_c": 1e308}}),
+        ("mc", {"params": {"k": 1e300, "t": 0.5, "paths": 100, "steps": 2}}),
+        ("asymptotics", {"params": {"k": 1e300}}),
+        ("asymptotics", {"params": {"x": 1e300}}),
+    ])
+    def test_overflowing_input_exit_code(self, tmp_path, capsys, experiment, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {experiment}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
 
 class TestCompareOutputs:
     def test_minima_match_at_center(self, tmp_path):
@@ -311,3 +327,27 @@ class TestCompareOutputs:
                                    "params": {"x_min": 0.03, "x_max": 0.09}}))
         assert main(["ldp", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "Lambda* is undefined at 101 of 101" in capsys.readouterr().err
+
+    def test_negative_lambda_star_rows_warned(self, tmp_path, capsys):
+        # a Fenchel transform is never negative: under the printed radicand
+        # this model's closed form gives 4 rows below 0, and each run says so
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {
+            "kind": "heston", "kappa": 1.7, "theta": 0.017, "xi": 0.68,
+            "rho": -0.5, "x0": 0.0, "y0": 0.017}}))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "Lambda* is negative" in line]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            "warning: Lambda* is negative at 4 of 101 x values (d_variant as_printed); "
+            "first at x=")
+        assert "(min -0.0889399)" in warnings[0]
+        with open(tmp_path / "compare.csv", encoding="utf-8") as handle:
+            lam = [float(row[1]) for row in list(csv.reader(handle))[1:] if row[1]]
+        assert sum(value < 0 for value in lam) == 4
+
+    def test_default_compare_prints_no_warning(self, tmp_path, capsys):
+        # the reference set's minimum of Lambda* is -3e-17, roundoff
+        assert main(["compare", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""

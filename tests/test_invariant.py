@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mdpvol import (DomainError, GrowthError, UnsupportedModelError,
-                    averaged_drift, averaged_state_path, gamma_invariant,
-                    family, integrate, make_constant_sigma,
+                    gamma_invariant, family, integrate, make_constant_sigma,
                     make_heston, make_lsv, speed_measure)
 from mdpvol.models import GrowthExponents
 
@@ -92,50 +91,6 @@ class TestStationarity:
 
         value, _ = integrate(measure, generator_f)
         assert abs(value) <= 1e-6
-
-
-class TestAveragedDrift:
-    def test_heston_constant(self, gamma_ref):
-        model = make_heston(**REF, rho=-0.5, x0=0.0, y0=0.1)
-        lam = averaged_drift(model, gamma_ref, 1.0)
-        assert lam(0.0) == pytest.approx(-0.05, abs=1e-9)
-        assert lam(3.0) == pytest.approx(-0.05, abs=1e-9)
-
-    def test_constant_sigma(self, gamma_ref):
-        model = make_constant_sigma(0.3)
-        lam = averaged_drift(model, gamma_ref, 1.0)
-        assert lam(0.0) == pytest.approx(-0.045, abs=1e-10)
-
-    def test_linear_in_gamma(self, gamma_ref):
-        model = make_heston(**REF, rho=-0.5, x0=0.0, y0=0.1)
-        assert averaged_drift(model, gamma_ref, 2.0)(0.0) == \
-            pytest.approx(2 * averaged_drift(model, gamma_ref, 1.0)(0.0), rel=1e-12)
-
-
-class TestAveragedPath:
-    def test_heston_line(self, gamma_ref):
-        model = make_heston(**REF, rho=-0.5, x0=0.0, y0=0.1)
-        path = averaged_state_path(model, gamma_ref, 1.0, 1.0, 16)
-        assert path.values[-1] == pytest.approx(-0.05, abs=1e-9)
-        np.testing.assert_allclose(path.values, -0.05 * path.times, atol=1e-9)
-
-    def test_zero_drift_constant_path(self, gamma_ref):
-        from mdpvol.models import ModelSpec, fused_from_handles
-
-        def zero(x, y):
-            return np.zeros_like(np.asarray(y, dtype=float))
-
-        model = ModelSpec(coeffs_fused=fused_from_handles(zero, zero, zero),
-                          rho=0.0, x0=0.4, y0=0.2, kind="custom",
-                          growth=GrowthExponents())
-        path = averaged_state_path(model, gamma_ref, 1.0, 2.0, 8)
-        np.testing.assert_allclose(path.values, 0.4, atol=0)
-
-    def test_step_count_immaterial_for_constant_drift(self, gamma_ref):
-        model = make_heston(**REF, rho=-0.5, x0=0.0, y0=0.1)
-        one = averaged_state_path(model, gamma_ref, 1.0, 1.0, 1)
-        many = averaged_state_path(model, gamma_ref, 1.0, 1.0, 1000)
-        assert one.values[-1] == pytest.approx(many.values[-1], abs=1e-12)
 
 
 class TestInvariantForModel:

@@ -11,7 +11,7 @@ from mdpvol import (DomainError, RealizedVarLdp, SimConfig, SimulationOverflowEr
                     UnsupportedModelError, estimate_call_smalltime, estimate_rv_tail,
                     estimate_smalltime_tail, exact_gaussian_call,
                     exact_gaussian_tail, make_constant_sigma, make_heston,
-                    rescaled_coefficients, rv_mgf, simulate)
+                    rv_mgf, simulate)
 from mdpvol import mc
 from mdpvol.mc import PATH_FIELDS, PathBatch
 from mdpvol.models import GrowthExponents, ModelSpec, fused_from_handles
@@ -109,16 +109,6 @@ class TestSimulate:
         exact = math.exp(rv_mgf(RealizedVarLdp(2.0, 0.1, 0.5, 0.2), u, t))
         se = sample.std() / math.sqrt(config.n_paths)
         assert abs(sample.mean() - exact) <= 4 * se + 0.1 * abs(u) * (t / steps) * exact
-
-    def test_rescaled_system_matches_smalltime_law(self, heston):
-        eps = 0.01
-        scaled = rescaled_coefficients(heston, eps, 1.0)
-        a = simulate(heston, SimConfig(n_paths=50_000, n_steps=64, t_end=1.0,
-                                       seed=9), scaled=scaled)
-        b = simulate(heston, SimConfig(n_paths=50_000, n_steps=64, t_end=eps,
-                                       seed=9))
-        # identical driving noise, identical laws: means agree to roundoff
-        assert a.x_terminal.mean() == pytest.approx(b.x_terminal.mean(), abs=1e-12)
 
     def test_swapped_kernel_called_once_per_chunk_and_step(self, heston):
         calls = []
@@ -278,8 +268,7 @@ def _digest(*parts) -> str:
 
 
 def _bitwise_case(name: str) -> str:
-    from mdpvol import (make_power_family, make_stein_stein,
-                        rescaled_coefficients)
+    from mdpvol import make_power_family, make_stein_stein
 
     heston = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
     if name == "heston_chunks":
@@ -294,10 +283,6 @@ def _bitwise_case(name: str) -> str:
                            seed=12, antithetic=True)
         return _digest(simulate(heston, config),
                        estimate_rv_tail(heston, 0.5, 0.05, 0.25, config))
-    if name == "heston_scaled":
-        config = SimConfig(n_paths=20_000, n_steps=16, t_end=1.0, seed=13)
-        return _digest(simulate(heston, config,
-                                scaled=rescaled_coefficients(heston, 0.01, 1.0)))
     models = {
         "constant_sigma": lambda: make_constant_sigma(0.2),
         "stein_stein": lambda: make_stein_stein(0.1, -1.0, 0.3, -0.3, 0.0, 0.2),
@@ -320,7 +305,6 @@ DIGEST_LAYOUT = "sfc64-seedseq-2^14"
 BITWISE_DIGESTS = {
     "heston_chunks": "6ab0c0e83d350c9e66af7ba41a500b8e9004935035e28b000f15bcab13615c2e",
     "heston_antithetic": "d0c9b63375af268ae453cabf65b1f7fd6f9362d6cf0414396e79f86870eef528",
-    "heston_scaled": "99bca09c2e56e4febc6961d92f861b04644ec6ff4fb986440abfb5c45f63c6b4",
     "constant_sigma": "605a8099857ffd62f31c2e1e5cf59dcdf8518943e8a9cda76cc96161add095a4",
     "stein_stein": "cd5055643abca487b4385482bd9cc918b7d7af2ce171bf66c473d2d0a9a54266",
     "power_fractional": "1b207bb61352c5ef966cb8632a9357332c48a16bb6d3103ebbe84bfbee1b53e7",

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from mdpvol import (DomainError, check_assumptions, make_constant_sigma,
-                    make_heston, make_lsv, make_power_family, make_stein_stein,
-                    with_functional_growth)
+                    make_heston, make_lsv, make_power_family, make_stein_stein)
 from mdpvol.models import GrowthExponents
 
 
@@ -110,11 +109,6 @@ class TestAssumptionChecks:
         model = make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2)
         report = check_assumptions(model)
         assert report.passed("growth-sum")  # 1 + 0 <= 1
-
-    def test_q_h_from_growth_metadata(self):
-        model = with_functional_growth(make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1), 1.0)
-        report = check_assumptions(model)
-        assert report.passed("functional-growth-cir")
 
     def test_deterministic(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)

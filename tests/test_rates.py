@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdpvol import (INFINITE_RATE, DiscretePath, DomainError,
-                    GridMismatchError, QuadraticRateSpec, SingularSystemError,
-                    contract_two_to_one, endpoint_rate, family, gamma_invariant,
-                    general_quadratic_rate, heston_large_time_params,
+                    GridMismatchError, contract_two_to_one, endpoint_rate,
+                    family, gamma_invariant, heston_large_time_params,
                     large_time_params, make_heston, minimize_endpoint,
                     qbar_integrated, small_time_rate_1d, small_time_rate_2d,
                     solve_poisson_cev)
@@ -65,37 +64,6 @@ class TestSmallTimeRates:
         with pytest.raises(DomainError):
             small_time_rate_2d(kwargs["sigma0"], kwargs["g0"], kwargs["rho"],
                                line_path(1.0), line_path(0.0))
-
-
-class TestGeneralQuadraticRate:
-    def test_reduces_to_one_component(self):
-        rng = np.random.default_rng(0)
-        phi = random_smooth_path(rng)
-        sigma0 = 0.31622776601683794
-        spec = QuadraticRateSpec(lambda t: 0.0, lambda t: sigma0 ** 2, 0.0, 1.0)
-        assert general_quadratic_rate(spec, phi) == \
-            pytest.approx(small_time_rate_1d(sigma0, phi), abs=1e-12)
-
-    def test_reduces_to_two_component(self):
-        rng = np.random.default_rng(1)
-        phi = random_smooth_path(rng)
-        psi = random_smooth_path(rng)
-        sigma0, g0, rho = 0.3, 0.7, -0.4
-        gram = np.array([[sigma0 ** 2, rho * sigma0 * g0],
-                         [rho * sigma0 * g0, g0 ** 2]])
-        joint = DiscretePath(phi.times, np.stack([phi.values, psi.values], axis=1))
-        spec = QuadraticRateSpec(lambda t: np.zeros((2, 2)), lambda t: gram, 0.0, 1.0)
-        assert general_quadratic_rate(spec, joint) == \
-            pytest.approx(small_time_rate_2d(sigma0, g0, rho, phi, psi), abs=1e-10)
-
-    def test_zero_path_zero_rate(self):
-        spec = QuadraticRateSpec(lambda t: 0.7, lambda t: 1.0, 0.0, 1.0)
-        assert general_quadratic_rate(spec, line_path(0.0)) == 0.0
-
-    def test_singular_gram_rejected(self):
-        spec = QuadraticRateSpec(lambda t: 0.0, lambda t: 0.0, 0.0, 1.0)
-        with pytest.raises(SingularSystemError):
-            general_quadratic_rate(spec, line_path(1.0))
 
 
 class TestLargeTimeParams:

@@ -26,16 +26,16 @@ from .errors import DomainError, UnsupportedModelError
 from .families import family
 from .ldp import RealizedVarLdp, rv_lambda_star, rv_mdp_exponent
 from .models import ModelSpec
-from .rates import LargeTimeParams, endpoint_rate, share_large_time_params
+from .rates import LargeTimeParams, endpoint_rate
 
 
 @dataclass(frozen=True)
 class AsymptoticQuote:
-    """One asymptotic exponent with its validity region and normalization."""
+    """One asymptotic exponent with the strike it is evaluated at and its speed."""
 
     regime: str
     exponent_value: float
-    validity: str
+    strike: float
     speed: str
 
 
@@ -74,17 +74,14 @@ def largetime_put_quote(params: LargeTimeParams, x: float, beta: float,
     return x, correction
 
 
-def largetime_call_exponent(model: ModelSpec, x: float,
-                            q_share: float | None = None) -> float:
+def largetime_call_exponent(x: float, q_share: float) -> float:
     """Large-time call exponent: -x^2 / (2 q^Q) for x > 0 and 0 for x <= 0.
 
-    q^Q is the large-time variance constant of the share-measure dynamics;
-    pass it explicitly to avoid recomputing the tilt pipeline.
+    q^Q is the large-time variance constant of the share-measure dynamics
+    (``share_large_time_params(model).q``); the horizon is 1.
     """
     if x <= 0:
         return 0.0
-    if q_share is None:
-        q_share = share_large_time_params(model).q
     return -endpoint_rate(q_share, x)
 
 
@@ -108,7 +105,7 @@ def rv_option_quotes(params: RealizedVarLdp, x: float, beta: float,
 def quote_catalog(model: ModelSpec, lt: LargeTimeParams, q_share: float,
                   k: float, x: float, x_rv: float, beta: float,
                   t: float) -> list[AsymptoticQuote]:
-    """Every asymptotic quote for one model at the given strikes and horizon."""
+    """Every asymptotic quote for one model, each with the strike it is evaluated at."""
     leading, correction = largetime_put_quote(lt, -abs(x), beta, t)
     try:
         rv = RealizedVarLdp(*family(model).square_root_factor(), model.y0)
@@ -116,26 +113,24 @@ def quote_catalog(model: ModelSpec, lt: LargeTimeParams, q_share: float,
         rv = None
     quotes = [
         AsymptoticQuote("small_time_call", smalltime_call_exponent(model, k),
-                        "k > 0", "h(t)^2 = t^(-2*beta)"),
-        AsymptoticQuote("large_time_put_leading", leading, "x < 0", "t^(1/2+beta)"),
-        AsymptoticQuote("large_time_put_correction", correction, "x < 0",
+                        k, "h(t)^2 = t^(-2*beta)"),
+        AsymptoticQuote("large_time_put_leading", leading, -abs(x), "t^(1/2+beta)"),
+        AsymptoticQuote("large_time_put_correction", correction, -abs(x),
                         "t^(1/2+beta)"),
-        AsymptoticQuote("large_time_call",
-                        largetime_call_exponent(model, abs(x), q_share=q_share),
-                        "x > 0", "t^(2*beta)"),
+        AsymptoticQuote("large_time_call", largetime_call_exponent(abs(x), q_share),
+                        abs(x), "t^(2*beta)"),
     ]
     if rv is not None:
         ldp_quote, mdp_quote = rv_option_quotes(rv, x_rv, beta, t)
-        quotes.append(AsymptoticQuote("rv_option_ldp", ldp_quote, "x > 0", "t"))
-        quotes.append(AsymptoticQuote("rv_option_mdp", mdp_quote, "x > 0",
-                                      "t^(2*beta)"))
+        quotes.append(AsymptoticQuote("rv_option_ldp", ldp_quote, x_rv, "t"))
+        quotes.append(AsymptoticQuote("rv_option_mdp", mdp_quote, x_rv, "t^(2*beta)"))
     growth = model.growth
     if growth.nu_sigma is not None and growth.nu_g is not None \
             and growth.nu_g <= 1 - growth.nu_sigma:
         x_tail = abs(x) + abs(model.x0) + 0.2
         quotes.append(AsymptoticQuote(
             "tail_probability", tail_probability_exponent(model, x_tail, t),
-            f"x > x0 (evaluated at x = {x_tail:g})", "h^2"))
+            x_tail, "h^2"))
     return quotes
 
 

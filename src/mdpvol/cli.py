@@ -4,8 +4,8 @@
 
 Subcommands: invariant, poisson, rate, ldp, mc, asymptotics, compare,
 acceptance.  Without --config the documented defaults run (the reference
-parameter set).  Exit codes: 0 success, 1 configuration/validation error,
-2 numeric failure, 3 acceptance failure.
+parameter set).  Exit codes: 0 success, 1 configuration/validation or
+output-path error, 2 numeric failure, 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # --out or out_prefix names no writable directory
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DomainError, UnsupportedModelError, GridMismatchError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -206,6 +206,8 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     out_prefix = raw.get("out_prefix")
     if out_prefix is not None and not isinstance(out_prefix, str):
         violations.append(f"out_prefix: expected a string, got {out_prefix!r}")
+    elif out_prefix is not None and "\0" in out_prefix:
+        violations.append("out_prefix: must not contain a NUL character")
 
     if violations:
         raise ConfigError(violations)

@@ -72,14 +72,15 @@ class LdpHestonParams:
         return math.sqrt(4 * self.kappa ** 2 + self.xi ** 2
                          - 4 * self.kappa * self.rho * self.xi)
 
+    # zeta_hat takes the sign of xi, so that u_minus < u_plus also for xi < 0
     @property
     def u_minus(self) -> float:
-        return (self.xi - 2 * self.kappa * self.rho - self.zeta_hat) \
+        return (self.xi - 2 * self.kappa * self.rho - math.copysign(self.zeta_hat, self.xi)) \
             / (2 * self.xi * (1 - self.rho ** 2))
 
     @property
     def u_plus(self) -> float:
-        return (self.xi - 2 * self.kappa * self.rho + self.zeta_hat) \
+        return (self.xi - 2 * self.kappa * self.rho + math.copysign(self.zeta_hat, self.xi)) \
             / (2 * self.xi * (1 - self.rho ** 2))
 
 
@@ -194,13 +195,12 @@ def rv_mdp_exponent(params: RealizedVarLdp, x: float) -> float:
 
 
 def fenchel_legendre_numeric(fn: Callable[[float], float], u_lo: float,
-                             u_hi: float, x: float,
-                             fprime: Callable[[float], float] | None = None,
-                             ) -> tuple[float, float]:
+                             u_hi: float, x: float) -> tuple[float, float]:
     """sup_u { u x - fn(u) } for convex differentiable fn on (u_lo, u_hi).
 
     Safeguarded Newton iteration on fn'(u) = x with bisection fallback inside
-    the bracket [u_lo + eps_b, u_hi - eps_b], eps_b = 1e-10 (u_hi - u_lo).
+    the bracket [u_lo + eps_b, u_hi - eps_b], eps_b = 1e-10 (u_hi - u_lo);
+    fn' is the central difference of fn with step 1e-7 max(u_hi - u_lo, 1).
     Returns (value, maximizing u).  Raises DomainError when fn' never reaches
     x on the domain (the supremum then sits at the boundary).
     """
@@ -210,13 +210,12 @@ def fenchel_legendre_numeric(fn: Callable[[float], float], u_lo: float,
     eps_b = 1e-10 * width
     dom_lo, dom_hi = u_lo + eps_b, u_hi - eps_b
 
-    if fprime is None:
-        h0 = 1e-7 * max(width, 1.0)
+    h0 = 1e-7 * max(width, 1.0)
 
-        def fprime(u):
-            # clip the probe so the stencil stays inside the open domain
-            u = min(max(u, dom_lo + 2 * h0), dom_hi - 2 * h0)
-            return (fn(u + h0) - fn(u - h0)) / (2 * h0)
+    def fprime(u):
+        # clip the probe so the stencil stays inside the open domain
+        u = min(max(u, dom_lo + 2 * h0), dom_hi - 2 * h0)
+        return (fn(u + h0) - fn(u - h0)) / (2 * h0)
 
     if fprime(dom_lo) - x > 0 or fprime(dom_hi) - x < 0:
         raise DomainError(

@@ -305,8 +305,7 @@ def _is_cir_form(model: ModelSpec) -> bool:
             and nu_g is not None and 0.5 <= nu_g < 1)
 
 
-def check_assumptions(model: ModelSpec, q_h: float | None = None,
-                      beta: float | None = None) -> AssumptionReport:
+def check_assumptions(model: ModelSpec, q_h: float | None = None) -> AssumptionReport:
     """Evaluate the growth and ergodicity conditions on declared exponents.
 
     Checks performed (failures are report entries, never exceptions):
@@ -318,9 +317,6 @@ def check_assumptions(model: ModelSpec, q_h: float | None = None,
       power-diffusion factors, q_sigma < 1 and q_g + q_h < 2.
     - ``mean-reversion``: f = -kappa y + tau(y) with Lipschitz constant of
       tau strictly below kappa, evaluated where the drift is declared affine.
-    - ``h-growth`` (only when ``beta`` is given): the normalizing family
-      eps^{-beta} keeps sqrt(eps) h(eps)^{(q_g+q_h-1)/(1-q_g)} vanishing, i.e.
-      1/2 - beta (q_g + q_h - 1) / (1 - q_g) > 0.
 
     Without ``q_h`` the two functional-growth checks fail as undeclared.
     """
@@ -363,15 +359,5 @@ def check_assumptions(model: ModelSpec, q_h: float | None = None,
             "mean-reversion", b < 0,
             f"f = a + b y with b = {b:g}: L_tau = 0 < kappa = {-b:g}" if b < 0
             else f"f = a + b y with b = {b:g} >= 0 is not mean-reverting"))
-
-    if beta is not None:
-        if q_h is None or q_g is None or q_g >= 1:
-            checks.append(AssumptionCheck(
-                "h-growth", False, "needs declared q_g < 1 and q_h"))
-        else:
-            exponent = 0.5 - beta * (q_g + q_h - 1) / (1 - q_g)
-            checks.append(AssumptionCheck(
-                "h-growth", exponent > 0,
-                f"1/2 - beta (q_g + q_h - 1)/(1 - q_g) = {exponent:g} (need > 0)"))
 
     return AssumptionReport(tuple(checks))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,10 +39,6 @@ class DiscretePath:
             raise DomainError("times: grid must be uniform")
 
     @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
@@ -51,18 +46,8 @@ class DiscretePath:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
-    def starts_at_zero(self, tol: float = 0.0) -> bool:
-        start = np.atleast_1d(self.values[0])
-        return bool(np.all(np.abs(start) <= tol))
-
-    @classmethod
-    def from_function(cls, fn: Callable, horizon: float, n_steps: int) -> "DiscretePath":
-        times = np.linspace(0.0, horizon, n_steps + 1)
-        return cls(times, np.asarray(fn(times), dtype=float))
+    def starts_at_zero(self) -> bool:
+        return bool(np.all(self.values[0] == 0.0))
 
 
 def require_same_grid(*paths: DiscretePath) -> None:

@@ -93,8 +93,8 @@ def solve_phi_cir(kappa: float, theta: float, drift_coeff: float = -0.5) -> Pois
         centering_residual=0.0)
 
 
-def _solve_grid(measure: InvariantMeasure, n_grid: int):
-    """Geometric solve grid and 1/2 g^2 m on it.
+def _solve_grid(measure: InvariantMeasure):
+    """Geometric solve grid of _GRID_POINTS nodes and 1/2 g^2 m on it.
 
     The grid spans the measure's truncation interval or, where 1/2 g^2 m is
     not a normal float at its ends, the part between the first and last of
@@ -106,11 +106,11 @@ def _solve_grid(measure: InvariantMeasure, n_grid: int):
         return 0.5 * xi ** 2 * y ** (2 * q_g) * np.exp(measure.log_density(y))
 
     tiny = np.finfo(float).tiny  # the smallest normal float
-    grid = np.geomspace(measure.y_lo, measure.y_hi, n_grid)
+    grid = np.geomspace(measure.y_lo, measure.y_hi, _GRID_POINTS)
     values = half_g2_m(grid)
     normal = np.flatnonzero(values >= tiny)
-    if 1 < len(normal) < n_grid:
-        grid = np.geomspace(grid[normal[0]], grid[normal[-1]], n_grid)
+    if 1 < len(normal) < _GRID_POINTS:
+        grid = np.geomspace(grid[normal[0]], grid[normal[-1]], _GRID_POINTS)
         values = half_g2_m(grid)
     if not np.all(values >= tiny):
         raise DomainError("measure density vanished on the solve grid")
@@ -118,15 +118,16 @@ def _solve_grid(measure: InvariantMeasure, n_grid: int):
 
 
 def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
-                      q_h: float = 1.0, n_grid: int = _GRID_POINTS) -> PoissonSolution:
+                      q_h: float = 1.0) -> PoissonSolution:
     """Speed-measure solve of L u = H - Hbar for the power-diffusion factor.
 
-    g = xi y^{q_g} is read from ``measure.params``; ``q_h`` is the declared
-    polynomial growth bound of H, used for the growth guard on u'.  Raises
-    GrowthError when |u'| at the top of the grid exceeds ten times the bound
-    K (1 + y^{q_h - 1}) fitted on the grid interior.
+    The solve grid has 2048 geometric nodes.  g = xi y^{q_g} is read from
+    ``measure.params``; ``q_h`` is the declared polynomial growth bound of H,
+    used for the growth guard on u'.  Raises GrowthError when |u'| at the top
+    of the grid exceeds ten times the bound K (1 + y^{q_h - 1}) fitted on the
+    grid interior.
     """
-    grid, half_g2_m = _solve_grid(measure, n_grid)
+    grid, half_g2_m = _solve_grid(measure)
     # The rule's segments cover the whole truncation interval: those of the
     # grid, and padding where _solve_grid cut the grid short.
     rule = TabulatedRule(measure, grid)
@@ -155,7 +156,7 @@ def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
     u_prime_left = left / half_g2_m
     u_prime_right = -right / half_g2_m
 
-    quarter = n_grid // 4
+    quarter = _GRID_POINTS // 4
     mid = slice(quarter, 3 * quarter)
     gap = float(np.max(np.abs(u_prime_left[mid] - u_prime_right[mid])))
 

@@ -31,17 +31,16 @@ def _leggauss(order: int):
     return x, w
 
 
-def geometric_edges(y_lo: float, y_hi: float, max_ratio: float = 4.0,
-                    min_panels: int = 16) -> np.ndarray:
+def geometric_edges(y_lo: float, y_hi: float) -> np.ndarray:
     """Geometrically spaced panel edges covering [y_lo, y_hi].
 
-    The per-panel ratio never exceeds ``max_ratio``; for very wide ranges the
-    panel count grows like log(y_hi / y_lo).
+    At least 16 panels, each with edge ratio at most 4; for very wide ranges
+    the panel count grows like log(y_hi / y_lo).
     """
     if not (0 < y_lo < y_hi):
         raise QuadratureError(f"invalid truncation bounds [{y_lo}, {y_hi}]")
     span = math.log(y_hi / y_lo)
-    n = max(min_panels, math.ceil(span / math.log(max_ratio)))
+    n = max(16, math.ceil(span / math.log(4.0)))
     return y_lo * np.exp(span * np.arange(n + 1) / n)
 
 
@@ -51,21 +50,16 @@ def panel_nodes(edges: np.ndarray, order: int):
     return nodes.ravel(), (np.log(half)[:, None] + np.log(w)[None, :]).ravel()
 
 
-def integrate_logweight(fn: Callable, log_weight: Callable, edges: np.ndarray,
-                        *, order0: int | None = None, max_order: int = 1024,
-                        atol: float = 1e-13, rtol: float = 1e-12):
+def integrate_logweight(fn: Callable, log_weight: Callable, edges: np.ndarray):
     """Integral of fn(y) * exp(log_weight(y)) over the panels, with doubling.
 
-    Starts from a total budget of roughly 512 nodes spread over the panels and
-    doubles the per-panel order until two successive values agree within
-    max(atol, rtol * |I|).  Returns ``(value, error_estimate)`` where the
-    estimate is the last successive difference.  Raises QuadratureError when
-    the doubling never settles.
+    Starts from a total budget of roughly 512 nodes spread over the panels
+    (at least order 4 per panel) and doubles the per-panel order, up to 1024,
+    until two successive values agree within max(1e-13, 1e-12 |I|).  Returns
+    ``(value, error_estimate)`` where the estimate is the last successive
+    difference.  Raises QuadratureError when the doubling never settles.
     """
-    n_panels = len(edges) - 1
-    if order0 is None:
-        order0 = max(4, 512 // n_panels)
-    order = order0
+    order = max(4, 512 // (len(edges) - 1))
     prev = None
     while True:
         nodes, log_w = panel_nodes(edges, order)
@@ -75,9 +69,9 @@ def integrate_logweight(fn: Callable, log_weight: Callable, edges: np.ndarray,
         value = float(np.sum(contrib))
         if prev is not None:
             err = abs(value - prev)
-            if err <= max(atol, rtol * abs(value)):
+            if err <= max(1e-13, 1e-12 * abs(value)):
                 return value, err
-        if order >= max_order:
+        if order >= 1024:
             raise QuadratureError(
                 f"quadrature did not converge: order {order}, "
                 f"last difference {abs(value - (prev if prev is not None else np.nan)):.3e}")
@@ -85,7 +79,7 @@ def integrate_logweight(fn: Callable, log_weight: Callable, edges: np.ndarray,
         order *= 2
 
 
-def segment_nodes(grid: np.ndarray, order: int = 16):
+def segment_nodes(grid: np.ndarray, order: int):
     """Gauss-Legendre nodes on each segment of a sorted grid, one row per segment.
 
     Returns ``(nodes, w, half)``: the integral of fn over segment j is
@@ -97,15 +91,11 @@ def segment_nodes(grid: np.ndarray, order: int = 16):
     return mid[:, None] + half[:, None] * x[None, :], w, half
 
 
-def segment_integrals(fn: Callable, grid: np.ndarray, order: int = 16) -> np.ndarray:
-    """Integral of a smooth fn over each segment of a sorted grid (one GL rule each)."""
-    nodes, w, half = segment_nodes(grid, order)
-    return np.sum(fn(nodes) * w, axis=1) * half
-
-
-def segment_cumulative(fn: Callable, grid: np.ndarray, order: int = 16) -> np.ndarray:
-    """Cumulative integral of a smooth fn along a sorted grid.
+def segment_cumulative(fn: Callable, grid: np.ndarray) -> np.ndarray:
+    """Cumulative integral of a smooth fn along a sorted grid, by an order-16
+    Gauss-Legendre rule on each segment.
 
     Returns F with F[0] = 0 and F[j] = integral from grid[0] to grid[j].
     """
-    return np.concatenate(([0.0], np.cumsum(segment_integrals(fn, grid, order))))
+    nodes, w, half = segment_nodes(grid, 16)
+    return np.concatenate(([0.0], np.cumsum(np.sum(fn(nodes) * w, axis=1) * half)))

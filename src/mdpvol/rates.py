@@ -258,9 +258,8 @@ def share_large_time_params(model: ModelSpec, zeta: float = 0.0) -> LargeTimePar
     return heston_large_time_params(family(model).share_measure(), zeta)
 
 
-def endpoint_rate(q: float, x: float, alpha: float = 0.0,
-                  horizon: float = 1.0) -> float:
-    """Closed-form endpoint contraction (x - alpha T)^2 / (2 q T)."""
+def endpoint_rate(q: float, x: float, alpha: float = 0.0) -> float:
+    """Closed-form endpoint contraction (x - alpha T)^2 / (2 q T) at horizon T = 1."""
     if q <= 0:
         raise DomainError(f"q: must be positive, got {q}")
-    return (x - alpha * horizon) ** 2 / (2 * q * horizon)
+    return (x - alpha) ** 2 / (2 * q)

@@ -261,17 +261,7 @@ def run_asymptotics(config: ExperimentConfig, outdir: str) -> list[str]:
     lt = heston_large_time_params(model, zeta=regime.zeta_c)
     lt_q = share_large_time_params(model, zeta=regime.zeta_c)
     quotes = asy.quote_catalog(model, lt, lt_q.q, k, x, x_rv, regime.beta, t)
-    strikes = {
-        "small_time_call": k,
-        "large_time_put_leading": -abs(x),
-        "large_time_put_correction": -abs(x),
-        "large_time_call": abs(x),
-        "rv_option_ldp": x_rv,
-        "rv_option_mdp": x_rv,
-        "tail_probability": abs(x) + abs(model.x0) + 0.2,
-    }
-    rows = [(q.regime, strikes[q.regime], q.exponent_value, q.speed)
-            for q in quotes]
+    rows = [(q.regime, q.strike, q.exponent_value, q.speed) for q in quotes]
     path = _out(outdir, config, "asymptotics.csv")
     write_csv(path, CSV_HEADERS["asymptotics"], rows)
     return [path]

@@ -62,12 +62,13 @@ class TestLargetimePut:
 
 class TestLargetimeCall:
     def test_nonpositive_strike_zero(self, heston):
-        assert largetime_call_exponent(heston, 0.0) == 0.0
-        assert largetime_call_exponent(heston, -0.4) == 0.0
+        q_share = share_large_time_params(heston).q
+        assert largetime_call_exponent(0.0, q_share) == 0.0
+        assert largetime_call_exponent(-0.4, q_share) == 0.0
 
     def test_share_route_value(self, heston):
         lt_q = share_large_time_params(heston)
-        assert largetime_call_exponent(heston, 0.1) == \
+        assert largetime_call_exponent(0.1, lt_q.q) == \
             pytest.approx(-0.01 / (2 * lt_q.q), rel=1e-9)
         # tilted-factor closed form, cross term sign flipped by the tilt
         kq = 2.0 - (-0.5) * 0.5
@@ -81,14 +82,14 @@ class TestLargetimeCall:
         lt_q = share_large_time_params(model)
         assert lt_q.q == pytest.approx(lt.q, rel=1e-10)
         for x in (0.05, 0.1, 0.3):
-            call = largetime_call_exponent(model, x, q_share=lt_q.q)
+            call = largetime_call_exponent(x, lt_q.q)
             _, put_correction = largetime_put_quote(lt, -x, 0.25, 1.0)
             assert call == pytest.approx(put_correction, rel=1e-10)
 
     def test_sign_structure(self, heston):
         q_share = share_large_time_params(heston).q
         for x in (0.01, 0.2, 1.0):
-            assert largetime_call_exponent(heston, x, q_share=q_share) < 0
+            assert largetime_call_exponent(x, q_share) < 0
 
 
 @pytest.fixture(scope="module")

@@ -250,6 +250,23 @@ class TestCliRuns:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
+    @pytest.mark.parametrize("sub, out, doc, message", [
+        ("rate", "file", {}, "output error: "),
+        ("ldp", "file/sub", {}, "output error: "),
+        ("acceptance", "file", {}, "output error: "),
+        ("rate", ".", {"out_prefix": "a\u0000b"}, "config error: out_prefix: "),
+    ], ids=["out-is-file", "out-under-file", "acceptance-out-is-file", "nul-prefix"])
+    def test_output_path_error_exit_code(self, tmp_path, capsys, sub, out, doc, message):
+        (tmp_path / "file").write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        extra = ["--criterion", "11"] if sub == "acceptance" else []
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
 
 class TestCompareOutputs:
     def test_minima_match_at_center(self, tmp_path):
@@ -351,3 +368,18 @@ class TestCompareOutputs:
         # the reference set's minimum of Lambda* is -3e-17, roundoff
         assert main(["compare", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("sub", ["ldp", "compare"])
+    @pytest.mark.parametrize("d_variant", ["as_printed", "standard"])
+    def test_negative_xi_mirrors_positive(self, tmp_path, sub, d_variant):
+        # (xi, rho) -> (-xi, -rho) flips the factor's Brownian motion, which
+        # leaves the law of the log price, and so Lambda*, unchanged
+        files = []
+        for xi, rho in ((0.5, 0.5), (-0.5, -0.5)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"model": {"xi": xi, "rho": rho},
+                                       "params": {"d_variant": d_variant}}))
+            out = tmp_path / f"xi{xi}"
+            assert main([sub, "--config", str(cfg), "--out", str(out)]) == 0
+            files.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+        assert files[0] == files[1]

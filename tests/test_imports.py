@@ -5,8 +5,10 @@ functions that call it.  Each start-up check runs in a fresh interpreter and
 compares module names, not timings.
 
 The dead-name checks read the source with ``ast``: no module imports a name
-it never uses, and every public name of the package has a consumer in the
-package or a stated reason to stay.
+it never uses, every public name of the package has a consumer in the
+package, every public class member is read as an attribute, and every
+defaulted parameter of a module-level function is passed by some call, each
+or else has a stated reason to stay.
 """
 
 import ast
@@ -24,6 +26,43 @@ UNCONSUMED_PUBLIC = {
     "make_lsv": "the local-stochastic-volatility preset of the model catalog",
     "qbar_integrated": "the Qbar constant of integrated functionals, "
                        "kept for the realised-variance family fact",
+}
+
+# Public class members that nothing in the package reads as an attribute,
+# and why each stays.
+_ITEM_1 = "a diagnostic that ROADMAP item 1 surfaces"
+UNREAD_MEMBERS = {
+    "PathBatch.y_terminal": "read by name through mc.PATH_FIELDS",
+    "PathBatch.x_running_max": "read by name through mc.PATH_FIELDS",
+    "IntegralResult.error": _ITEM_1,
+    "PoissonSolution.centering_residual": _ITEM_1,
+    "PoissonSolution.two_sided_gap": _ITEM_1,
+    "Family.invariant": "the family fact that ROADMAP item 8 builds Qbar on",
+    "ModelSpec.f": "the factor drift, one of the three coefficient accessors",
+    "PoissonSolution.u": "the solution itself, whose centering the tests integrate",
+    "AssumptionCheck.detail": "the measured value behind a check, for its reader",
+    "TailEstimate.threshold": "the level the estimated probability refers to",
+    "CallEstimate.strike_log": "the strike the estimated price refers to",
+    "QbarResult.degenerate": "flags a vanishing Qbar, read with qbar_integrated",
+}
+
+# Defaulted parameters of module-level functions that no call in the
+# package passes, and why each stays.
+_RUN_ALL = "run_all passes the seed through a variable, which this check cannot follow"
+_ORACLE_START = "an exact oracle starts where its model does; tests pass other starts"
+_PRESET_FLAG = "a preset's declared moment flag, set by the library's user"
+UNPASSED_DEFAULTS = {
+    "criterion_01_large_time_q.seed": _RUN_ALL,
+    "criterion_06_variational_oracle.seed": _RUN_ALL,
+    "criterion_07_gaussian_mc.seed": _RUN_ALL,
+    "criterion_08_smalltime_trend.seed": _RUN_ALL,
+    "criterion_09_rv_trend.seed": _RUN_ALL,
+    "criterion_12_determinism.seed": _RUN_ALL,
+    "main.argv": "the console script passes nothing, so argparse reads sys.argv",
+    "exact_gaussian_tail.x0": _ORACLE_START,
+    "exact_gaussian_call.x0": _ORACLE_START,
+    "make_power_family.moment_flag": _PRESET_FLAG,
+    "make_lsv.moment_flag": _PRESET_FLAG,
 }
 
 _REPORT = """
@@ -120,3 +159,61 @@ def test_every_public_name_has_a_consumer_or_a_reason():
     assert sorted(unconsumed - set(UNCONSUMED_PUBLIC)) == []
     # an entry whose name gained a consumer or left the package is stale
     assert sorted(set(UNCONSUMED_PUBLIC) - unconsumed) == []
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    """Public fields, methods and properties declared in a class body."""
+    names = {node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    names |= {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_class_member_is_read_or_has_a_reason():
+    trees = _modules()
+    classes = {node.name: node for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for cls in classes.values():
+        # an override is read wherever its base class's member is
+        inherited = set().union(*(_members(classes[base.id]) for base in cls.bases
+                                  if isinstance(base, ast.Name) and base.id in classes))
+        unread |= {f"{cls.name}.{name}" for name in _members(cls) - read - inherited}
+    assert sorted(unread - set(UNREAD_MEMBERS)) == []
+    # an entry whose member gained a reader or left the package is stale
+    assert sorted(set(UNREAD_MEMBERS) - unread) == []
+
+
+def test_every_default_is_passed_or_has_a_reason():
+    trees = _modules()
+    params = {}  # function name -> (positional parameters, defaulted parameters)
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                params[node.name] = (positional, defaulted)
+    passed = set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if callee not in params:
+                continue
+            positional, defaulted = params[callee]
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                passed |= {f"{callee}.{name}" for name in defaulted}
+            passed |= {f"{callee}.{name}" for name in positional[:len(call.args)]}
+            passed |= {f"{callee}.{k.arg}" for k in call.keywords}
+    unpassed = {f"{function}.{name}" for function, (_, defaulted) in params.items()
+                for name in defaulted} - passed
+    assert sorted(unpassed - set(UNPASSED_DEFAULTS)) == []
+    # an entry whose parameter gained a caller or left the package is stale
+    assert sorted(set(UNPASSED_DEFAULTS) - unpassed) == []

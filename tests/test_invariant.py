@@ -58,7 +58,7 @@ class TestSpeedMeasure:
     def test_matches_gamma_closed_form(self, gamma_ref):
         numeric = speed_measure(**REF, q_g=0.5)
         ys = np.linspace(1e-4, 2.0, 4001)
-        gap = np.max(np.abs(numeric.density(ys) - gamma_ref.density(ys)))
+        gap = np.max(np.abs(np.exp(numeric.log_density(ys)) - np.exp(gamma_ref.log_density(ys))))
         assert gap <= 1e-8
 
     def test_normalized(self):

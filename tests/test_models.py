@@ -112,8 +112,8 @@ class TestAssumptionChecks:
 
     def test_deterministic(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
-        a = check_assumptions(model, q_h=1.0, beta=0.25)
-        b = check_assumptions(model, q_h=1.0, beta=0.25)
+        a = check_assumptions(model, q_h=1.0)
+        b = check_assumptions(model, q_h=1.0)
         assert a == b
 
     def test_mean_reversion_entry(self):

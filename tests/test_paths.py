@@ -8,18 +8,12 @@ from mdpvol.errors import GridMismatchError
 
 class TestDiscretePath:
     def test_from_function(self):
-        path = DiscretePath.from_function(lambda t: 2 * t, 1.0, 4)
+        times = np.linspace(0.0, 1.0, 5)
+        path = DiscretePath(times, 2 * times)
         assert path.n_steps == 4
         assert path.dt == 0.25
-        assert path.horizon == 1.0
+        assert path.times[-1] == 1.0
         np.testing.assert_allclose(path.values, 2 * path.times)
-
-    def test_dimension(self):
-        times = np.linspace(0, 1, 5)
-        scalar = DiscretePath(times, times)
-        pair = DiscretePath(times, np.stack([times, 2 * times], axis=1))
-        assert scalar.dim == 1
-        assert pair.dim == 2
 
     def test_starts_at_zero(self):
         times = np.linspace(0, 1, 5)
@@ -38,9 +32,11 @@ class TestDiscretePath:
             DiscretePath(np.asarray(times), np.asarray(values))
 
     def test_grid_comparison(self):
-        a = DiscretePath.from_function(lambda t: t, 1.0, 8)
-        b = DiscretePath.from_function(lambda t: -t, 1.0, 8)
-        c = DiscretePath.from_function(lambda t: t, 1.0, 16)
+        times = np.linspace(0.0, 1.0, 9)
+        fine = np.linspace(0.0, 1.0, 17)
+        a = DiscretePath(times, times)
+        b = DiscretePath(times, -times)
+        c = DiscretePath(fine, fine)
         require_same_grid(a, b)
         with pytest.raises(GridMismatchError):
             require_same_grid(a, c)

@@ -134,9 +134,8 @@ class TestDensityEvaluations:
             points.append(np.size(y))
             return measure.log_density(y)
 
-        n_grid = 2048
+        n_grid = 2048  # the solver's fixed grid size
         solve_poisson_cev(lambda y: y,
-                          dataclasses.replace(measure, log_density=log_density),
-                          n_grid=n_grid)
+                          dataclasses.replace(measure, log_density=log_density))
         segments = n_grid - 1
         assert sum(points) <= 16 * segments + 8 * segments + n_grid + 8

@@ -3,8 +3,8 @@
 Library layout:
 
 - ``models``: model catalog (Heston, Stein-Stein, power family, constant
-  volatility, LSV) and assumption checks;
-- ``scaling``: the normalization h(eps) and the limit constants;
+  volatility, LSV), assumption checks and the moderate-deviations growth
+  condition;
 - ``families``: per-family model facts, the one dispatch on a model's kind;
 - ``invariant``: invariant measures of the fast factor and quadrature;
 - ``poisson``: Poisson equations for the fast-factor generator;
@@ -36,7 +36,8 @@ from .mc import (CallEstimate, PathBatch, SimConfig, TailEstimate,
                  exact_gaussian_tail, simulate)
 from .models import (AssumptionReport, GrowthExponents, ModelSpec,
                      check_assumptions, make_constant_sigma, make_heston,
-                     make_lsv, make_power_family, make_stein_stein)
+                     make_lsv, make_power_family, make_stein_stein,
+                     mdp_growth_condition)
 from .paths import DiscretePath
 from .poisson import (PoissonSolution, generator_residual, generator_residuals,
                       solve_phi_cir, solve_poisson_cev)
@@ -44,6 +45,5 @@ from .rates import (INFINITE_RATE, LargeTimeParams, QbarResult,
                     contract_two_to_one, endpoint_rate, heston_large_time_params,
                     large_time_params, minimize_endpoint, qbar_integrated,
                     share_large_time_params, small_time_rate_1d, small_time_rate_2d)
-from .scaling import ScalingRegime, mdp_growth_condition
 
 __version__ = "0.1.0"

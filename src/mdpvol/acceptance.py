@@ -32,12 +32,12 @@ from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   rv_lambda_star, rv_mdp_exponent, rv_mgf)
 from .mc import (SimConfig, estimate_rv_tail, estimate_smalltime_tail,
                  exact_gaussian_tail)
-from .models import check_assumptions, make_constant_sigma, make_heston
+from .models import (check_assumptions, make_constant_sigma, make_heston,
+                     mdp_growth_condition)
 from .paths import DiscretePath
 from .poisson import generator_residual, solve_poisson_cev
 from .rates import (contract_two_to_one, endpoint_rate,
                     heston_large_time_params, minimize_endpoint)
-from .scaling import mdp_growth_condition
 
 REFERENCE = dict(DEFAULT_MODEL)
 

@@ -361,3 +361,18 @@ def check_assumptions(model: ModelSpec, q_h: float | None = None) -> AssumptionR
             else f"f = a + b y with b = {b:g} >= 0 is not mean-reverting"))
 
     return AssumptionReport(tuple(checks))
+
+
+def mdp_growth_condition(q_g: float, q_h: float, beta: float) -> bool:
+    """Whether sqrt(eps) h(eps)^{(q_g + q_h - 1)/(1 - q_g)} vanishes for h = eps^{-beta}.
+
+    Equivalent to 1/2 - beta (q_g + q_h - 1) / (1 - q_g) > 0; for q_h = 1 this
+    reduces to q_g < 1 / (2 beta + 1).  The normalization h is restricted to
+    the power form eps^{-beta}, beta in (0, 1/2), because every concrete regime
+    of interest uses it and a general h adds nothing testable.
+    """
+    if not 0 <= q_g < 1:
+        raise DomainError(f"q_g: must lie in [0, 1), got {q_g}")
+    if not 0 < beta < 0.5:
+        raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
+    return 0.5 - beta * (q_g + q_h - 1) / (1 - q_g) > 0

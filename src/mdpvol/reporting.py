@@ -22,7 +22,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from . import ldp as ldp_mod
-from .config import ExperimentConfig, build_model, build_regime, subseed
+from .config import ExperimentConfig, build_model, subseed
 from .errors import ConfigError, DomainError
 from .families import family
 from .invariant import (gamma_invariant, integrate, measure_mean,
@@ -138,8 +138,7 @@ def run_poisson(config: ExperimentConfig, outdir: str) -> list[str]:
 
 def run_rate(config: ExperimentConfig, outdir: str) -> list[str]:
     model = build_model(config)
-    regime = build_regime(config)
-    zeta = regime.zeta_c
+    zeta = config.regime["zeta_c"]
     lt = heston_large_time_params(model, zeta=zeta)
     lt_q = share_large_time_params(model, zeta=zeta)
     x_values = config.params.get("x_values", [config.params.get("x", 0.1)])
@@ -220,7 +219,7 @@ def run_compare(config: ExperimentConfig, outdir: str) -> list[str]:
 
 def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
     model = build_model(config)
-    regime = build_regime(config)
+    beta = config.regime["beta"]
     p = config.params
     target_kind = p.get("target", "smalltime_tail")
     if target_kind == "rv_tail" and "t" not in p:
@@ -235,13 +234,13 @@ def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
         antithetic=bool(p.get("antithetic", False)),
     )
     if target_kind == "smalltime_tail":
-        est = estimate_smalltime_tail(model, t, p.get("k", 0.2), regime.beta, sim)
+        est = estimate_smalltime_tail(model, t, p.get("k", 0.2), beta, sim)
         value = est.p_hat
     elif target_kind == "rv_tail":
-        est = estimate_rv_tail(model, t, p.get("x", 0.05), regime.beta, sim)
+        est = estimate_rv_tail(model, t, p.get("x", 0.05), beta, sim)
         value = est.p_hat
     else:  # "call"
-        est = estimate_call_smalltime(model, t, p.get("k", 0.2), regime.beta, sim)
+        est = estimate_call_smalltime(model, t, p.get("k", 0.2), beta, sim)
         value = est.value
     row = (value, est.ci_halfwidth, est.normalized_log, est.analytic_target,
            est.normalized_log - est.analytic_target, STREAM_LAYOUT)
@@ -252,15 +251,17 @@ def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
 
 def run_asymptotics(config: ExperimentConfig, outdir: str) -> list[str]:
     model = build_model(config)
-    regime = build_regime(config)
+    zeta = config.regime["zeta_c"]
     p = config.params
     k = p.get("k", 0.2)
     x = p.get("x", 0.1)
     t = p.get("t", 100.0)
-    x_rv = p.get("x", 0.05)
-    lt = heston_large_time_params(model, zeta=regime.zeta_c)
-    lt_q = share_large_time_params(model, zeta=regime.zeta_c)
-    quotes = asy.quote_catalog(model, lt, lt_q.q, k, x, x_rv, regime.beta, t)
+    # the put and call quotes take -|x| and |x|; the realised-variance
+    # quotes price the positive strike |x| too
+    x_rv = abs(x) if "x" in p else 0.05
+    lt = heston_large_time_params(model, zeta=zeta)
+    lt_q = share_large_time_params(model, zeta=zeta)
+    quotes = asy.quote_catalog(model, lt, lt_q.q, k, x, x_rv, config.regime["beta"], t)
     rows = [(q.regime, q.strike, q.exponent_value, q.speed) for q in quotes]
     path = _out(outdir, config, "asymptotics.csv")
     write_csv(path, CSV_HEADERS["asymptotics"], rows)

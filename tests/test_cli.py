@@ -7,7 +7,7 @@ import pytest
 
 from mdpvol import ConfigError
 from mdpvol.cli import main
-from mdpvol.config import (DEFAULT_SEED, build_model, build_regime,
+from mdpvol.config import (_PARAM_KEYS, _REGIME_KEYS, DEFAULT_SEED, build_model,
                            parse_config, print_config, subseed)
 from mdpvol.reporting import CSV_HEADERS
 
@@ -27,7 +27,7 @@ class TestParseConfig:
         config = parse_config("{}")
         assert config.seed == DEFAULT_SEED
         assert config.model["kappa"] == 2.0
-        assert build_regime(config).beta == 0.25
+        assert config.regime["beta"] == 0.25
 
     def test_beta_out_of_range(self):
         with pytest.raises(ConfigError) as info:
@@ -58,10 +58,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps({
                 "model": {"kappa": -1.0, "rho": 3.0},
-                "regime": {"beta": 0.9},
+                "regime": {"beta": 0.9, "zeta_c": float("inf")},
             }))
         text = " | ".join(info.value.violations)
         assert "kappa" in text and "rho" in text and "beta" in text
+        assert "regime.zeta_c: must be finite" in text
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ConfigError) as info:
@@ -73,7 +74,7 @@ class TestParseConfig:
             "experiment": "ldp", "seed": 7,
             "model": {"kind": "heston", "kappa": 1.5, "theta": 0.2, "xi": 0.4,
                       "rho": 0.1, "x0": 0.0, "y0": 0.2},
-            "regime": {"beta": 0.3, "gamma": 1.0, "zeta_c": 0.0},
+            "regime": {"beta": 0.3, "zeta_c": 0.0},
             "params": {"n_points": 11},
         }))
         assert parse_config(print_config(config)) == config
@@ -218,6 +219,49 @@ class TestCliRuns:
         assert len(central) > 100
         assert max(abs(kappa * u + 1) for u in central) <= 1e-8
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "power", "nu_g": "abc"},
+        {"kind": "power", "nu_sigma": "abc"},
+        {"kind": "power", "a": None},
+        {"kind": "power", "b": "x"},
+        {"kind": "power", "c_g": [0.5]},
+        {"kind": "stein_stein", "c": "x"},
+        {"kind": "constant_sigma", "c_sigma": [1]},
+    ], ids=["nu_g", "nu_sigma", "a", "b", "c_g", "c", "c_sigma"])
+    def test_bad_model_type_exit_code(self, tmp_path, capsys, model):
+        # the presets check each domain, but a value that is no number
+        # must be named before one of them compares or casts it
+        key = next(k for k in model if k != "kind")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "params": {"paths": 1000, "steps": 5}}))
+        assert main(["mc", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: model.{key}: expected a number")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_regime_gamma_is_an_unknown_key(self, tmp_path, capsys):
+        # no runner reads a limit constant gamma: each computes at gamma = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"regime": {"gamma": 7.0}}))
+        assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "config error: regime: unknown key 'gamma'\n"
+
+    def test_asymptotics_at_negative_x(self, tmp_path):
+        # a put strike x < 0: the realised-variance quotes price |x|, as the
+        # call quote does, so they equal the quotes of the run at x = |x|
+        rows = {}
+        for x in (-0.3, 0.3):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"params": {"x": x}}))
+            out = tmp_path / str(x)
+            assert main(["asymptotics", "--config", str(cfg), "--out", str(out)]) == 0
+            with open(out / "asymptotics.csv", encoding="utf-8") as handle:
+                rows[x] = [row for row in csv.DictReader(handle)
+                           if row["regime"].startswith("rv_option_")]
+        assert len(rows[-0.3]) == 2
+        assert all(float(row["x_or_k"]) == 0.3 for row in rows[-0.3])
+        assert rows[-0.3] == rows[0.3]
+
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json }")
@@ -266,6 +310,59 @@ class TestCliRuns:
         assert err.startswith(message)
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
+
+
+# For each regime and params key: one experiment and one value that is not
+# the default.  Each key must change that experiment's output bytes; a key
+# that changes nothing is an option that accepts every value and ignores it.
+_KEY_CHANGES = {
+    ("regime", "beta"): ("asymptotics", 0.3),
+    ("regime", "zeta_c"): ("rate", 0.5),
+    ("params", "target"): ("mc", "call"),
+    ("params", "t"): ("asymptotics", 50.0),
+    ("params", "k"): ("asymptotics", 0.3),
+    ("params", "x"): ("rate", 0.2),
+    ("params", "x_values"): ("rate", [0.05, 0.15]),
+    ("params", "paths"): ("mc", 3000),
+    ("params", "steps"): ("mc", 8),
+    ("params", "antithetic"): ("mc", True),
+    ("params", "x_min"): ("ldp", -0.2),
+    ("params", "x_max"): ("ldp", 0.1),
+    ("params", "n_points"): ("ldp", 11),
+    ("params", "d_variant"): ("ldp", "standard"),
+    ("params", "functional"): ("poisson", "half_centered_variance"),
+    ("params", "q_g"): ("invariant", 0.75),
+}
+# every run of mc stays small
+_BASE_PARAMS = {"mc": {"paths": 2000, "steps": 10}}
+
+
+def _outputs(directory, experiment: str, doc: dict) -> list:
+    directory.mkdir()
+    cfg = directory / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = directory / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
+    return sorted((p.name, p.read_bytes()) for p in out.iterdir())
+
+
+def test_key_table_covers_every_regime_and_params_key():
+    keys = {("regime", key) for key in _REGIME_KEYS}
+    keys |= {("params", key) for key in _PARAM_KEYS}
+    assert sorted(keys - set(_KEY_CHANGES)) == []
+    # an entry whose key left the config is stale
+    assert sorted(set(_KEY_CHANGES) - keys) == []
+
+
+@pytest.mark.parametrize("block, key", sorted(_KEY_CHANGES),
+                         ids=[key for _, key in sorted(_KEY_CHANGES)])
+def test_every_key_changes_an_output(tmp_path, block, key):
+    experiment, value = _KEY_CHANGES[block, key]
+    base = {"params": dict(_BASE_PARAMS.get(experiment, {}))}
+    changed = {"params": dict(base["params"])}
+    changed.setdefault(block, {})[key] = value
+    assert (_outputs(tmp_path / "changed", experiment, changed)
+            != _outputs(tmp_path / "base", experiment, base))
 
 
 class TestCompareOutputs:

@@ -6,9 +6,9 @@ compares module names, not timings.
 
 The dead-name checks read the source with ``ast``: no module imports a name
 it never uses, every public name of the package has a consumer in the
-package, every public class member is read as an attribute, and every
-defaulted parameter of a module-level function is passed by some call, each
-or else has a stated reason to stay.
+package, every public class member is read as an attribute outside its
+class's own constructor, and every defaulted parameter of a module-level
+function is passed by some call, each or else has a stated reason to stay.
 """
 
 import ast
@@ -169,12 +169,27 @@ def _members(cls: ast.ClassDef) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
+def _constructor_self_reads(cls: ast.ClassDef) -> set[int]:
+    """Ids of the ``self.<name>`` reads in a class's own ``__init__``/``__post_init__``.
+
+    A class that validates its own field has not found a reader for it.
+    """
+    return {id(node) for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            and method.name in ("__init__", "__post_init__") and method.args.args
+            for node in ast.walk(method)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == method.args.args[0].arg}
+
+
 def test_every_class_member_is_read_or_has_a_reason():
     trees = _modules()
     classes = {node.name: node for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
+    own = set().union(*map(_constructor_self_reads, classes.values()))
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in own}
     unread = set()
     for cls in classes.values():
         # an override is read wherever its base class's member is

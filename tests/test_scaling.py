@@ -2,27 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mdpvol import DomainError, ScalingRegime, mdp_growth_condition
-
-
-@pytest.fixture
-def regime():
-    return ScalingRegime(beta=0.25, gamma=1.0, zeta_c=0.0)
-
-
-class TestRegimeValidation:
-    @pytest.mark.parametrize("kwargs", [
-        dict(beta=0.0), dict(beta=0.5), dict(beta=0.25, gamma=0.0),
-        dict(beta=0.25, zeta_c=np.inf),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            ScalingRegime(**kwargs)
-
-    def test_zeta(self, regime):
-        assert regime.zeta_c == 0.0
-        assert ScalingRegime(0.25, 1.0, 0.5).zeta_c == 0.5
-        assert ScalingRegime(0.25, 1.0, -1.0).zeta_c == -1.0
+from mdpvol import mdp_growth_condition
 
 
 class TestGrowthCondition:

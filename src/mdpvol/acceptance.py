@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_MODEL, DEFAULT_SEED, subseed, validate_config
+from .config import DEFAULT_SEED, MODELS, subseed, validate_config
 from .invariant import gamma_invariant, integrate, speed_measure
 from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   curvature_identity, fenchel_legendre_numeric, rv_lambda_inf,
@@ -39,7 +39,7 @@ from .poisson import generator_residual, solve_poisson_cev
 from .rates import (contract_two_to_one, endpoint_rate,
                     heston_large_time_params, minimize_endpoint)
 
-REFERENCE = dict(DEFAULT_MODEL)
+REFERENCE = MODELS["heston"][1]
 
 
 @dataclass
@@ -55,8 +55,7 @@ class CriterionResult:
 
 
 def _reference_model():
-    return make_heston(REFERENCE["kappa"], REFERENCE["theta"], REFERENCE["xi"],
-                       REFERENCE["rho"], REFERENCE["x0"], REFERENCE["y0"])
+    return make_heston(**REFERENCE)
 
 
 def criterion_01_large_time_q(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -175,7 +174,7 @@ def criterion_06_variational_oracle(seed: int = DEFAULT_SEED) -> CriterionResult
 
 def criterion_07_gaussian_mc(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Constant-volatility CI coverage: 20 seeds, >= 18 must cover the exact tail."""
-    model = make_constant_sigma(0.2)
+    model = make_constant_sigma(0.2, 0.0)
     t, threshold = 0.01, 0.04
     exact = exact_gaussian_tail(0.2, t, threshold)
     h = t ** (-0.25)

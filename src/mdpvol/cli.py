@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .config import (EXPERIMENTS, MODEL_KINDS, config_document, parse_config,
+from .config import (EXPERIMENTS, MODELS, config_document, parse_config,
                      validate_config)
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      QuadratureError, SimulationOverflowError,
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         if name == "mc":
-            p.add_argument("--model", choices=MODEL_KINDS)
+            p.add_argument("--model", choices=tuple(MODELS))
             p.add_argument("--t", type=float)
             p.add_argument("--k", type=float)
             p.add_argument("--x", type=float)
@@ -64,7 +64,9 @@ def _load_config(args) -> "ExperimentConfig":
     doc["experiment"] = args.experiment
     if args.experiment == "mc":
         if args.model is not None:
-            doc["model"]["kind"] = args.model
+            # keep the config's values of the keys this kind reads
+            doc["model"] = {"kind": args.model, **{key: doc["model"].get(key, value)
+                            for key, value in MODELS[args.model][1].items()}}
         if args.beta is not None:
             doc["regime"]["beta"] = args.beta
         if args.seed is not None:

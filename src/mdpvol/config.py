@@ -15,7 +15,11 @@ human-readable format, no autodetection, so experiment reruns are bit-exact):
     }
 
 Every key is optional; omitted blocks fall back to the documented defaults
-(the reference parameter set below).  Unknown keys are rejected with a
+(the reference parameter set below).  Each model kind reads only its own
+keys, listed with their defaults in ``MODELS``: heston (kappa, theta, xi,
+rho, x0, y0), stein_stein (a, b, c, rho, x0, y0), power (a, b, c_g, c_sigma,
+nu_g, nu_sigma, rho, x0, y0) and constant_sigma (c_sigma, x0).  Unknown
+keys, a model key of another kind included, are rejected with a
 closest-match suggestion, and validation reports every violation, not just
 the first.
 """
@@ -27,7 +31,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
 from .ldp import D_VARIANTS
@@ -37,23 +41,31 @@ from .models import (ModelSpec, make_constant_sigma, make_heston,
 EXPERIMENTS = ("invariant", "poisson", "rate", "ldp", "mc", "asymptotics",
                "compare", "acceptance")
 
-# Reference parameter set.  Chosen independently and documented here: the
-# source figure lists its parameters ambiguously, so they are deliberately
-# not treated as canonical defaults.
-DEFAULT_MODEL: Mapping[str, Any] = {
-    "kind": "heston", "kappa": 2.0, "theta": 0.1, "xi": 0.5,
-    "rho": -0.5, "x0": 0.0, "y0": 0.1,
+# Each model kind: its preset, and the keys it reads with their defaults,
+# in the preset's argument order.  The Heston entry is the reference
+# parameter set, chosen independently and documented here: the source
+# figure lists its parameters ambiguously, so they are deliberately not
+# treated as canonical defaults.
+MODELS: Mapping[str, tuple[Callable[..., ModelSpec], Mapping[str, float]]] = {
+    "heston": (make_heston, {"kappa": 2.0, "theta": 0.1, "xi": 0.5,
+                             "rho": -0.5, "x0": 0.0, "y0": 0.1}),
+    "stein_stein": (make_stein_stein, {"a": 0.0, "b": -1.0, "c": 0.3,
+                                       "rho": -0.5, "x0": 0.0, "y0": 0.1}),
+    "power": (make_power_family, {"a": 0.2, "b": -2.0, "c_g": 0.5, "c_sigma": 1.0,
+                                  "nu_g": 0.5, "nu_sigma": 0.5,
+                                  "rho": -0.5, "x0": 0.0, "y0": 0.1}),
+    "constant_sigma": (make_constant_sigma, {"c_sigma": 0.2, "x0": 0.0}),
 }
+# bounds of a model key wherever its kind reads it; the presets check the rest
+_POSITIVE = {"lo": 0, "lo_strict": True}
+_MODEL_BOUNDS = {"kappa": _POSITIVE, "theta": _POSITIVE, "rho": {"lo": -1, "hi": 1}}
 # h(eps) = eps^{-beta}, and eps/delta = 1 + zeta_c sqrt(eps) h(eps): every
 # runner computes at the limit constant 1 of eps/delta
 DEFAULT_REGIME: Mapping[str, Any] = {"beta": 0.25, "zeta_c": 0.0}
 DEFAULT_SEED = 20260501
 
-_MODEL_KEYS = ("kind", "kappa", "theta", "xi", "rho", "x0", "y0",
-               "a", "b", "c", "c_g", "c_sigma", "nu_g", "nu_sigma")
 _REGIME_KEYS = ("beta", "zeta_c")
 _TOP_KEYS = ("experiment", "seed", "model", "regime", "params", "out_prefix")
-MODEL_KINDS = ("heston", "stein_stein", "power", "constant_sigma")
 
 _PARAM_KEYS = (
     "target", "t", "k", "x", "x_values", "paths", "steps", "antithetic",
@@ -82,10 +94,11 @@ def _suggest(key: str, allowed) -> str:
     return f" (did you mean '{close[0]}'?)" if close else ""
 
 
-def _check_keys(block: Mapping, allowed, where: str, violations: list) -> None:
+def _check_keys(block: Mapping, allowed, where: str, violations: list,
+                whose: str = "") -> None:
     for key in block:
         if key not in allowed:
-            violations.append(f"{where}: unknown key '{key}'{_suggest(key, allowed)}")
+            violations.append(f"{where}: unknown key '{key}'{whose}{_suggest(key, allowed)}")
 
 
 def _check_number(block: Mapping, key: str, where: str, violations: list,
@@ -143,6 +156,8 @@ def _check_params(params: Mapping, violations: list) -> None:
                         or not math.isfinite(value)):
                     violations.append(f"params.x_values[{index}]: expected a finite "
                                       f"number, got {value!r}")
+    if "x" in params and "x_values" in params:
+        violations.append("params.x: give x or x_values, not both")
     antithetic = params.get("antithetic", False)
     if not isinstance(antithetic, bool):
         violations.append(f"params.antithetic: expected true or false, got {antithetic!r}")
@@ -166,24 +181,23 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         violations.append(f"seed: expected an integer, got {seed!r}")
         seed = DEFAULT_SEED
 
-    model = dict(DEFAULT_MODEL)
     raw_model = raw.get("model", {})
     if not isinstance(raw_model, Mapping):
         violations.append("model: expected an object")
+        raw_model = {}
+    kind = raw_model.get("kind", "heston")
+    # an unhashable kind, such as a list, is unknown too
+    if not isinstance(kind, str) or kind not in MODELS:
+        violations.append(f"model.kind: unknown kind '{kind}'"
+                          f"{_suggest(str(kind), MODELS)}")
     else:
-        _check_keys(raw_model, _MODEL_KEYS, "model", violations)
-        model.update({k: v for k, v in raw_model.items() if k in _MODEL_KEYS})
-        if raw_model and "kind" in raw_model and raw_model["kind"] not in MODEL_KINDS:
-            violations.append(
-                f"model.kind: unknown kind '{raw_model['kind']}'"
-                f"{_suggest(str(raw_model['kind']), MODEL_KINDS)}")
-        _check_number(model, "kappa", "model", violations, lo=0, lo_strict=True)
-        _check_number(model, "theta", "model", violations, lo=0, lo_strict=True)
-        _check_number(model, "xi", "model", violations)
-        _check_number(model, "rho", "model", violations, lo=-1, hi=1)
-        # the presets check each domain; here only that a value is a number
-        for key in ("x0", "y0", "a", "b", "c", "c_g", "c_sigma", "nu_g", "nu_sigma"):
-            _check_number(model, key, "model", violations)
+        defaults = MODELS[kind][1]
+        _check_keys(raw_model, ("kind", *defaults), "model", violations,
+                    f" for kind '{kind}'")
+        model = {"kind": kind, **{key: raw_model.get(key, value)
+                                  for key, value in defaults.items()}}
+        for key in defaults:
+            _check_number(model, key, "model", violations, **_MODEL_BOUNDS.get(key, {}))
 
     regime = dict(DEFAULT_REGIME)
     raw_regime = raw.get("regime", {})
@@ -253,26 +267,8 @@ def print_config(config: ExperimentConfig) -> str:
 
 def build_model(config: ExperimentConfig) -> ModelSpec:
     """Construct the ModelSpec described by the config's model block."""
-    m = config.model
-    kind = m.get("kind", "heston")
-    try:
-        if kind == "heston":
-            return make_heston(m["kappa"], m["theta"], m["xi"], m["rho"],
-                               m["x0"], m["y0"])
-        if kind == "stein_stein":
-            return make_stein_stein(m.get("a", 0.0), m.get("b", -1.0),
-                                    m.get("c", m.get("c_g", 0.3)), m["rho"],
-                                    m["x0"], m["y0"])
-        if kind == "power":
-            return make_power_family(m.get("a", 0.2), m.get("b", -2.0),
-                                     m.get("c_g", 0.5), m.get("c_sigma", 1.0),
-                                     m.get("nu_g", 0.5), m.get("nu_sigma", 0.5),
-                                     m["rho"], m["x0"], m["y0"])
-        if kind == "constant_sigma":
-            return make_constant_sigma(m.get("c_sigma", 0.2), m["x0"], m["y0"])
-    except KeyError as exc:
-        raise ConfigError([f"model: missing key {exc} for kind '{kind}'"]) from exc
-    raise ConfigError([f"model.kind: unknown kind '{kind}'"])
+    preset, defaults = MODELS[config.model["kind"]]
+    return preset(*(config.model[key] for key in defaults))
 
 
 def subseed(seed: int, label: str) -> int:

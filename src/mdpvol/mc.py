@@ -164,8 +164,11 @@ def simulate(model: ModelSpec, config: SimConfig,
     y_first = float(np.maximum(y0, 0.0)) if clamp else y0
 
     copies = 2 if config.antithetic else 1
-    out = {name: np.empty(copies * config.n_paths) if name in fields else None
-           for name in PATH_FIELDS}
+    try:
+        out = {name: np.empty(copies * config.n_paths) if name in fields else None
+               for name in PATH_FIELDS}
+    except ValueError as exc:  # more bytes than one array can address
+        raise MemoryError(str(exc)) from None
     x_out, y_out = out["x_terminal"], out["y_terminal"]
     v_out, max_out = out["integrated_variance"], out["x_running_max"]
     n_chunks = (config.n_paths + _CHUNK - 1) // _CHUNK

@@ -255,13 +255,12 @@ def make_power_family(a: float, b: float, c_g: float, c_sigma: float,
     )
 
 
-def make_constant_sigma(sigma_level: float, x0: float = 0.0,
-                        y0: float = 0.0) -> ModelSpec:
-    """Reference model with constant volatility and a frozen factor.
+def make_constant_sigma(sigma_level: float, x0: float) -> ModelSpec:
+    """Reference model with constant volatility and a factor frozen at 0.
 
     X_t is then exactly Gaussian with mean x0 - sigma^2 t / 2 and variance
     sigma^2 t, which makes this the closed-form oracle for the Monte Carlo
-    engine.
+    engine.  The factor feeds no coefficient, so its start is no parameter.
     """
     _require(sigma_level != 0, "sigma_level", "must be non-zero")
 
@@ -271,7 +270,7 @@ def make_constant_sigma(sigma_level: float, x0: float = 0.0,
         out[2].fill(0.0)
 
     return ModelSpec(
-        coeffs_fused=fused, rho=0.0, x0=x0, y0=y0, kind="constant_sigma",
+        coeffs_fused=fused, rho=0.0, x0=x0, y0=0.0, kind="constant_sigma",
         growth=GrowthExponents(nu_sigma=None, nu_g=None, q_sigma=0.0, q_g=0.0),
         params={"c_sigma": sigma_level},
     )

@@ -95,6 +95,11 @@ def _out(outdir: str, config: ExperimentConfig, name: str) -> str:
     return os.path.join(outdir, f"{prefix}{name}")
 
 
+def _too_large(key: str, value: int) -> DomainError:
+    return DomainError(f"params.{key}: {value} needs more memory than this process "
+                       "can allocate")
+
+
 def _factor_measure(config: ExperimentConfig):
     """Invariant measure of dY = kappa (theta - Y) dt + xi Y^q_g dZ, with the
     model's square-root factor; q_g = 1/2 is that factor, with its Gamma law."""
@@ -160,10 +165,13 @@ def _ldp_rows(config: ExperimentConfig):
                                                                  "as_printed"))
     lt = heston_large_time_params(model, zeta=0.0)
     center = -params.theta / 2
-    grid = np.linspace(config.params.get("x_min", center - 0.1),
-                       config.params.get("x_max", center + 0.1),
-                       config.params.get("n_points", 101))
-    lam = np.full(len(grid), np.nan)
+    n_points = config.params.get("n_points", 101)
+    try:
+        grid = np.linspace(config.params.get("x_min", center - 0.1),
+                           config.params.get("x_max", center + 0.1), n_points)
+        lam = np.full(len(grid), np.nan)
+    except (ValueError, MemoryError):  # the inputs are validated: only the size fails
+        raise _too_large("n_points", n_points) from None
     undefined = []  # where the closed form of Lambda* does not exist
     for i, x in enumerate(grid):
         try:
@@ -233,15 +241,18 @@ def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
         seed=subseed(config.seed, "mc"),
         antithetic=bool(p.get("antithetic", False)),
     )
-    if target_kind == "smalltime_tail":
-        est = estimate_smalltime_tail(model, t, p.get("k", 0.2), beta, sim)
-        value = est.p_hat
-    elif target_kind == "rv_tail":
-        est = estimate_rv_tail(model, t, p.get("x", 0.05), beta, sim)
-        value = est.p_hat
-    else:  # "call"
-        est = estimate_call_smalltime(model, t, p.get("k", 0.2), beta, sim)
-        value = est.value
+    try:
+        if target_kind == "smalltime_tail":
+            est = estimate_smalltime_tail(model, t, p.get("k", 0.2), beta, sim)
+            value = est.p_hat
+        elif target_kind == "rv_tail":
+            est = estimate_rv_tail(model, t, p.get("x", 0.05), beta, sim)
+            value = est.p_hat
+        else:  # "call"
+            est = estimate_call_smalltime(model, t, p.get("k", 0.2), beta, sim)
+            value = est.value
+    except MemoryError:
+        raise _too_large("paths", sim.n_paths) from None
     row = (value, est.ci_halfwidth, est.normalized_log, est.analytic_target,
            est.normalized_log - est.analytic_target, STREAM_LAYOUT)
     path = _out(outdir, config, "mc.csv")

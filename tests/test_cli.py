@@ -2,13 +2,17 @@ import csv
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import mdpvol
 from mdpvol import ConfigError
 from mdpvol.cli import main
-from mdpvol.config import (_PARAM_KEYS, _REGIME_KEYS, DEFAULT_SEED, build_model,
-                           parse_config, print_config, subseed)
+from mdpvol.config import (_PARAM_KEYS, _REGIME_KEYS, DEFAULT_SEED, MODELS,
+                           build_model, parse_config, print_config, subseed)
 from mdpvol.reporting import CSV_HEADERS
 
 
@@ -294,6 +298,74 @@ class TestCliRuns:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
+    @pytest.mark.parametrize("experiment, key", [("mc", "paths"), ("ldp", "n_points")])
+    def test_unallocatable_size_exit_code(self, tmp_path, capsys, experiment, key):
+        # 2^62 doubles exceed what one array can address, so numpy refuses
+        # the size before it allocates anything
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {key: 2 ** 62}}))
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: params.{key}: {2 ** 62} needs more memory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_paths_beyond_address_space_limit(self, tmp_path):
+        # a child process capped at 2 GiB of address space runs a small mc,
+        # and reports 10^12 paths (8 TB of terminal values) as too many
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(mdpvol.__file__)))
+        runs = {}
+        for paths in (3000, 10 ** 12):
+            runs[paths] = subprocess.run(
+                [sys.executable, "-m", "mdpvol", "mc", "--paths", str(paths),
+                 "--steps", "10", "--out", str(tmp_path / str(paths))],
+                env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+        assert runs[3000].returncode == 0, runs[3000].stderr
+        assert (tmp_path / "3000" / "mc.csv").exists()
+        big = runs[10 ** 12]
+        assert big.returncode == 1
+        assert big.stderr.startswith(f"validation error: params.paths: {10 ** 12} needs")
+        assert big.stderr.count("\n") == 1 and "Traceback" not in big.stderr
+        assert not (tmp_path / str(10 ** 12)).exists()
+
+    def test_rate_x_and_x_values_rejected(self, tmp_path, capsys):
+        # rate reads x_values when both are given, so x would be ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"x": 0.2, "x_values": [0.05]}}))
+        assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "config error: params.x: give x or x_values, not both\n"
+
+    def test_unhashable_kind_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": []}}))
+        assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: model.kind: unknown kind")
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_model_flag_keeps_the_keys_its_kind_reads(self, tmp_path, kind):
+        # --model swaps the kind of a config; the keys both kinds read keep
+        # the config's values, and the rest take the new kind's defaults
+        shared = {"rho": 0.3, "x0": 0.05, "y0": 0.2}
+        other = {"kind": "stein_stein", "c": 0.6} if kind == "heston" \
+            else {"kind": "heston", "kappa": 3.0}
+        flagged = {"model": {**other, **shared}}
+        direct = {"model": {"kind": kind, **{key: value for key, value in shared.items()
+                                             if key in MODELS[kind][1]}}}
+        outputs = []
+        for name, doc in (("flagged", flagged), ("direct", direct)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / name
+            assert main(["mc", "--config", str(cfg), "--model", kind, "--paths", "3000",
+                         "--steps", "10", "--out", str(out)]) == 0
+            outputs.append((out / "mc.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("sub, out, doc, message", [
         ("rate", "file", {}, "output error: "),
         ("ldp", "file/sub", {}, "output error: "),
@@ -363,6 +435,71 @@ def test_every_key_changes_an_output(tmp_path, block, key):
     changed.setdefault(block, {})[key] = value
     assert (_outputs(tmp_path / "changed", experiment, changed)
             != _outputs(tmp_path / "base", experiment, base))
+
+
+# For each model kind and each key it reads: an mc target, a base model
+# block and a value that is not the base's.  Each key must change the mc.csv
+# bytes.  The bases give hits: at Stein-Stein's default y0 = 0.1 the tail
+# estimate is 0 at these batch sizes.  Under smalltime_tail the threshold
+# moves with x0, so x0 and the drift-only keys are read through a call.
+_MODEL_KEY_CHANGES = {
+    ("heston", "kappa"): ("call", {}, 3.0),
+    ("heston", "theta"): ("call", {}, 0.2),
+    ("heston", "xi"): ("smalltime_tail", {}, 0.8),
+    ("heston", "rho"): ("smalltime_tail", {}, 0.3),
+    ("heston", "x0"): ("call", {}, 0.05),
+    ("heston", "y0"): ("smalltime_tail", {}, 0.3),
+    ("stein_stein", "a"): ("smalltime_tail", {"y0": 0.3}, 0.3),
+    ("stein_stein", "b"): ("call", {"y0": 0.3}, -2.0),
+    ("stein_stein", "c"): ("smalltime_tail", {"y0": 0.3}, 0.6),
+    ("stein_stein", "rho"): ("smalltime_tail", {"y0": 0.3}, 0.2),
+    ("stein_stein", "x0"): ("call", {"y0": 0.3}, 0.05),
+    ("stein_stein", "y0"): ("smalltime_tail", {"y0": 0.3}, 0.5),
+    ("power", "a"): ("call", {}, 0.4),
+    ("power", "b"): ("call", {}, -1.0),
+    ("power", "c_g"): ("smalltime_tail", {}, 0.3),
+    ("power", "c_sigma"): ("smalltime_tail", {}, 1.5),
+    ("power", "nu_g"): ("smalltime_tail", {}, 0.25),
+    ("power", "nu_sigma"): ("smalltime_tail", {}, 0.25),
+    ("power", "rho"): ("smalltime_tail", {}, 0.1),
+    ("power", "x0"): ("call", {}, 0.05),
+    ("power", "y0"): ("smalltime_tail", {}, 0.3),
+    ("constant_sigma", "c_sigma"): ("smalltime_tail", {}, 0.4),
+    ("constant_sigma", "x0"): ("call", {}, 0.05),
+}
+
+
+def test_model_key_table_covers_every_model_key():
+    keys = {(kind, key) for kind, (_, defaults) in MODELS.items() for key in defaults}
+    assert sorted(keys - set(_MODEL_KEY_CHANGES)) == []
+    # an entry whose key its kind no longer reads is stale
+    assert sorted(set(_MODEL_KEY_CHANGES) - keys) == []
+
+
+@pytest.mark.parametrize("kind, key", sorted(_MODEL_KEY_CHANGES),
+                         ids=[f"{kind}-{key}" for kind, key in sorted(_MODEL_KEY_CHANGES)])
+def test_every_model_key_changes_mc(tmp_path, kind, key):
+    target, base_model, value = _MODEL_KEY_CHANGES[kind, key]
+    params = {"target": target, "paths": 3000, "steps": 10}
+    base = {"model": {"kind": kind, **base_model}, "params": params}
+    changed = {"model": {**base["model"], key: value}, "params": params}
+    assert (_outputs(tmp_path / "changed", "mc", changed)
+            != _outputs(tmp_path / "base", "mc", base))
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("heston", "nu_g"), ("stein_stein", "c_g"), ("power", "kappa"),
+    ("constant_sigma", "rho"),
+])
+def test_model_key_of_another_kind_rejected(tmp_path, capsys, kind, key):
+    # a key the kind does not read would change no output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"kind": kind, key: 0.5},
+                               "params": {"paths": 1000, "steps": 5}}))
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: model: unknown key '{key}' for kind '{kind}'\n"
+    assert not (tmp_path / "mc.csv").exists()
 
 
 class TestCompareOutputs:

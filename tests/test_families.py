@@ -13,7 +13,7 @@ MODELS = {
     "heston": lambda: make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1),
     "stein_stein": lambda: make_stein_stein(0.1, -1.0, 0.3, -0.5, 0.0, 0.2),
     "power": lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.5, 0.5, -0.5, 0.0, 0.1),
-    "constant_sigma": lambda: make_constant_sigma(0.2),
+    "constant_sigma": lambda: make_constant_sigma(0.2, 0.0),
     "lsv": lambda: make_lsv(lambda x: 1.0 + 0 * np.asarray(x),
                             lambda y: np.exp(np.asarray(y)),
                             lambda x, y: -np.asarray(y),

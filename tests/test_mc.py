@@ -39,7 +39,7 @@ class TestSimulate:
         assert np.array_equal(a.x_terminal, b.x_terminal)
 
     def test_constant_sigma_gaussian_law(self):
-        model = make_constant_sigma(0.2)
+        model = make_constant_sigma(0.2, 0.0)
         t = 0.25
         config = SimConfig(n_paths=400_000, n_steps=8, t_end=t, seed=31)
         batch = simulate(model, config)
@@ -67,7 +67,7 @@ class TestSimulate:
 
     def test_antithetic_variance_reduction(self):
         # paired-seed comparison on the price estimator, sign test over 20 seeds
-        model = make_constant_sigma(0.2)
+        model = make_constant_sigma(0.2, 0.0)
         t = 1.0
         wins = 0
         for seed in range(20):
@@ -139,7 +139,7 @@ class TestSimulate:
 
 class TestSmalltimeTail:
     def test_constant_sigma_ci_covers_exact(self):
-        model = make_constant_sigma(0.2)
+        model = make_constant_sigma(0.2, 0.0)
         t, thr = 0.01, 0.04
         exact = exact_gaussian_tail(0.2, t, thr)
         assert exact == pytest.approx(0.0222155944, abs=1e-9)
@@ -191,7 +191,7 @@ class TestRvTail:
         assert small.analytic_target == pytest.approx(0.0, abs=1e-10)
 
     def test_requires_square_root_model(self):
-        model = make_constant_sigma(0.2)
+        model = make_constant_sigma(0.2, 0.0)
         config = SimConfig(n_paths=10, n_steps=2, t_end=1.0, seed=0)
         with pytest.raises(UnsupportedModelError, match="'constant_sigma'"):
             estimate_rv_tail(model, 1.0, 0.05, 0.25, config)
@@ -199,7 +199,7 @@ class TestRvTail:
 
 class TestSmalltimeCall:
     def test_constant_sigma_ci_covers_exact(self):
-        model = make_constant_sigma(0.2)
+        model = make_constant_sigma(0.2, 0.0)
         t, k, beta = 0.01, 0.2, 0.25
         config = SimConfig(n_paths=500_000, n_steps=8, t_end=t, seed=44)
         est = estimate_call_smalltime(model, t, k, beta, config)
@@ -284,7 +284,7 @@ def _bitwise_case(name: str) -> str:
         return _digest(simulate(heston, config),
                        estimate_rv_tail(heston, 0.5, 0.05, 0.25, config))
     models = {
-        "constant_sigma": lambda: make_constant_sigma(0.2),
+        "constant_sigma": lambda: make_constant_sigma(0.2, 0.0),
         "stein_stein": lambda: make_stein_stein(0.1, -1.0, 0.3, -0.3, 0.0, 0.2),
         "power_fractional": lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.25,
                                                       0.75, -0.4, 0.0, 0.1),
@@ -444,7 +444,7 @@ class TestThreadedChunks:
         monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(mc, "_chunk_stream", stream)
         _set_workers(monkeypatch, 2)
-        simulate(make_constant_sigma(0.2),
+        simulate(make_constant_sigma(0.2, 0.0),
                  SimConfig(n_paths=n_paths, n_steps=1, t_end=0.01, seed=3),
                  fields=("x_terminal",))
         share = [0, 0]

@@ -3,9 +3,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdpvol import (DomainError, check_assumptions, make_constant_sigma,
-                    make_heston, make_lsv, make_power_family, make_stein_stein)
+                    make_heston, make_lsv, make_power_family, make_stein_stein,
+                    mdp_growth_condition)
 from mdpvol.models import GrowthExponents
 
 
@@ -123,7 +125,7 @@ class TestAssumptionChecks:
     @pytest.mark.parametrize("build, expected", [
         (lambda: make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1), True),
         (lambda: make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2), False),
-        (lambda: make_constant_sigma(0.2), False),
+        (lambda: make_constant_sigma(0.2, 0.0), False),
         (lambda: make_lsv(lambda x: 1.0 + 0 * np.asarray(x),
                           lambda y: np.sqrt(np.maximum(y, 0.0)),
                           lambda x, y: 0.2 - 2.0 * np.asarray(y),
@@ -147,7 +149,7 @@ class TestAssumptionChecks:
 
 class TestOtherKinds:
     def test_constant_sigma(self):
-        model = make_constant_sigma(0.2)
+        model = make_constant_sigma(0.2, 0.0)
         sigma, f, g = model.sigma(0.3, 1.7), model.f(0.3, 1.7), model.g(0.3, 1.7)
         assert (sigma, f, g) == (0.2, 0.0, 0.0)
 
@@ -180,7 +182,7 @@ HANDLE_PRESETS = {
                                                 0.1, 0.0, 0.1),
     "power_int": lambda: make_power_family(0.15, -1.2, 0.35, 1.2, 0.0, 1.0,
                                            0.2, 0.0, 0.2),
-    "constant_sigma": lambda: make_constant_sigma(0.2),
+    "constant_sigma": lambda: make_constant_sigma(0.2, 0.0),
     "lsv": _lsv,
 }
 
@@ -251,3 +253,17 @@ def test_coefficients_follow_swapped_kernel():
     np.testing.assert_array_equal(model.g(0.0, y), np.full(4, 0.7))
     assert model.spot_sigma() == 0.3
     assert calls == [(4,), (4,), (4,), ()]
+
+
+class TestGrowthCondition:
+    @pytest.mark.parametrize("beta", np.arange(0.1, 0.46, 0.05).tolist())
+    def test_matches_closed_form_for_linear_functional(self, beta):
+        bound = 1.0 / (2 * beta + 1)
+        for q_g in np.linspace(0.5, 0.99, 61):
+            assert mdp_growth_condition(float(q_g), 1.0, beta) == (q_g < bound)
+
+    @given(q_g=st.floats(0.0, 0.99), q_h=st.floats(0.0, 2.0),
+           beta=st.floats(0.01, 0.49))
+    def test_agrees_with_exponent_sign(self, q_g, q_h, beta):
+        expected = 0.5 - beta * (q_g + q_h - 1) / (1 - q_g) > 0
+        assert mdp_growth_condition(q_g, q_h, beta) == expected

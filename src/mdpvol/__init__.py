@@ -3,9 +3,10 @@
 Library layout:
 
 - ``models``: model catalog (Heston, Stein-Stein, power family, constant
-  volatility, LSV), assumption checks and the moderate-deviations growth
+  volatility), assumption checks and the moderate-deviations growth
   condition;
-- ``families``: per-family model facts, the one dispatch on a model's kind;
+- ``families``: the one table of model kinds (preset, default keys, facts)
+  and the one dispatch on a model's kind;
 - ``invariant``: invariant measures of the fast factor and quadrature;
 - ``poisson``: Poisson equations for the fast-factor generator;
 - ``rates``: quadratic rate functions and variational minimizers;
@@ -36,8 +37,7 @@ from .mc import (CallEstimate, PathBatch, SimConfig, TailEstimate,
                  exact_gaussian_tail, simulate)
 from .models import (AssumptionReport, GrowthExponents, ModelSpec,
                      check_assumptions, make_constant_sigma, make_heston,
-                     make_lsv, make_power_family, make_stein_stein,
-                     mdp_growth_condition)
+                     make_power_family, make_stein_stein, mdp_growth_condition)
 from .paths import DiscretePath
 from .poisson import (PoissonSolution, generator_residual, generator_residuals,
                       solve_phi_cir, solve_poisson_cev)

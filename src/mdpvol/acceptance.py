@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_SEED, MODELS, subseed, validate_config
+from .config import DEFAULT_SEED, subseed, validate_config
+from .families import MODELS
 from .invariant import gamma_invariant, integrate, speed_measure
 from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   curvature_identity, fenchel_legendre_numeric, rv_lambda_inf,
@@ -39,7 +40,7 @@ from .poisson import generator_residual, solve_poisson_cev
 from .rates import (contract_two_to_one, endpoint_rate,
                     heston_large_time_params, minimize_endpoint)
 
-REFERENCE = MODELS["heston"][1]
+REFERENCE = MODELS["heston"].defaults
 
 
 @dataclass

@@ -14,11 +14,11 @@ import argparse
 import sys
 import time
 
-from .config import (EXPERIMENTS, MODELS, config_document, parse_config,
-                     validate_config)
+from .config import EXPERIMENTS, config_document, parse_config, validate_config
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      QuadratureError, SimulationOverflowError,
                      SingularSystemError, UnsupportedModelError)
+from .families import MODELS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,7 +66,7 @@ def _load_config(args) -> "ExperimentConfig":
         if args.model is not None:
             # keep the config's values of the keys this kind reads
             doc["model"] = {"kind": args.model, **{key: doc["model"].get(key, value)
-                            for key, value in MODELS[args.model][1].items()}}
+                            for key, value in MODELS[args.model].defaults.items()}}
         if args.beta is not None:
             doc["regime"]["beta"] = args.beta
         if args.seed is not None:

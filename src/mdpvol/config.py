@@ -15,13 +15,13 @@ human-readable format, no autodetection, so experiment reruns are bit-exact):
     }
 
 Every key is optional; omitted blocks fall back to the documented defaults
-(the reference parameter set below).  Each model kind reads only its own
-keys, listed with their defaults in ``MODELS``: heston (kappa, theta, xi,
-rho, x0, y0), stein_stein (a, b, c, rho, x0, y0), power (a, b, c_g, c_sigma,
-nu_g, nu_sigma, rho, x0, y0) and constant_sigma (c_sigma, x0).  Unknown
-keys, a model key of another kind included, are rejected with a
-closest-match suggestion, and validation reports every violation, not just
-the first.
+(the reference parameter set).  Each model kind reads only its own keys,
+listed with their defaults in the kind's entry of ``families.MODELS``:
+heston (kappa, theta, xi, rho, x0, y0), stein_stein (a, b, c, rho, x0, y0),
+power (a, b, c_g, c_sigma, nu_g, nu_sigma, rho, x0, y0) and constant_sigma
+(c_sigma, x0).  Unknown keys, a model key of another kind included, are
+rejected with a closest-match suggestion, and validation reports every
+violation, not just the first.
 """
 
 from __future__ import annotations
@@ -31,31 +31,16 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .errors import ConfigError
+from .families import MODELS
 from .ldp import D_VARIANTS
-from .models import (ModelSpec, make_constant_sigma, make_heston,
-                     make_power_family, make_stein_stein)
+from .models import ModelSpec
 
 EXPERIMENTS = ("invariant", "poisson", "rate", "ldp", "mc", "asymptotics",
                "compare", "acceptance")
 
-# Each model kind: its preset, and the keys it reads with their defaults,
-# in the preset's argument order.  The Heston entry is the reference
-# parameter set, chosen independently and documented here: the source
-# figure lists its parameters ambiguously, so they are deliberately not
-# treated as canonical defaults.
-MODELS: Mapping[str, tuple[Callable[..., ModelSpec], Mapping[str, float]]] = {
-    "heston": (make_heston, {"kappa": 2.0, "theta": 0.1, "xi": 0.5,
-                             "rho": -0.5, "x0": 0.0, "y0": 0.1}),
-    "stein_stein": (make_stein_stein, {"a": 0.0, "b": -1.0, "c": 0.3,
-                                       "rho": -0.5, "x0": 0.0, "y0": 0.1}),
-    "power": (make_power_family, {"a": 0.2, "b": -2.0, "c_g": 0.5, "c_sigma": 1.0,
-                                  "nu_g": 0.5, "nu_sigma": 0.5,
-                                  "rho": -0.5, "x0": 0.0, "y0": 0.1}),
-    "constant_sigma": (make_constant_sigma, {"c_sigma": 0.2, "x0": 0.0}),
-}
 # bounds of a model key wherever its kind reads it; the presets check the rest
 _POSITIVE = {"lo": 0, "lo_strict": True}
 _MODEL_BOUNDS = {"kappa": _POSITIVE, "theta": _POSITIVE, "rho": {"lo": -1, "hi": 1}}
@@ -191,7 +176,7 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         violations.append(f"model.kind: unknown kind '{kind}'"
                           f"{_suggest(str(kind), MODELS)}")
     else:
-        defaults = MODELS[kind][1]
+        defaults = MODELS[kind].defaults
         _check_keys(raw_model, ("kind", *defaults), "model", violations,
                     f" for kind '{kind}'")
         model = {"kind": kind, **{key: raw_model.get(key, value)
@@ -260,15 +245,10 @@ def config_document(config: ExperimentConfig) -> dict:
     return doc
 
 
-def print_config(config: ExperimentConfig) -> str:
-    """Canonical JSON text of a config; parse(print(c)) round-trips to c."""
-    return json.dumps(config_document(config), sort_keys=True, indent=2) + "\n"
-
-
 def build_model(config: ExperimentConfig) -> ModelSpec:
     """Construct the ModelSpec described by the config's model block."""
-    preset, defaults = MODELS[config.model["kind"]]
-    return preset(*(config.model[key] for key in defaults))
+    entry = MODELS[config.model["kind"]]
+    return entry.preset(*(config.model[key] for key in entry.defaults))
 
 
 def subseed(seed: int, label: str) -> int:

@@ -1,16 +1,22 @@
-"""Per-family model facts: ``family(model)`` is the one dispatch on a model's kind.
+"""Model kinds: ``MODELS`` is the one table of them, ``family(model)`` the one
+dispatch on a model's kind.
 
-The base ``Family`` refuses every fact with an ``UnsupportedModelError`` that
-names the kind; each family overrides only the facts it has.
+Each kind is one ``Family`` subclass, which carries the kind's preset, the
+keys the preset reads with their defaults (in its argument order), and the
+facts the kind has.  The base ``Family`` refuses every fact with an
+``UnsupportedModelError`` that names the kind; each family overrides only the
+facts it has.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Mapping
 
 from .errors import DomainError, UnsupportedModelError
 from .invariant import InvariantMeasure, gamma_invariant, speed_measure
-from .models import ModelSpec, _is_cir_form, make_heston, make_stein_stein
+from .models import (ModelSpec, _is_cir_form, make_constant_sigma, make_heston,
+                     make_power_family, make_stein_stein)
 
 
 class Family:
@@ -35,6 +41,12 @@ class Family:
 
 
 class Heston(Family):
+    # the reference parameter set, chosen independently and documented here:
+    # the source figure lists its parameters ambiguously, so they are
+    # deliberately not treated as canonical defaults
+    preset = staticmethod(make_heston)
+    defaults = {"kappa": 2.0, "theta": 0.1, "xi": 0.5, "rho": -0.5, "x0": 0.0, "y0": 0.1}
+
     def square_root_factor(self):
         p = self.model.params
         return p["kappa"], p["theta"], p["xi"]
@@ -56,6 +68,9 @@ class Heston(Family):
 
 
 class SteinStein(Family):
+    preset = staticmethod(make_stein_stein)
+    defaults = {"a": 0.0, "b": -1.0, "c": 0.3, "rho": -0.5, "x0": 0.0, "y0": 0.1}
+
     def share_measure(self):
         """b_q = b + rho c < 0."""
         model = self.model
@@ -70,6 +85,10 @@ class SteinStein(Family):
 
 
 class Power(Family):
+    preset = staticmethod(make_power_family)
+    defaults = {"a": 0.2, "b": -2.0, "c_g": 0.5, "c_sigma": 1.0, "nu_g": 0.5,
+                "nu_sigma": 0.5, "rho": -0.5, "x0": 0.0, "y0": 0.1}
+
     def invariant(self):
         """The speed measure, at every nu_g in [1/2, 1)."""
         if not _is_cir_form(self.model):
@@ -79,9 +98,17 @@ class Power(Family):
         return speed_measure(-p["b"], p["a"] / (-p["b"]), p["c_g"], p["nu_g"])
 
 
-_FAMILIES = {"heston": Heston, "stein_stein": SteinStein, "power": Power}
+class ConstantSigma(Family):
+    preset = staticmethod(make_constant_sigma)
+    defaults = {"c_sigma": 0.2, "x0": 0.0}
+
+
+MODELS: Mapping[str, type[Family]] = {
+    "heston": Heston, "stein_stein": SteinStein, "power": Power,
+    "constant_sigma": ConstantSigma,
+}
 
 
 def family(model: ModelSpec) -> Family:
-    """The family object of a built model; a kind with no facts gets ``Family``."""
-    return _FAMILIES.get(model.kind, Family)(model)
+    """The family object of a built model; a kind outside ``MODELS`` gets ``Family``."""
+    return MODELS.get(model.kind, Family)(model)

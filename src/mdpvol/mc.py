@@ -3,7 +3,7 @@
 Paths follow the full-truncation Euler scheme: at every step the coefficients
 are evaluated with the factor argument clamped at zero (square-root kinds
 clamp inside their coefficients), the factor itself may dip below zero between
-steps, and the stored factor values are the clamped ones.  Correlated
+steps, and the integrated variance sums the clamped factor.  Correlated
 increments are built from independent draws as W = rho Z + sqrt(1 - rho^2) Zp,
 with Z driving the factor.
 
@@ -25,9 +25,11 @@ overflow, the error names the lowest overflowing chunk, as a serial run would.
 Antithetic sampling flips both underlying normal streams and doubles the
 stored batch.
 
-``simulate`` computes only the ``PathBatch`` fields it is asked for; the
-others come back as None.  The price estimators ask for ``x_terminal`` alone,
-the realised-variance estimator for ``integrated_variance`` alone.
+A ``PathBatch`` holds the two path summaries the estimators read: the
+terminal log-price and the integrated factor.  ``simulate`` computes only the
+fields it is asked for; the others come back as None.  The price estimators
+ask for ``x_terminal`` alone, the realised-variance estimator for
+``integrated_variance`` alone.
 
 Tail estimators report the hit probability with a normal-approximation 95%
 confidence halfwidth and the normalized logarithm log(p) / h(t)^2 used by the
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
@@ -55,8 +57,6 @@ _OVERFLOW_GUARD = 1e12
 _CHUNK = 1 << 14
 STREAM_LAYOUT = "sfc64-seedseq-2^14"
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
-
-PATH_FIELDS = ("x_terminal", "y_terminal", "integrated_variance", "x_running_max")
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,15 @@ class PathBatch:
     """
 
     x_terminal: np.ndarray | None
-    y_terminal: np.ndarray | None
     integrated_variance: np.ndarray | None
-    x_running_max: np.ndarray | None
 
     @property
     def size(self) -> int:
         return next(len(getattr(self, name)) for name in PATH_FIELDS
                     if getattr(self, name) is not None)
+
+
+PATH_FIELDS = tuple(f.name for f in dataclass_fields(PathBatch))
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def simulate(model: ModelSpec, config: SimConfig,
     coeffs = model.coeffs_fused
     a_x = model.x_drift_coeff * dt
     x0, y0 = float(model.x0), float(model.y0)
-    # the stored factor at time 0, the first trapezoid sample of V
+    # the clamped factor at time 0, the first trapezoid sample of V
     y_first = float(np.maximum(y0, 0.0)) if clamp else y0
 
     copies = 2 if config.antithetic else 1
@@ -169,37 +170,32 @@ def simulate(model: ModelSpec, config: SimConfig,
                for name in PATH_FIELDS}
     except ValueError as exc:  # more bytes than one array can address
         raise MemoryError(str(exc)) from None
-    x_out, y_out = out["x_terminal"], out["y_terminal"]
-    v_out, max_out = out["integrated_variance"], out["x_running_max"]
+    x_out, v_out = out["x_terminal"], out["integrated_variance"]
     n_chunks = (config.n_paths + _CHUNK - 1) // _CHUNK
     workers = _worker_count(n_chunks)
-    # Per worker: the two draw rows, sigma, f, g, and X and Y unless they
-    # live in the outputs.  Allocated on the calling thread, so that freed
+    # Per worker: the two draw rows, sigma, f, g, Y, and X unless it lives
+    # in the outputs.  Allocated on the calling thread, so that freed
     # workspaces go back to its heap for later batches, not to worker heaps.
     size = copies * min(_CHUNK, config.n_paths)
     workspaces = [(np.empty((2, size)), np.empty(size), np.empty(size), np.empty(size),
-                   np.empty(size) if x_out is None else None,
-                   np.empty(size) if y_out is None else None)
+                   np.empty(size), np.empty(size) if x_out is None else None)
                   for _ in range(workers)]
 
     def run_worker(first: int) -> int | None:
         """Run chunks first, first + workers, ...; return the first that overflows."""
-        draws, s, tmp, g, x_work, y_work = workspaces[first]
+        draws, s, tmp, g, y_work, x_work = workspaces[first]
         for chunk_index in range(first, n_chunks, workers):
             n = min(_CHUNK, config.n_paths - chunk_index * _CHUNK)
             m = copies * n
             start = copies * chunk_index * _CHUNK
             rows = slice(start, start + m)
             x = x_work[:m] if x_out is None else x_out[rows]
-            y = y_work[:m] if y_out is None else y_out[rows]
+            y = y_work[:m]
             v = None if v_out is None else v_out[rows]
-            x_max = None if max_out is None else max_out[rows]
             x.fill(x0)
             y.fill(y0)
             if v is not None:
                 v.fill(0.0)
-            if x_max is not None:
-                x_max.fill(x0)
             z, w = draws[0, :m], draws[1, :m]
             coeff_out = (s[:m], tmp[:m], g[:m])  # (sigma, f, g), f held in tmp
             s_m, f_m, g_m = coeff_out
@@ -227,14 +223,12 @@ def simulate(model: ModelSpec, config: SimConfig,
                 x += s_m
                 if v is not None:
                     v += np.maximum(y, 0.0, out=f_m) if clamp else y
-                if x_max is not None:
-                    np.maximum(x_max, x, out=x_max)
             if not np.abs(x, out=f_m).max() <= _OVERFLOW_GUARD:
                 return chunk_index
-            if clamp:
+            if clamp:  # the last trapezoid sample of V is the clamped factor
                 np.maximum(y, 0.0, out=y)
             if v is not None:
-                # trapezoid of the stored factor: dt * (sum of samples - end averages)
+                # trapezoid of the clamped factor: dt * (sum of samples - end averages)
                 np.add(y, y_first, out=f_m)
                 f_m *= 0.5
                 v += y_first

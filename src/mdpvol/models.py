@@ -9,17 +9,15 @@ motions,
 where X is a log-price and Y a volatility factor.  Presets cover the Heston
 model (sigma = sqrt(y), f = kappa (theta - y), g = xi sqrt(y)), Stein-Stein
 (sigma = y, f = a + b y, g = c), the power family (sigma = c_sigma y^nu_sigma,
-g = c_g y^nu_g, f = a + b y), a constant-volatility reference model, and
-local-stochastic-volatility models with a factorized sigma.
+g = c_g y^nu_g, f = a + b y) and a constant-volatility reference model.
 
 Each model defines its coefficients once, as an in-place kernel that writes
 sigma, f and g at (x, y) into three caller-owned arrays: the Monte Carlo hot
 loop calls it on its workspaces, and ``ModelSpec.sigma``/``f``/``g`` call it on
-fresh arrays.  A model given by bare handles gets its kernel from
-``fused_from_handles``.  Coefficients are total functions: square-root-type
-models clamp the factor argument at zero (full-truncation convention), which
-both keeps evaluation defined for transient negative factor values and
-matches the Monte Carlo discretization scheme.
+fresh arrays.  Coefficients are total functions: square-root-type models
+clamp the factor argument at zero (full-truncation convention), which both
+keeps evaluation defined for transient negative factor values and matches
+the Monte Carlo discretization scheme.
 
 Growth exponents are declared metadata, not inferred from the coefficients:
 ``nu_sigma``/``nu_g`` describe exact power-law coefficients, while
@@ -38,9 +36,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DomainError
-
-Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class GrowthExponents:
@@ -83,8 +78,6 @@ class ModelSpec:
     x_drift_coeff : float
         The drift of X is ``x_drift_coeff * sigma^2``; -1/2 for the price
         measure, +1/2 after the share-measure change of drift.
-    y_only : bool
-        True when the fast coefficients f, g, sigma depend on y alone.
     clamp_y : bool
         True when coefficients clamp the factor argument at zero.
     finite_exp_moments : bool
@@ -100,7 +93,6 @@ class ModelSpec:
     growth: GrowthExponents
     params: Mapping[str, float] = field(default_factory=dict)
     x_drift_coeff: float = -0.5
-    y_only: bool = True
     clamp_y: bool = False
     finite_exp_moments: bool = True
 
@@ -126,17 +118,6 @@ class ModelSpec:
     def spot_sigma(self) -> float:
         """Volatility level at the initial state."""
         return float(self.sigma(self.x0, self.y0))
-
-
-def fused_from_handles(sigma: Coefficient, f: Coefficient, g: Coefficient) -> Callable:
-    """The coefficient kernel of a model given by three handles (x, y) -> array."""
-
-    def fused(x, y, out):
-        out[0][...] = sigma(x, y)
-        out[1][...] = f(x, y)
-        out[2][...] = g(x, y)
-
-    return fused
 
 
 @dataclass(frozen=True)
@@ -255,52 +236,31 @@ def make_power_family(a: float, b: float, c_g: float, c_sigma: float,
     )
 
 
-def make_constant_sigma(sigma_level: float, x0: float) -> ModelSpec:
+def make_constant_sigma(c_sigma: float, x0: float) -> ModelSpec:
     """Reference model with constant volatility and a factor frozen at 0.
 
     X_t is then exactly Gaussian with mean x0 - sigma^2 t / 2 and variance
     sigma^2 t, which makes this the closed-form oracle for the Monte Carlo
     engine.  The factor feeds no coefficient, so its start is no parameter.
     """
-    _require(sigma_level != 0, "sigma_level", "must be non-zero")
+    _require(c_sigma != 0, "c_sigma", "must be non-zero")
 
     def fused(x, y, out):
-        out[0].fill(sigma_level)
+        out[0].fill(c_sigma)
         out[1].fill(0.0)
         out[2].fill(0.0)
 
     return ModelSpec(
         coeffs_fused=fused, rho=0.0, x0=x0, y0=0.0, kind="constant_sigma",
         growth=GrowthExponents(nu_sigma=None, nu_g=None, q_sigma=0.0, q_g=0.0),
-        params={"c_sigma": sigma_level},
-    )
-
-
-def make_lsv(sigma_local: Callable, vol_mult: Callable, f: Coefficient,
-             g: Coefficient, rho: float, x0: float, y0: float,
-             growth: GrowthExponents, *, moment_flag: bool = True) -> ModelSpec:
-    """Local-stochastic-volatility model with sigma(x, y) = sigma_local(x) * vol_mult(y).
-
-    Requires |rho| <= 1 and a non-zero spot level sigma_local(x0) * vol_mult(y0).
-    """
-    _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
-    spot = float(sigma_local(x0)) * float(vol_mult(y0))
-    _require(spot != 0, "sigma_local*vol_mult", "must be non-zero at (x0, y0)")
-
-    def sigma(x, y):
-        return np.asarray(sigma_local(x), dtype=float) * np.asarray(vol_mult(y), dtype=float)
-
-    return ModelSpec(
-        coeffs_fused=fused_from_handles(sigma, f, g), rho=rho, x0=x0, y0=y0,
-        kind="lsv", growth=growth, params={}, y_only=False,
-        finite_exp_moments=moment_flag,
+        params={"c_sigma": c_sigma},
     )
 
 
 def _is_cir_form(model: ModelSpec) -> bool:
     """True when the fast dynamics are mean-reverting with g = xi y^{q_g}, q_g in [1/2, 1)."""
     nu_g = model.growth.nu_g
-    return (model.y_only and model.params.get("b", 0.0) < 0 < model.params.get("a", 0.0)
+    return (model.params.get("b", 0.0) < 0 < model.params.get("a", 0.0)
             and nu_g is not None and 0.5 <= nu_g < 1)
 
 

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError, UnsupportedModelError
+from .errors import DomainError, SingularSystemError
 from .invariant import (InvariantMeasure, TabulatedRule, gamma_invariant,
                         integrate)
 from .families import family
@@ -109,8 +109,7 @@ def small_time_rate_2d(sigma0: float, g0: float, rho: float,
 def small_time_rate_1d(sigma0: float, phi: DiscretePath) -> float:
     """One-component small-time action (2 sigma0^2)^{-1} int phi'^2 dt.
 
-    For a local-stochastic-volatility model the scalar input is the spot
-    level sigma_local(x0) * vol_mult(y0), ``model.spot_sigma()``.
+    sigma0 is the spot volatility level, ``model.spot_sigma()``.
     """
     if sigma0 == 0:
         raise DomainError("sigma0: must be non-zero")
@@ -128,8 +127,6 @@ def large_time_params(model: ModelSpec, measure: InvariantMeasure,
     q = int [sigma^2 + (Phi' g)^2 + 2 rho sigma g Phi'] dmu.  The q integrand
     needs only Phi'; centering of Phi does not enter.
     """
-    if not model.y_only:
-        raise UnsupportedModelError("large-time constants need y-only fast coefficients")
     x0 = model.x0
 
     def sigma2(y):
@@ -165,8 +162,6 @@ def qbar_integrated(model: ModelSpec, H: Callable, measure: InvariantMeasure,
     Returns the value together with a degeneracy flag raised when Qbar falls
     below 1e-14 (the quadratic rate is then meaningless for this H).
     """
-    if not model.y_only:
-        raise UnsupportedModelError("Qbar needs y-only fast coefficients")
     if gamma <= 0:
         raise DomainError(f"gamma: must be positive, got {gamma}")
     x0 = model.x0

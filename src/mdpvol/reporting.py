@@ -253,6 +253,10 @@ def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
             value = est.value
     except MemoryError:
         raise _too_large("paths", sim.n_paths) from None
+    if value == 0:
+        print(f"warning: mc: no path of {est.n_paths} reached the {target_kind} "
+              "threshold, so the estimate is 0 and normalized_log is -inf",
+              file=sys.stderr)
     row = (value, est.ci_halfwidth, est.normalized_log, est.analytic_target,
            est.normalized_log - est.analytic_target, STREAM_LAYOUT)
     path = _out(outdir, config, "mc.csv")

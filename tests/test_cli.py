@@ -11,8 +11,9 @@ import pytest
 import mdpvol
 from mdpvol import ConfigError
 from mdpvol.cli import main
-from mdpvol.config import (_PARAM_KEYS, _REGIME_KEYS, DEFAULT_SEED, MODELS,
-                           build_model, parse_config, print_config, subseed)
+from mdpvol.config import (_PARAM_KEYS, _REGIME_KEYS, DEFAULT_SEED, build_model,
+                           config_document, parse_config, subseed)
+from mdpvol.families import MODELS
 from mdpvol.reporting import CSV_HEADERS
 
 
@@ -81,7 +82,7 @@ class TestParseConfig:
             "regime": {"beta": 0.3, "zeta_c": 0.0},
             "params": {"n_points": 11},
         }))
-        assert parse_config(print_config(config)) == config
+        assert parse_config(json.dumps(config_document(config))) == config
 
     def test_subseed_stable_and_label_sensitive(self):
         assert subseed(1, "a") == subseed(1, "a")
@@ -355,7 +356,7 @@ class TestCliRuns:
             else {"kind": "heston", "kappa": 3.0}
         flagged = {"model": {**other, **shared}}
         direct = {"model": {"kind": kind, **{key: value for key, value in shared.items()
-                                             if key in MODELS[kind][1]}}}
+                                             if key in MODELS[kind].defaults}}}
         outputs = []
         for name, doc in (("flagged", flagged), ("direct", direct)):
             cfg = tmp_path / f"{name}.json"
@@ -365,6 +366,18 @@ class TestCliRuns:
                          "--steps", "10", "--out", str(out)]) == 0
             outputs.append((out / "mc.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("model, warns", [(["--model", "stein_stein"], True),
+                                              ([], False)], ids=["stein_stein", "heston"])
+    def test_zero_estimate_warns(self, tmp_path, capsys, model, warns):
+        # Stein-Stein's default target -2 is out of reach of 3000 paths
+        assert main(["mc", *model, "--paths", "3000", "--steps", "10",
+                     "--out", str(tmp_path)]) == 0
+        warning = ("warning: mc: no path of 3000 reached the smalltime_tail threshold, "
+                   "so the estimate is 0 and normalized_log is -inf\n")
+        assert capsys.readouterr().err == (warning if warns else "")
+        row = (tmp_path / "mc.csv").read_text().splitlines()[1]
+        assert row.startswith("0,0,-inf,") is warns
 
     @pytest.mark.parametrize("sub, out, doc, message", [
         ("rate", "file", {}, "output error: "),
@@ -470,7 +483,7 @@ _MODEL_KEY_CHANGES = {
 
 
 def test_model_key_table_covers_every_model_key():
-    keys = {(kind, key) for kind, (_, defaults) in MODELS.items() for key in defaults}
+    keys = {(kind, key) for kind, entry in MODELS.items() for key in entry.defaults}
     assert sorted(keys - set(_MODEL_KEY_CHANGES)) == []
     # an entry whose key its kind no longer reads is stale
     assert sorted(set(_MODEL_KEY_CHANGES) - keys) == []

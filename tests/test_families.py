@@ -1,3 +1,4 @@
+import argparse
 import ast
 import pathlib
 
@@ -5,21 +6,30 @@ import numpy as np
 import pytest
 
 import mdpvol
-from mdpvol import (UnsupportedModelError, family, make_constant_sigma,
-                    make_heston, make_lsv, make_power_family, make_stein_stein)
-from mdpvol.models import GrowthExponents
+from mdpvol import ConfigError, UnsupportedModelError, family
+from mdpvol.cli import _build_parser
+from mdpvol.config import validate_config
+from mdpvol.families import MODELS
+from mdpvol.models import GrowthExponents, ModelSpec
 
-MODELS = {
-    "heston": lambda: make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1),
-    "stein_stein": lambda: make_stein_stein(0.1, -1.0, 0.3, -0.5, 0.0, 0.2),
-    "power": lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.5, 0.5, -0.5, 0.0, 0.1),
-    "constant_sigma": lambda: make_constant_sigma(0.2, 0.0),
-    "lsv": lambda: make_lsv(lambda x: 1.0 + 0 * np.asarray(x),
-                            lambda y: np.exp(np.asarray(y)),
-                            lambda x, y: -np.asarray(y),
-                            lambda x, y: np.ones_like(np.asarray(y, dtype=float)),
-                            0.0, 0.0, 0.2, GrowthExponents(q_sigma=0.5, q_g=0.0)),
-}
+
+def _custom():
+    """A model built from a bare kernel, whose kind no table entry names."""
+    def kernel(x, y, out):
+        np.exp(y, out=out[0])
+        np.negative(y, out=out[1])
+        out[2].fill(1.0)
+
+    return ModelSpec(coeffs_fused=kernel, rho=0.0, x0=0.0, y0=0.2, kind="custom",
+                     growth=GrowthExponents(q_sigma=0.5, q_g=0.0))
+
+
+def _build(kind):
+    if kind == "custom":
+        return _custom()
+    entry = MODELS[kind]
+    return entry.preset(**entry.defaults)
+
 
 # a check on each fact a family has; every other (kind, fact) pair is refused
 FACTS = {
@@ -36,15 +46,35 @@ FACTS = {
 
 
 @pytest.mark.parametrize("fact", ["square_root_factor", "invariant", "share_measure"])
-@pytest.mark.parametrize("kind", list(MODELS))
+@pytest.mark.parametrize("kind", [*MODELS, "custom"])
 def test_fact_or_refusal_naming_kind(kind, fact):
-    method = getattr(family(MODELS[kind]()), fact)
+    method = getattr(family(_build(kind)), fact)
     check = FACTS.get((kind, fact))
     if check is None:
         with pytest.raises(UnsupportedModelError, match=f"'{kind}'"):
             method()
     else:
         assert check(method())
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_registry_entry_builds_its_kind(kind):
+    model = _build(kind)
+    assert model.kind == kind
+    assert type(family(model)) is MODELS[kind]
+
+
+def test_registry_is_the_only_list_of_kinds():
+    for kind in MODELS:
+        assert validate_config({"model": {"kind": kind}}).model["kind"] == kind
+    for kind in ("custom", "lsv", "Heston"):
+        with pytest.raises(ConfigError, match="unknown kind"):
+            validate_config({"model": {"kind": kind}})
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    model_flag = next(action for action in commands.choices["mc"]._actions
+                      if action.dest == "model")
+    assert tuple(model_flag.choices) == tuple(MODELS)
 
 
 def test_only_families_compares_kind():

@@ -5,8 +5,9 @@ functions that call it.  Each start-up check runs in a fresh interpreter and
 compares module names, not timings.
 
 The dead-name checks read the source with ``ast``: no module imports a name
-it never uses, every public name of the package has a consumer in the
-package, every public class member is read as an attribute outside its
+it never uses, every public name (each name the package exports, and each
+module-level function, class and constant of every module) has a consumer
+in the package, every public class member is read as an attribute outside its
 class's own constructor, and every defaulted parameter of a module-level
 function is passed by some call, each or else has a stated reason to stay.
 """
@@ -23,7 +24,6 @@ PACKAGE = os.path.join(SRC, "mdpvol")
 UNCONSUMED_PUBLIC = {
     "small_time_rate_1d": "oracle of the two-component minimum in the rate tests",
     "exact_gaussian_call": "exact price the call estimator is tested against",
-    "make_lsv": "the local-stochastic-volatility preset of the model catalog",
     "qbar_integrated": "the Qbar constant of integrated functionals, "
                        "kept for the realised-variance family fact",
 }
@@ -32,8 +32,6 @@ UNCONSUMED_PUBLIC = {
 # and why each stays.
 _ITEM_1 = "a diagnostic that ROADMAP item 1 surfaces"
 UNREAD_MEMBERS = {
-    "PathBatch.y_terminal": "read by name through mc.PATH_FIELDS",
-    "PathBatch.x_running_max": "read by name through mc.PATH_FIELDS",
     "IntegralResult.error": _ITEM_1,
     "PoissonSolution.centering_residual": _ITEM_1,
     "PoissonSolution.two_sided_gap": _ITEM_1,
@@ -62,7 +60,6 @@ UNPASSED_DEFAULTS = {
     "exact_gaussian_tail.x0": _ORACLE_START,
     "exact_gaussian_call.x0": _ORACLE_START,
     "make_power_family.moment_flag": _PRESET_FLAG,
-    "make_lsv.moment_flag": _PRESET_FLAG,
 }
 
 _REPORT = """
@@ -142,19 +139,30 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
+def _defined(statement: ast.stmt) -> set[str]:
+    """Names a module-level function, class or assignment defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, ast.Assign):
+        return {target.id for target in statement.targets if isinstance(target, ast.Name)}
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return {statement.target.id}
+    return set()
+
+
 def test_every_public_name_has_a_consumer_or_a_reason():
     trees = _modules()
-    public = _imported(trees.pop("__init__.py"))
+    public = set(_imported(trees.pop("__init__.py")))
+    public |= {name for tree in trees.values() for statement in tree.body
+               for name in _defined(statement) if not name.startswith("_")}
     consumed = set()
     for tree in trees.values():
         for statement in tree.body:
             if isinstance(statement, (ast.Import, ast.ImportFrom)):
                 continue
-            names = _referenced(statement)
-            # a function or class calling itself is not a consumer
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(statement.name)
-            consumed |= names
+            # a definition that reads its own name (a recursive call, an
+            # assignment target) is not a consumer
+            consumed |= _referenced(statement) - _defined(statement)
     unconsumed = {name for name in public if name not in consumed}
     assert sorted(unconsumed - set(UNCONSUMED_PUBLIC)) == []
     # an entry whose name gained a consumer or left the package is stale

@@ -3,8 +3,8 @@ import pytest
 
 from mdpvol import (DomainError, GrowthError, UnsupportedModelError,
                     gamma_invariant, family, integrate, make_constant_sigma,
-                    make_heston, make_lsv, speed_measure)
-from mdpvol.models import GrowthExponents
+                    make_heston, speed_measure)
+from mdpvol.models import GrowthExponents, ModelSpec
 
 REF = dict(kappa=2.0, theta=0.1, xi=0.5)
 
@@ -99,10 +99,12 @@ class TestInvariantForModel:
         assert family(model).invariant().kind == "gamma"
 
     def test_x_dependent_fast_dynamics_rejected(self):
-        model = make_lsv(lambda x: 1.0 + 0 * np.asarray(x),
-                         lambda y: 1.0 + 0 * np.asarray(y),
-                         lambda x, y: np.asarray(x) - np.asarray(y),
-                         lambda x, y: np.ones_like(np.asarray(y, dtype=float)),
-                         0.0, 0.0, 0.2, GrowthExponents(q_sigma=0, q_g=0))
-        with pytest.raises(UnsupportedModelError):
+        def kernel(x, y, out):
+            out[0].fill(1.0)
+            np.subtract(x, y, out=out[1])
+            out[2].fill(1.0)
+
+        model = ModelSpec(coeffs_fused=kernel, rho=0.0, x0=0.0, y0=0.2, kind="custom",
+                          growth=GrowthExponents(q_sigma=0, q_g=0))
+        with pytest.raises(UnsupportedModelError, match="'custom'"):
             family(model).invariant()

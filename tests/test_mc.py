@@ -14,7 +14,7 @@ from mdpvol import (DomainError, RealizedVarLdp, SimConfig, SimulationOverflowEr
                     rv_mgf, simulate)
 from mdpvol import mc
 from mdpvol.mc import PATH_FIELDS, PathBatch
-from mdpvol.models import GrowthExponents, ModelSpec, fused_from_handles
+from mdpvol.models import GrowthExponents, ModelSpec
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +28,7 @@ class TestSimulate:
         a = simulate(heston, config)
         b = simulate(heston, config)
         assert np.array_equal(a.x_terminal, b.x_terminal)
-        assert np.array_equal(a.y_terminal, b.y_terminal)
         assert np.array_equal(a.integrated_variance, b.integrated_variance)
-        assert np.array_equal(a.x_running_max, b.x_running_max)
 
     def test_deterministic_across_chunk_boundary(self, heston):
         config = SimConfig(n_paths=200_000, n_steps=4, t_end=0.1, seed=5)
@@ -52,13 +50,7 @@ class TestSimulate:
     def test_factor_nonnegative_under_truncation(self, heston):
         config = SimConfig(n_paths=50_000, n_steps=200, t_end=2.0, seed=19)
         batch = simulate(heston, config)
-        assert batch.y_terminal.min() >= 0.0
         assert batch.integrated_variance.min() >= 0.0
-
-    def test_running_max_dominates_terminal(self, heston):
-        config = SimConfig(n_paths=10_000, n_steps=50, t_end=1.0, seed=3)
-        batch = simulate(heston, config)
-        assert np.all(batch.x_running_max >= batch.x_terminal)
 
     def test_antithetic_doubles_batch(self, heston):
         config = SimConfig(n_paths=1000, n_steps=10, t_end=0.5, seed=5,
@@ -123,15 +115,19 @@ class TestSimulate:
         assert sorted(calls) == [5] * 3 + [mc._CHUNK] * 3
         assert _digest(swapped) == _digest(simulate(heston, config))
 
+    def test_default_batch_computes_every_path_field(self, heston):
+        # the fields simulate computes by default are the PathBatch fields
+        assert PATH_FIELDS == tuple(f.name for f in fields(PathBatch))
+        batch = simulate(heston, SimConfig(n_paths=100, n_steps=3, t_end=0.01, seed=1))
+        assert [name for name in PATH_FIELDS if getattr(batch, name) is None] == []
+
     def test_overflow_guard(self):
-        def huge_sigma(x, y):
-            return np.full_like(np.asarray(y, dtype=float), 1e9)
+        def huge_sigma(x, y, out):
+            out[0].fill(1e9)
+            out[1].fill(0.0)
+            out[2].fill(0.0)
 
-        def zero(x, y):
-            return np.zeros_like(np.asarray(y, dtype=float))
-
-        model = ModelSpec(coeffs_fused=fused_from_handles(huge_sigma, zero, zero),
-                          rho=0.0, x0=0.0, y0=0.1, kind="custom",
+        model = ModelSpec(coeffs_fused=huge_sigma, rho=0.0, x0=0.0, y0=0.1, kind="custom",
                           growth=GrowthExponents())
         with pytest.raises(SimulationOverflowError):
             simulate(model, SimConfig(n_paths=10, n_steps=5, t_end=1.0, seed=1))
@@ -237,21 +233,13 @@ class TestEstimateDeterminism:
         assert a == b
 
 
-def _lsv_model():
-    from mdpvol.models import make_lsv
-
-    return make_lsv(lambda x: 0.3 + 0.1 * np.tanh(x),
-                    lambda y: np.sqrt(np.maximum(y, 0.0)),
-                    lambda x, y: 2.0 * (0.1 - np.maximum(y, 0.0)),
-                    lambda x, y: 0.5 * np.sqrt(np.maximum(y, 0.0)),
-                    -0.5, 0.0, 0.1, GrowthExponents(q_sigma=0.5, q_g=0.5))
-
-
 def _bare_model():
-    return ModelSpec(coeffs_fused=fused_from_handles(
-                         lambda x, y: 0.2 + 0.1 * np.cos(y), lambda x, y: -y,
-                         lambda x, y: np.full_like(y, 0.3)),
-                     rho=0.4, x0=0.0, y0=0.5, kind="custom",
+    def kernel(x, y, out):
+        out[0][...] = 0.2 + 0.1 * np.cos(y)
+        out[1][...] = -y
+        out[2][...] = np.full_like(y, 0.3)
+
+    return ModelSpec(coeffs_fused=kernel, rho=0.4, x0=0.0, y0=0.5, kind="custom",
                      growth=GrowthExponents())
 
 
@@ -288,7 +276,6 @@ def _bitwise_case(name: str) -> str:
         "stein_stein": lambda: make_stein_stein(0.1, -1.0, 0.3, -0.3, 0.0, 0.2),
         "power_fractional": lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.25,
                                                       0.75, -0.4, 0.0, 0.1),
-        "lsv": _lsv_model,
         "bare_handles": _bare_model,
     }
     model = models[name]()
@@ -303,13 +290,12 @@ def _bitwise_case(name: str) -> str:
 # operations or the chunk layout changes them.
 DIGEST_LAYOUT = "sfc64-seedseq-2^14"
 BITWISE_DIGESTS = {
-    "heston_chunks": "6ab0c0e83d350c9e66af7ba41a500b8e9004935035e28b000f15bcab13615c2e",
-    "heston_antithetic": "d0c9b63375af268ae453cabf65b1f7fd6f9362d6cf0414396e79f86870eef528",
-    "constant_sigma": "605a8099857ffd62f31c2e1e5cf59dcdf8518943e8a9cda76cc96161add095a4",
-    "stein_stein": "cd5055643abca487b4385482bd9cc918b7d7af2ce171bf66c473d2d0a9a54266",
-    "power_fractional": "1b207bb61352c5ef966cb8632a9357332c48a16bb6d3103ebbe84bfbee1b53e7",
-    "lsv": "a6baa9aa43af163f0ec96c26f2de02bac096bd6988c24df4ed5bd8f998a98dc7",
-    "bare_handles": "50476e057286922c488f6498a76ae9130a6623283be94a7c26bab093ef13074a",
+    "heston_chunks": "044a68fc3f9accdbb1864d5dbd7c02db4d5ba39845508d5e28dbe5965ac39e38",
+    "heston_antithetic": "0b3f9fe2a76292b53a1c78ea2c96cc8a4174c52d1fb4132d343fccea08625c07",
+    "constant_sigma": "d5ce6cb2cad20f142c6ba0e2d34dc23109207f69e4c2a1dff473f3ac9e61be07",
+    "stein_stein": "e537d5ee10cbd5c9b008677e531f9fc8d04f5379f4c7122251ff9607e2b6db64",
+    "power_fractional": "e5ca8339d95a4e5f8308d0ec79d5632cb0cefdb7dd0fbf5c79345f2e506ed37b",
+    "bare_handles": "84812b77557761772685bcf5a2ceef27c8242afa5d370acb67b0af7a8e7bc7b0",
 }
 
 
@@ -395,14 +381,12 @@ class TestThreadedChunks:
         expected = min(order[-2:])
         assert sorted(order[-2:]) == [1, 2]
 
-        def sigma(x, y):
-            return np.where(x > level, 1e9, 0.2)
+        def kernel(x, y, out):
+            out[0][...] = np.where(x > level, 1e9, 0.2)
+            out[1][...] = np.zeros_like(y)
+            out[2][...] = np.zeros_like(y)
 
-        def zero(x, y):
-            return np.zeros_like(y)
-
-        model = ModelSpec(coeffs_fused=fused_from_handles(sigma, zero, zero),
-                          rho=0.0, x0=0.0, y0=0.1, kind="custom",
+        model = ModelSpec(coeffs_fused=kernel, rho=0.0, x0=0.0, y0=0.1, kind="custom",
                           growth=GrowthExponents())
         config = SimConfig(n_paths=n_chunks * mc._CHUNK, n_steps=2, t_end=2 * dt,
                            seed=seed)

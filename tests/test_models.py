@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdpvol import (DomainError, check_assumptions, make_constant_sigma,
-                    make_heston, make_lsv, make_power_family, make_stein_stein,
+                    make_heston, make_power_family, make_stein_stein,
                     mdp_growth_condition)
-from mdpvol.models import GrowthExponents
 
 
 class TestMakeHeston:
@@ -126,13 +125,6 @@ class TestAssumptionChecks:
         (lambda: make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1), True),
         (lambda: make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2), False),
         (lambda: make_constant_sigma(0.2, 0.0), False),
-        (lambda: make_lsv(lambda x: 1.0 + 0 * np.asarray(x),
-                          lambda y: np.sqrt(np.maximum(y, 0.0)),
-                          lambda x, y: 0.2 - 2.0 * np.asarray(y),
-                          lambda x, y: 0.5 * np.sqrt(np.maximum(y, 0.0)),
-                          0.0, 0.0, 0.1,
-                          GrowthExponents(nu_sigma=0.5, nu_g=0.5,
-                                          q_sigma=0.5, q_g=0.5)), False),
         (lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.0, 0.1), True),
         (lambda: make_power_family(0.2, -2.0, 0.5, 1.0, 0.75, 0.25, 0.0, 0.0, 0.1),
          True),
@@ -140,7 +132,7 @@ class TestAssumptionChecks:
          False),
         (lambda: make_power_family(-0.2, -2.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.0, 0.1),
          False),
-    ], ids=["heston", "stein_stein", "constant_sigma", "lsv", "power_cir",
+    ], ids=["heston", "stein_stein", "constant_sigma", "power_cir",
             "power_cir_qg075", "power_qg025", "power_negative_a"])
     def test_cir_branch_per_preset(self, build, expected):
         assert check_assumptions(build(), q_h=1.0).passed("functional-growth-cir") \
@@ -153,25 +145,6 @@ class TestOtherKinds:
         sigma, f, g = model.sigma(0.3, 1.7), model.f(0.3, 1.7), model.g(0.3, 1.7)
         assert (sigma, f, g) == (0.2, 0.0, 0.0)
 
-    def test_lsv_stores_factorized_handles(self):
-        model = make_lsv(lambda x: 1.0 + 0 * np.asarray(x),
-                         lambda y: np.exp(np.asarray(y)),
-                         lambda x, y: -np.asarray(y),
-                         lambda x, y: np.ones_like(np.asarray(y, dtype=float)),
-                         0.0, 0.0, 0.2,
-                         GrowthExponents(q_sigma=0.5, q_g=0.0))
-        assert model.sigma(0.0, 0.0) == 1.0
-        assert model.spot_sigma() == pytest.approx(np.exp(0.2))
-
-
-def _lsv():
-    return make_lsv(lambda x: 1.0 + 0.1 * np.asarray(x),
-                    lambda y: np.sqrt(np.maximum(y, 0.0)),
-                    lambda x, y: 0.25 - 1.5 * np.asarray(y),
-                    lambda x, y: 0.4 * np.sqrt(np.maximum(y, 0.0)),
-                    0.0, 0.0, 0.1,
-                    GrowthExponents(nu_sigma=0.5, nu_g=0.5, q_sigma=0.5, q_g=0.5))
-
 
 HANDLE_PRESETS = {
     "heston": lambda: make_heston(2.0, 0.1, 0.5, -0.5, 0.0, 0.1),
@@ -183,7 +156,6 @@ HANDLE_PRESETS = {
     "power_int": lambda: make_power_family(0.15, -1.2, 0.35, 1.2, 0.0, 1.0,
                                            0.2, 0.0, 0.2),
     "constant_sigma": lambda: make_constant_sigma(0.2, 0.0),
-    "lsv": _lsv,
 }
 
 _PIN_Y = np.array([-1.5, -0.3, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-8,
@@ -225,9 +197,6 @@ HANDLE_PINS = {
     ("constant_sigma", "sigma"): "8220734f914fd30584cb2f2e8e72a60bd190cd20d2060d88bec28929d5566b27",
     ("constant_sigma", "f"): "b8e23bae1116f5b445c257928591011839a4b4cc3bb37c426fda40ba8825a726",
     ("constant_sigma", "g"): "b8e23bae1116f5b445c257928591011839a4b4cc3bb37c426fda40ba8825a726",
-    ("lsv", "sigma"): "a75152be8de422abc7f8c6b99147b56a2e35cdb536df699f39b18bacda81a68d",
-    ("lsv", "f"): "c41a771ad27d6ced8a241a59ffe4a4ff5ed08ab234dcc6cea182fc1e620117e9",
-    ("lsv", "g"): "15148591b57172fc1e25a20333c72f14b443b2499f133a4978e4a497d7618dec",
 }
 
 

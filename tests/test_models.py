@@ -160,17 +160,75 @@ HANDLE_PRESETS = {
 
 _PIN_Y = np.array([-1.5, -0.3, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-8,
                    0.01, 0.1, 0.25, 0.5, 1.0, 1.7, 3.0, 1e10])
-_PIN_X = np.linspace(-1.0, 1.0, len(_PIN_Y))
-# scalars (a negative factor and zero among them), equal-length arrays, a
-# scalar x against an array y, and a broadcast grid
-_PIN_INPUTS = ((0.0, 0.1), (0.3, -0.2), (0.0, 0.0), (-0.5, 1.7),
-               (_PIN_X, _PIN_Y), (0.0, _PIN_Y), (_PIN_X[::3, None], _PIN_Y[None, :]))
+# scalar factors (a negative one and zero among them) and one array
+_PIN_FACTORS = (0.1, -0.2, 0.0, 1.7, _PIN_Y)
 
 
 def _handle_digest(model, name):
-    """SHA-256 of one coefficient on every pin input, broadcast to its shape."""
+    """SHA-256 of one coefficient on every pin factor."""
     digest = hashlib.sha256()
-    for x, y in _PIN_INPUTS:
+    for y in _PIN_FACTORS:
+        value = np.asarray(getattr(model, name)(0.0, y), dtype=float)
+        digest.update(repr(value.shape).encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+HANDLE_PINS = {
+    ("heston", "sigma"):
+        "b39241b009b827c7cb569f1c9c7ea020ab262ad7524878e98c52de9de9880900",
+    ("heston", "f"):
+        "9374f671c90cba8e98b7f8c70648cb97afb80adbf8f0bbce5f7e9d6e8cb55aba",
+    ("heston", "g"):
+        "fbecf464060c7c0b59289e3b54526474aa8cbc07c1df987cf74e1b3bdbddc8b7",
+    ("stein_stein", "sigma"):
+        "d150a53bbac57cff7ed941b059503ea518cbba5e92343d42d39d7ae2cf31c21c",
+    ("stein_stein", "f"):
+        "895116d44c18125cb5dbbdbfef3096a08064fb2a07192d29f4d1539c6c27ab22",
+    ("stein_stein", "g"):
+        "4c6f54780ed581470c62a9bafb8c77cb0f4249422b8b20f15f3843d44429db72",
+    ("power_frac_050", "sigma"):
+        "d9c86864168dc7d4fd91b8d66ac6982500eddfa5489bb2878517af17527b24fa",
+    ("power_frac_050", "f"):
+        "79992f18703ac0f812e717db96045235f3be996779c0a56a8db8336b472b9e22",
+    ("power_frac_050", "g"):
+        "03f7a9bdc6a7579c1bd95be561ce9f11c2e24fd33e87dbfe0b4fea9306cdcdb4",
+    ("power_frac_025", "sigma"):
+        "7a1b99f4f79bd34d39ec1e1e345cb15f3118f806bcf2d1b6fe6b54d9411c3f5d",
+    ("power_frac_025", "f"):
+        "62eb77145d6040e7f3601828d659a04799d0f81263c3273f0728dd90765dd92a",
+    ("power_frac_025", "g"):
+        "59c8525b859c6213515a9534fe8cd633611b74206f69f16b4160a3ed28f8d01c",
+    ("power_int", "sigma"):
+        "8d0d157123ef7b7ad614ef9d79176554de0385c01204eab7247d7c3ae5287ba0",
+    ("power_int", "f"):
+        "501e7ccf032bb033cba40f0279ed7a07b0a1824a9ca28b2de956bcf919c95e13",
+    ("power_int", "g"):
+        "35578b986845861370516fe2a7928cd718c603eddf3dd10ce076f5fcf0afb332",
+    ("constant_sigma", "sigma"):
+        "281dd135fae46622095665d0f772a791107a709616901af50c495c5dde9b9a91",
+    ("constant_sigma", "f"):
+        "1255cf2311f6fb4c4bb77a361eb78273fd3855362ea31673648d4ff7a1b8ee80",
+    ("constant_sigma", "g"):
+        "1255cf2311f6fb4c4bb77a361eb78273fd3855362ea31673648d4ff7a1b8ee80",
+}
+
+
+@pytest.mark.parametrize("preset, name", sorted(HANDLE_PINS))
+def test_coefficient_pins(preset, name):
+    assert _handle_digest(HANDLE_PRESETS[preset](), name) == HANDLE_PINS[(preset, name)]
+
+
+# the x-broadcast of the accessors: an x array against a y array, a scalar x
+# against an array y, and a grid
+_PIN_X = np.linspace(-1.0, 1.0, len(_PIN_Y))
+_BROADCAST_INPUTS = ((0.0, 0.1), (0.3, -0.2), (0.0, 0.0), (-0.5, 1.7),
+                     (_PIN_X, _PIN_Y), (0.0, _PIN_Y), (_PIN_X[::3, None], _PIN_Y[None, :]))
+
+
+def _broadcast_digest(model, name):
+    digest = hashlib.sha256()
+    for x, y in _BROADCAST_INPUTS:
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         value = np.broadcast_to(np.asarray(getattr(model, name)(x, y), dtype=float), shape)
         digest.update(repr(shape).encode())
@@ -178,7 +236,7 @@ def _handle_digest(model, name):
     return digest.hexdigest()
 
 
-HANDLE_PINS = {
+BROADCAST_PINS = {
     ("heston", "sigma"): "e5e5411a023c9bf1ec3e8195eac6d38c1e1e6b35bf3122e27db057856c2f2a84",
     ("heston", "f"): "dde7b53622e6e2edfaec81ea2e93d6c5c953c7f0e7b06ee235e23f3f5c219b19",
     ("heston", "g"): "bfd8c9ba002959369c0f5bf2778aedf1b32c2455660867ef937b0cf51472c9d6",
@@ -200,9 +258,9 @@ HANDLE_PINS = {
 }
 
 
-@pytest.mark.parametrize("preset, name", sorted(HANDLE_PINS))
-def test_coefficient_pins(preset, name):
-    assert _handle_digest(HANDLE_PRESETS[preset](), name) == HANDLE_PINS[(preset, name)]
+@pytest.mark.parametrize("preset, name", sorted(BROADCAST_PINS))
+def test_broadcast_pins(preset, name):
+    assert _broadcast_digest(HANDLE_PRESETS[preset](), name) == BROADCAST_PINS[(preset, name)]
 
 
 def test_coefficients_follow_swapped_kernel():

@@ -59,7 +59,7 @@ def _reference_model():
     return make_heston(**REFERENCE)
 
 
-def criterion_01_large_time_q(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_01_large_time_q(seed: int) -> CriterionResult:
     """Quadrature q vs closed form on 10 random parameter sets, 1e-6 relative."""
     rng = np.random.Generator(np.random.Philox(key=subseed(seed, "criterion-1")))
     worst = 0.0
@@ -144,7 +144,7 @@ def criterion_05_poisson_oracle() -> CriterionResult:
                  "generator_residual": residual})
 
 
-def criterion_06_variational_oracle(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_06_variational_oracle(seed: int) -> CriterionResult:
     """Endpoint minimizer vs closed form at N = 4096, order-2 refinement, contraction slope."""
     q = heston_large_time_params(_reference_model()).q
     x = 0.1
@@ -173,7 +173,7 @@ def criterion_06_variational_oracle(seed: int = DEFAULT_SEED) -> CriterionResult
                  "contraction_slope_error": slope_err})
 
 
-def criterion_07_gaussian_mc(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_07_gaussian_mc(seed: int) -> CriterionResult:
     """Constant-volatility CI coverage: 20 seeds, >= 18 must cover the exact tail."""
     model = make_constant_sigma(0.2, 0.0)
     t, threshold = 0.01, 0.04
@@ -196,7 +196,7 @@ def criterion_07_gaussian_mc(seed: int = DEFAULT_SEED) -> CriterionResult:
                  "mean_estimate": float(np.mean(estimates))})
 
 
-def criterion_08_smalltime_trend(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_08_smalltime_trend(seed: int) -> CriterionResult:
     """Small-time tail trend: monotone toward -0.2 and final value in [-0.30, -0.12].
 
     10 seeds x 1e6 paths at t in {0.04, 0.02, 0.01}.  The band sub-check is
@@ -267,7 +267,7 @@ def _rv_mgf_saddle_tail(kappa, theta, xi, y0, c, t):
     return float(ndtr(-w) + pdf * (1 / v - 1 / w))
 
 
-def criterion_09_rv_trend(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_09_rv_trend(seed: int) -> CriterionResult:
     """Realised-variance tail trend at t in {25, 50, 100}: monotone, final in +-50%.
 
     Path count (2e5) and step size (0.05) are implementation choices recorded
@@ -367,7 +367,7 @@ def criterion_11_assumption_fixtures() -> CriterionResult:
                  "equivalence_exact": equivalence_ok})
 
 
-def criterion_12_determinism(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_12_determinism(seed: int) -> CriterionResult:
     """Each subcommand run twice with equal config gives bitwise-identical files.
 
     Exercised on every file-producing subcommand (invariant, poisson, rate,

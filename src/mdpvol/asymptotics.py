@@ -40,7 +40,7 @@ class AsymptoticQuote:
 
 
 def smalltime_call_exponent(model: ModelSpec, k: float) -> float:
-    """Small-time call exponent -k^2 / (2 sigma^2(x0, y0)) for k > 0.
+    """Small-time call exponent -k^2 / (2 sigma^2(y0)) for k > 0.
 
     Requires the model's declared finite-exponential-moment flag; without it
     call prices need not be finite and no quote is emitted.
@@ -51,10 +51,7 @@ def smalltime_call_exponent(model: ModelSpec, k: float) -> float:
         raise DomainError(
             "model: declared finite-exponential-moment flag is required; "
             "exponential moments of the price must be finite for small times")
-    sigma0 = model.spot_sigma()
-    if sigma0 == 0:
-        raise DomainError("sigma(x0, y0): must be non-zero")
-    return -k ** 2 / (2 * sigma0 ** 2)
+    return -k ** 2 / (2 * model.spot_sigma() ** 2)
 
 
 def largetime_put_quote(params: LargeTimeParams, x: float, beta: float,
@@ -151,7 +148,4 @@ def tail_probability_exponent(model: ModelSpec, x: float, t: float) -> float:
         raise DomainError(f"x: must exceed the start x0 = {model.x0}, got {x}")
     if t <= 0:
         raise DomainError(f"t: must be positive, got {t}")
-    sigma0 = model.spot_sigma()
-    if sigma0 == 0:
-        raise DomainError("sigma(y0): must be non-zero")
-    return -x ** 2 / (2 * sigma0 ** 2 * t)
+    return -x ** 2 / (2 * model.spot_sigma() ** 2 * t)

@@ -209,7 +209,7 @@ def simulate(model: ModelSpec, config: SimConfig,
                 # w = rho z + rho_perp zp, built in zp's buffer
                 w *= rho_perp
                 w += np.multiply(z, rho, out=s_m)
-                coeffs(x, y, coeff_out)
+                coeffs(y, coeff_out)
                 f_m *= dt
                 y += f_m
                 g_m *= z
@@ -264,7 +264,7 @@ def estimate_smalltime_tail(model: ModelSpec, t: float, k: float, beta: float,
     """Estimate P(X_t >= k sqrt(t) h(t)) with h(t) = t^{-beta}.
 
     The normalized log is log(p) / h(t)^2 and the analytic small-time target
-    is -k^2 / (2 sigma^2(x0, y0)).
+    is -k^2 / (2 sigma^2(y0)).
     """
     if not 0 < t < 1:
         raise DomainError(f"t: must lie in (0, 1), got {t}")
@@ -274,10 +274,7 @@ def estimate_smalltime_tail(model: ModelSpec, t: float, k: float, beta: float,
         raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
     h = t ** (-beta)
     threshold = model.x0 + k * math.sqrt(t) * h
-    sigma0 = model.spot_sigma()
-    if sigma0 == 0:
-        raise DomainError("sigma(x0, y0): must be non-zero")
-    target = -k ** 2 / (2 * sigma0 ** 2)
+    target = -k ** 2 / (2 * model.spot_sigma() ** 2)
     batch = simulate(model, replace(config, t_end=t), fields=("x_terminal",))
     return _tail_from_batch(batch.x_terminal, threshold, h ** 2, target)
 

@@ -3,21 +3,22 @@
 Every model in the catalog is a pair (X, Y) driven by correlated Brownian
 motions,
 
-    dX_t = -1/2 sigma^2(X_t, Y_t) dt + sigma(X_t, Y_t) dW_t,
-    dY_t = f(X_t, Y_t) dt + g(X_t, Y_t) dZ_t,       d<W, Z>_t = rho dt,
+    dX_t = -1/2 sigma^2(Y_t) dt + sigma(Y_t) dW_t,
+    dY_t = f(Y_t) dt + g(Y_t) dZ_t,       d<W, Z>_t = rho dt,
 
-where X is a log-price and Y a volatility factor.  Presets cover the Heston
-model (sigma = sqrt(y), f = kappa (theta - y), g = xi sqrt(y)), Stein-Stein
+where X is a log-price and Y a volatility factor; the coefficients are
+functions of the factor alone.  Presets cover the Heston model
+(sigma = sqrt(y), f = kappa (theta - y), g = xi sqrt(y)), Stein-Stein
 (sigma = y, f = a + b y, g = c), the power family (sigma = c_sigma y^nu_sigma,
 g = c_g y^nu_g, f = a + b y) and a constant-volatility reference model.
 
 Each model defines its coefficients once, as an in-place kernel that writes
-sigma, f and g at (x, y) into three caller-owned arrays: the Monte Carlo hot
-loop calls it on its workspaces, and ``ModelSpec.sigma``/``f``/``g`` call it on
-fresh arrays.  Coefficients are total functions: square-root-type models
-clamp the factor argument at zero (full-truncation convention), which both
-keeps evaluation defined for transient negative factor values and matches
-the Monte Carlo discretization scheme.
+sigma, f and g at y into three caller-owned arrays: the Monte Carlo hot loop
+calls it on its workspaces, and ``ModelSpec.coefficients`` calls it on fresh
+arrays.  Coefficients are total functions: square-root-type models clamp the
+factor argument at zero (full-truncation convention), which both keeps
+evaluation defined for transient negative factor values and matches the
+Monte Carlo discretization scheme.
 
 Growth exponents are declared metadata, not inferred from the coefficients:
 ``nu_sigma``/``nu_g`` describe exact power-law coefficients, while
@@ -59,11 +60,11 @@ class ModelSpec:
 
     Attributes
     ----------
-    coeffs_fused : callable (x, y, out) -> None
+    coeffs_fused : callable (y, out) -> None
         The model's only coefficient definition: writes the volatility level
-        sigma, the factor drift f and the factor diffusion g at (x, y) into
-        the three caller-owned arrays of ``out``, all of the shape of x and
-        y.  Square-root kinds clamp y at 0 inside it.
+        sigma, the factor drift f and the factor diffusion g at the factor
+        values y into the three caller-owned arrays of ``out``, all of the
+        shape of y.  Square-root kinds clamp y at 0 inside it.
     rho : float
         Correlation between the price and factor Brownian motions.
     x0, y0 : float
@@ -96,28 +97,19 @@ class ModelSpec:
     clamp_y: bool = False
     finite_exp_moments: bool = True
 
-    def coefficients(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sigma, f, g) at x and y broadcast together, as three new arrays."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        out = (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape))
-        self.coeffs_fused(x, y, out)
+    def coefficients(self, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sigma, f, g) at the factor values y, as three new arrays."""
+        y = np.asarray(y, dtype=float)
+        out = (np.empty(y.shape), np.empty(y.shape), np.empty(y.shape))
+        self.coeffs_fused(y, out)
         return out
 
-    def sigma(self, x, y) -> np.ndarray:
-        """Volatility level."""
-        return self.coefficients(x, y)[0]
-
-    def f(self, x, y) -> np.ndarray:
-        """Factor drift."""
-        return self.coefficients(x, y)[1]
-
-    def g(self, x, y) -> np.ndarray:
-        """Factor diffusion."""
-        return self.coefficients(x, y)[2]
-
     def spot_sigma(self) -> float:
-        """Volatility level at the initial state."""
-        return float(self.sigma(self.x0, self.y0))
+        """Volatility level sigma(y0); raises DomainError when it is zero."""
+        sigma0 = float(self.coefficients(self.y0)[0])
+        if sigma0 == 0:
+            raise DomainError("sigma(y0): must be non-zero")
+        return sigma0
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
     _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
     _require(y0 > 0, "y0", f"must be positive, got {y0}")
 
-    def fused(x, y, out):
+    def fused(y, out):
         root, drift, diffusion = out
         np.maximum(y, 0.0, out=root)
         np.subtract(theta, root, out=drift)
@@ -184,7 +176,7 @@ def make_stein_stein(a: float, b: float, c: float, rho: float,
     _require(c != 0, "c", "must be non-zero")
     _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
 
-    def fused(x, y, out):
+    def fused(y, out):
         vol, drift, diffusion = out
         np.add(y, 0.0, out=vol)
         np.multiply(y, b, out=drift)
@@ -216,7 +208,7 @@ def make_power_family(a: float, b: float, c_g: float, c_sigma: float,
 
     fractional = (nu_sigma != int(nu_sigma)) or (nu_g != int(nu_g))
 
-    def fused(x, y, out):
+    def fused(y, out):
         vol, drift, diffusion = out
         base = np.maximum(y, 0.0, out=drift) if fractional else y
         np.power(base, nu_sigma, out=vol)
@@ -245,7 +237,7 @@ def make_constant_sigma(c_sigma: float, x0: float) -> ModelSpec:
     """
     _require(c_sigma != 0, "c_sigma", "must be non-zero")
 
-    def fused(x, y, out):
+    def fused(y, out):
         out[0].fill(c_sigma)
         out[1].fill(0.0)
         out[2].fill(0.0)

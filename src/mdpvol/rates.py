@@ -36,13 +36,12 @@ parallel provided reductions keep a fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SingularSystemError
-from .invariant import (InvariantMeasure, TabulatedRule, gamma_invariant,
-                        integrate)
+from .invariant import InvariantMeasure, TabulatedRule, integrate
 from .families import family
 from .models import ModelSpec
 from .paths import DiscretePath, require_same_grid
@@ -127,16 +126,14 @@ def large_time_params(model: ModelSpec, measure: InvariantMeasure,
     q = int [sigma^2 + (Phi' g)^2 + 2 rho sigma g Phi'] dmu.  The q integrand
     needs only Phi'; centering of Phi does not enter.
     """
-    x0 = model.x0
-
     def sigma2(y):
-        return model.sigma(x0, y) ** 2
+        return model.coefficients(y)[0] ** 2
 
     sig2_bar = integrate(measure, sigma2).value
     alpha = zeta * model.x_drift_coeff * sig2_bar
 
     def q_integrand(y):
-        s, _, g = model.coefficients(x0, y)
+        s, _, g = model.coefficients(y)
         phi_p = poisson_phi.u_prime(y)
         return s ** 2 + (phi_p * g) ** 2 + 2 * model.rho * s * g * phi_p
 
@@ -147,27 +144,29 @@ def large_time_params(model: ModelSpec, measure: InvariantMeasure,
 def heston_large_time_params(model: ModelSpec, zeta: float = 0.0) -> LargeTimeParams:
     """Square-root-factor pipeline: Gamma measure + constant-derivative Phi + constants,
     with q_closed_form (its rho term flips sign under the share measure)."""
-    kappa, theta, xi = family(model).square_root_factor()
+    heston = family(model)
+    kappa, theta, xi = heston.square_root_factor()
     phi = solve_phi_cir(kappa, theta, drift_coeff=model.x_drift_coeff)
-    lt = large_time_params(model, gamma_invariant(kappa, theta, xi), phi, zeta)
+    lt = large_time_params(model, heston.invariant(), phi, zeta)
     sign = 1.0 if model.x_drift_coeff < 0 else -1.0
     return replace(lt, q_closed_form=theta * (1 + xi ** 2 / (4 * kappa ** 2)
                                               - sign * model.rho * xi / kappa))
 
 
-def qbar_integrated(model: ModelSpec, H: Callable, measure: InvariantMeasure,
+def qbar_integrated(model: ModelSpec, measure: InvariantMeasure,
                     poisson_u: PoissonSolution, gamma: float) -> QbarResult:
     """Variance constant Qbar = gamma^{-2} int |u_y(y) g(y)|^2 mu(dy).
 
-    Returns the value together with a degeneracy flag raised when Qbar falls
-    below 1e-14 (the quadratic rate is then meaningless for this H).
+    ``poisson_u`` solves L u = H - Hbar for the integrated functional H, which
+    enters only through it.  Returns the value together with a degeneracy
+    flag raised when Qbar falls below 1e-14 (the quadratic rate is then
+    meaningless for this H).
     """
     if gamma <= 0:
         raise DomainError(f"gamma: must be positive, got {gamma}")
-    x0 = model.x0
 
     def integrand(y):
-        return (poisson_u.u_prime(y) * model.g(x0, y)) ** 2
+        return (poisson_u.u_prime(y) * model.coefficients(y)[2]) ** 2
 
     value = _integrate_with_solution(measure, poisson_u, integrand) / gamma ** 2
     return QbarResult(value=value, degenerate=value < 1e-14)

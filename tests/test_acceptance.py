@@ -15,6 +15,7 @@ import time
 import pytest
 
 from mdpvol import acceptance
+from mdpvol.config import DEFAULT_SEED
 
 
 def _run(criterion, budget_s, *args):
@@ -29,7 +30,7 @@ def _run(criterion, budget_s, *args):
 
 
 def test_criterion_01_large_time_q_quadrature_vs_closed_form():
-    result = _run(acceptance.criterion_01_large_time_q, 1.0)
+    result = _run(acceptance.criterion_01_large_time_q, 1.0, DEFAULT_SEED)
     assert result.details["max_relative_error"] <= 1e-6
     assert result.passed
 
@@ -62,21 +63,21 @@ def test_criterion_05_poisson_solver_oracle():
 
 
 def test_criterion_06_variational_oracle():
-    result = _run(acceptance.criterion_06_variational_oracle, 5.0)
+    result = _run(acceptance.criterion_06_variational_oracle, 5.0, DEFAULT_SEED)
     assert result.details["endpoint_errors"]["4096"] <= 1e-8
     assert result.details["contraction_slope_error"] <= 1e-6
     assert result.passed
 
 
 def test_criterion_07_exact_gaussian_mc_oracle():
-    result = _run(acceptance.criterion_07_gaussian_mc, 60.0)
+    result = _run(acceptance.criterion_07_gaussian_mc, 60.0, DEFAULT_SEED)
     assert result.details["covered"] >= 18
     assert result.passed
 
 
 @pytest.mark.slow
 def test_criterion_08_small_time_mdp_trend():
-    result = _run(acceptance.criterion_08_smalltime_trend, 600.0)
+    result = _run(acceptance.criterion_08_smalltime_trend, 600.0, DEFAULT_SEED)
     assert result.details["monotone_toward_target"]
     assert result.passed, (
         "band sub-check failed as predicted by the Gaussian-tail oracle "
@@ -86,7 +87,7 @@ def test_criterion_08_small_time_mdp_trend():
 
 @pytest.mark.slow
 def test_criterion_09_realized_variance_mdp_trend():
-    result = _run(acceptance.criterion_09_rv_trend, 600.0)
+    result = _run(acceptance.criterion_09_rv_trend, 600.0, DEFAULT_SEED)
     assert result.details["monotone_toward_target"]
     assert result.passed, (
         "band sub-check failed as predicted by the saddlepoint oracle "
@@ -109,7 +110,7 @@ def test_criterion_11_assumption_checker_fixtures():
 
 
 def test_criterion_12_determinism():
-    result = _run(acceptance.criterion_12_determinism, 120.0)
+    result = _run(acceptance.criterion_12_determinism, 120.0, DEFAULT_SEED)
     assert result.details["mismatches"] == []
     assert result.passed
 

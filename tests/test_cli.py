@@ -379,6 +379,16 @@ class TestCliRuns:
         row = (tmp_path / "mc.csv").read_text().splitlines()[1]
         assert row.startswith("0,0,-inf,") is warns
 
+    @pytest.mark.parametrize("target", ["smalltime_tail", "call"])
+    def test_zero_spot_volatility_exit_code(self, tmp_path, capsys, target):
+        # Stein-Stein has sigma = y, so y0 = 0 leaves no small-time target
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "stein_stein", "y0": 0.0},
+                                   "params": {"target": target}}))
+        assert main(["mc", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "validation error: sigma(y0): must be non-zero\n"
+        assert not (tmp_path / "mc.csv").exists()
+
     @pytest.mark.parametrize("sub, out, doc, message", [
         ("rate", "file", {}, "output error: "),
         ("ldp", "file/sub", {}, "output error: "),

@@ -16,7 +16,7 @@ import pytest
 from mdpvol import (exact_gaussian_call, exact_gaussian_tail, gamma_invariant,
                     speed_measure)
 from mdpvol import acceptance
-from mdpvol.config import validate_config
+from mdpvol.config import DEFAULT_SEED, validate_config
 from mdpvol.reporting import RUNNERS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -77,7 +77,7 @@ def test_criterion_08_gaussian_proxy_pin(monkeypatch):
     # not depend on them
     monkeypatch.setattr(acceptance, "estimate_smalltime_tail",
                         lambda *args: SimpleNamespace(p_hat=0.5))
-    details = acceptance.criterion_08_smalltime_trend().details
+    details = acceptance.criterion_08_smalltime_trend(DEFAULT_SEED).details
     assert details["gaussian_oracle_final"].hex() == "-0x1.874079ba51c52p-2"
 
 

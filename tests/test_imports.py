@@ -8,8 +8,9 @@ The dead-name checks read the source with ``ast``: no module imports a name
 it never uses, every public name (each name the package exports, and each
 module-level function, class and constant of every module) has a consumer
 in the package, every public class member is read as an attribute outside its
-class's own constructor, and every defaulted parameter of a module-level
-function is passed by some call, each or else has a stated reason to stay.
+class's own constructor, every defaulted parameter of a module-level
+function is passed by some call, and every parameter of every function is
+read by its body, each or else has a stated reason to stay.
 """
 
 import ast
@@ -35,8 +36,6 @@ UNREAD_MEMBERS = {
     "IntegralResult.error": _ITEM_1,
     "PoissonSolution.centering_residual": _ITEM_1,
     "PoissonSolution.two_sided_gap": _ITEM_1,
-    "Family.invariant": "the family fact that ROADMAP item 8 builds Qbar on",
-    "ModelSpec.f": "the factor drift, one of the three coefficient accessors",
     "PoissonSolution.u": "the solution itself, whose centering the tests integrate",
     "AssumptionCheck.detail": "the measured value behind a check, for its reader",
     "TailEstimate.threshold": "the level the estimated probability refers to",
@@ -46,20 +45,20 @@ UNREAD_MEMBERS = {
 
 # Defaulted parameters of module-level functions that no call in the
 # package passes, and why each stays.
-_RUN_ALL = "run_all passes the seed through a variable, which this check cannot follow"
 _ORACLE_START = "an exact oracle starts where its model does; tests pass other starts"
 _PRESET_FLAG = "a preset's declared moment flag, set by the library's user"
 UNPASSED_DEFAULTS = {
-    "criterion_01_large_time_q.seed": _RUN_ALL,
-    "criterion_06_variational_oracle.seed": _RUN_ALL,
-    "criterion_07_gaussian_mc.seed": _RUN_ALL,
-    "criterion_08_smalltime_trend.seed": _RUN_ALL,
-    "criterion_09_rv_trend.seed": _RUN_ALL,
-    "criterion_12_determinism.seed": _RUN_ALL,
     "main.argv": "the console script passes nothing, so argparse reads sys.argv",
     "exact_gaussian_tail.x0": _ORACLE_START,
     "exact_gaussian_call.x0": _ORACLE_START,
     "make_power_family.moment_flag": _PRESET_FLAG,
+}
+
+# Parameters of functions (nested ones included) that their body never
+# reads, and why each stays.
+UNREAD_PARAMETERS = {
+    "make_constant_sigma.fused.y": "the kernel interface passes the factor, "
+                                   "and sigma is constant",
 }
 
 _REPORT = """
@@ -240,3 +239,32 @@ def test_every_default_is_passed_or_has_a_reason():
     assert sorted(unpassed - set(UNPASSED_DEFAULTS)) == []
     # an entry whose parameter gained a caller or left the package is stale
     assert sorted(set(UNPASSED_DEFAULTS) - unpassed) == []
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """Each function under ``node`` with its dotted name (``make_heston.fused``)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_every_parameter_is_read_or_has_a_reason():
+    unread = set()
+    for tree in _modules().values():
+        for name, function in _functions(tree):
+            args = function.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for statement in function.body for node in ast.walk(statement)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread |= {f"{name}.{param}" for param in params
+                       if param not in read and param not in ("self", "cls")
+                       and not param.startswith("_")}
+    assert sorted(unread - set(UNREAD_PARAMETERS)) == []
+    # an entry whose parameter gained a reader or left the package is stale
+    assert sorted(set(UNREAD_PARAMETERS) - unread) == []

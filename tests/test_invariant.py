@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from mdpvol import (DomainError, GrowthError, UnsupportedModelError,
-                    gamma_invariant, family, integrate, make_constant_sigma,
+from mdpvol import (DomainError, GrowthError, gamma_invariant, family, integrate,
                     make_heston, speed_measure)
-from mdpvol.models import GrowthExponents, ModelSpec
 
 REF = dict(kappa=2.0, theta=0.1, xi=0.5)
 
@@ -97,14 +95,3 @@ class TestInvariantForModel:
     def test_heston_dispatch(self):
         model = make_heston(**REF, rho=-0.5, x0=0.0, y0=0.1)
         assert family(model).invariant().kind == "gamma"
-
-    def test_x_dependent_fast_dynamics_rejected(self):
-        def kernel(x, y, out):
-            out[0].fill(1.0)
-            np.subtract(x, y, out=out[1])
-            out[2].fill(1.0)
-
-        model = ModelSpec(coeffs_fused=kernel, rho=0.0, x0=0.0, y0=0.2, kind="custom",
-                          growth=GrowthExponents(q_sigma=0, q_g=0))
-        with pytest.raises(UnsupportedModelError, match="'custom'"):
-            family(model).invariant()

@@ -105,9 +105,9 @@ class TestSimulate:
     def test_swapped_kernel_called_once_per_chunk_and_step(self, heston):
         calls = []
 
-        def counted(x, y, out):
-            calls.append(len(x))
-            heston.coeffs_fused(x, y, out)
+        def counted(y, out):
+            calls.append(len(y))
+            heston.coeffs_fused(y, out)
 
         model = dataclasses.replace(heston, coeffs_fused=counted)
         config = SimConfig(n_paths=mc._CHUNK + 5, n_steps=3, t_end=0.01, seed=2)
@@ -122,7 +122,7 @@ class TestSimulate:
         assert [name for name in PATH_FIELDS if getattr(batch, name) is None] == []
 
     def test_overflow_guard(self):
-        def huge_sigma(x, y, out):
+        def huge_sigma(y, out):
             out[0].fill(1e9)
             out[1].fill(0.0)
             out[2].fill(0.0)
@@ -234,7 +234,7 @@ class TestEstimateDeterminism:
 
 
 def _bare_model():
-    def kernel(x, y, out):
+    def kernel(y, out):
         out[0][...] = 0.2 + 0.1 * np.cos(y)
         out[1][...] = -y
         out[2][...] = np.full_like(y, 0.3)
@@ -367,26 +367,27 @@ class TestThreadedChunks:
             simulate(heston, config, fields=("x_max",))
 
     def test_overflow_names_lowest_chunk(self, monkeypatch):
-        # sigma jumps to 1e9 once X passes a level, so a chunk overflows in
-        # its second step exactly when a first-step increment of it crosses
-        # the level; the level is placed so that two of four chunks overflow.
-        # At this seed they are chunks 1 and 2, which two workers run on
-        # different threads, chunk 2 as its first.
-        seed, n_chunks, dt = 10, 4, 0.5
-        peaks = [mc._chunk_stream(seed, j).standard_normal((2, mc._CHUNK))[1].max()
+        # f = 0 and g = 1, and sigma jumps to 1e9 once Y passes a level, so a
+        # chunk overflows in its second step exactly when a first-step factor
+        # increment of it (a Z draw) crosses the level; the level is placed so
+        # that two of four chunks overflow.  At this seed they are chunks 1
+        # and 2, which two workers run on different threads, chunk 2 as its
+        # first.
+        seed, n_chunks, dt, y0 = 10, 4, 0.5, 0.1
+        peaks = [mc._chunk_stream(seed, j).standard_normal((2, mc._CHUNK))[0].max()
                  for j in range(n_chunks)]
         order = np.argsort(peaks)
         z_level = 0.5 * (peaks[order[-2]] + peaks[order[-3]])
-        level = -0.5 * 0.2 ** 2 * dt + math.sqrt(dt) * 0.2 * z_level
+        level = y0 + math.sqrt(dt) * z_level
         expected = min(order[-2:])
         assert sorted(order[-2:]) == [1, 2]
 
-        def kernel(x, y, out):
-            out[0][...] = np.where(x > level, 1e9, 0.2)
-            out[1][...] = np.zeros_like(y)
-            out[2][...] = np.zeros_like(y)
+        def kernel(y, out):
+            out[0][...] = np.where(y > level, 1e9, 0.2)
+            out[1].fill(0.0)
+            out[2].fill(1.0)
 
-        model = ModelSpec(coeffs_fused=kernel, rho=0.0, x0=0.0, y0=0.1, kind="custom",
+        model = ModelSpec(coeffs_fused=kernel, rho=0.0, x0=0.0, y0=y0, kind="custom",
                           growth=GrowthExponents())
         config = SimConfig(n_paths=n_chunks * mc._CHUNK, n_steps=2, t_end=2 * dt,
                            seed=seed)

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mdpvol import (DomainError, check_assumptions, make_constant_sigma,
-                    make_heston, make_power_family, make_stein_stein,
-                    mdp_growth_condition)
+from mdpvol import (DomainError, SimConfig, check_assumptions,
+                    estimate_call_smalltime, estimate_smalltime_tail,
+                    make_constant_sigma, make_heston, make_power_family,
+                    make_stein_stein, mdp_growth_condition,
+                    tail_probability_exponent)
 
 
 class TestMakeHeston:
     def test_sigma_at_reference(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
-        assert model.sigma(0.0, 0.1) == pytest.approx(np.sqrt(0.1), abs=0)
+        assert model.coefficients(0.1)[0] == pytest.approx(np.sqrt(0.1), abs=0)
 
     def test_growth_exponents(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
@@ -37,8 +39,7 @@ class TestMakeHeston:
 
     def test_negative_y_clamped(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
-        sigma, f, g = (model.sigma(0.0, -0.01), model.f(0.0, -0.01),
-                       model.g(0.0, -0.01))
+        sigma, f, g = model.coefficients(-0.01)
         assert sigma == 0.0
         assert g == 0.0
         assert f == pytest.approx(2 * 0.1)
@@ -46,13 +47,13 @@ class TestMakeHeston:
     def test_sigma_squared_is_y_on_grid(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         y = np.linspace(0.0, 3.0, 101)
-        np.testing.assert_allclose(model.sigma(0.0, y) ** 2, y, atol=1e-15)
+        np.testing.assert_allclose(model.coefficients(y)[0] ** 2, y, atol=1e-15)
 
 
 class TestMakeSteinStein:
     def test_sigma_is_y(self):
         model = make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2)
-        assert model.sigma(0.0, 0.2) == 0.2
+        assert model.coefficients(0.2)[0] == 0.2
 
     def test_growth_exponents(self):
         model = make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2)
@@ -65,7 +66,7 @@ class TestMakeSteinStein:
 
     def test_drift_evaluation(self):
         model = make_stein_stein(0.1, -1, 0.3, 0.0, 0.0, 0.2)
-        assert model.f(0.0, 0.5) == pytest.approx(-0.4)
+        assert model.coefficients(0.5)[1] == pytest.approx(-0.4)
 
 
 class TestMakePowerFamily:
@@ -74,21 +75,16 @@ class TestMakePowerFamily:
         heston = make_heston(kappa, theta, xi, -0.5, 0.0, 0.1)
         power = make_power_family(kappa * theta, -kappa, xi, 1.0, 0.5, 0.5,
                                   -0.5, 0.0, 0.1)
-        x = np.linspace(-1, 1, 7)[:, None]
-        y = np.linspace(0.0, 2.0, 33)[None, :]
-        for name in ("sigma", "f", "g"):
-            np.testing.assert_allclose(
-                getattr(power, name)(x, y), getattr(heston, name)(x, y),
-                rtol=0, atol=1e-15)
+        y = np.linspace(0.0, 2.0, 33)
+        for ours, theirs in zip(power.coefficients(y), heston.coefficients(y)):
+            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-15)
 
     def test_reproduces_stein_stein(self):
         ss = make_stein_stein(0.1, -1.0, 0.3, 0.2, 0.0, 0.2)
         power = make_power_family(0.1, -1.0, 0.3, 1.0, 0.0, 1.0, 0.2, 0.0, 0.2)
         y = np.linspace(0.0, 2.0, 17)
-        for name in ("sigma", "f", "g"):
-            np.testing.assert_allclose(
-                getattr(power, name)(0.0, y), getattr(ss, name)(0.0, y),
-                rtol=0, atol=1e-15)
+        for ours, theirs in zip(power.coefficients(y), ss.coefficients(y)):
+            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-15)
 
     def test_exponent_region_enforced(self):
         with pytest.raises(DomainError, match="nu_g"):
@@ -142,8 +138,23 @@ class TestAssumptionChecks:
 class TestOtherKinds:
     def test_constant_sigma(self):
         model = make_constant_sigma(0.2, 0.0)
-        sigma, f, g = model.sigma(0.3, 1.7), model.f(0.3, 1.7), model.g(0.3, 1.7)
-        assert (sigma, f, g) == (0.2, 0.0, 0.0)
+        assert model.coefficients(1.7) == (0.2, 0.0, 0.0)
+
+
+_SMALL_RUN = SimConfig(n_paths=100, n_steps=2, t_end=0.01, seed=1)
+
+
+@pytest.mark.parametrize("read_spot", [
+    lambda model: model.spot_sigma(),
+    lambda model: estimate_smalltime_tail(model, 0.01, 0.2, 0.25, _SMALL_RUN),
+    lambda model: estimate_call_smalltime(model, 0.01, 0.2, 0.25, _SMALL_RUN),
+    lambda model: tail_probability_exponent(model, 0.3, 0.01),
+], ids=["spot_sigma", "smalltime_tail", "call", "tail_probability"])
+def test_zero_spot_volatility_refused(read_spot):
+    # Stein-Stein has sigma = y, so y0 = 0 puts the spot volatility at 0
+    model = make_stein_stein(0.0, -1.0, 0.3, -0.5, 0.0, 0.0)
+    with pytest.raises(DomainError, match=r"^sigma\(y0\): must be non-zero$"):
+        read_spot(model)
 
 
 HANDLE_PRESETS = {
@@ -162,13 +173,14 @@ _PIN_Y = np.array([-1.5, -0.3, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-8,
                    0.01, 0.1, 0.25, 0.5, 1.0, 1.7, 3.0, 1e10])
 # scalar factors (a negative one and zero among them) and one array
 _PIN_FACTORS = (0.1, -0.2, 0.0, 1.7, _PIN_Y)
+_COEFFICIENT = {"sigma": 0, "f": 1, "g": 2}
 
 
 def _handle_digest(model, name):
     """SHA-256 of one coefficient on every pin factor."""
     digest = hashlib.sha256()
     for y in _PIN_FACTORS:
-        value = np.asarray(getattr(model, name)(0.0, y), dtype=float)
+        value = model.coefficients(y)[_COEFFICIENT[name]]
         digest.update(repr(value.shape).encode())
         digest.update(np.ascontiguousarray(value).tobytes())
     return digest.hexdigest()
@@ -219,67 +231,24 @@ def test_coefficient_pins(preset, name):
     assert _handle_digest(HANDLE_PRESETS[preset](), name) == HANDLE_PINS[(preset, name)]
 
 
-# the x-broadcast of the accessors: an x array against a y array, a scalar x
-# against an array y, and a grid
-_PIN_X = np.linspace(-1.0, 1.0, len(_PIN_Y))
-_BROADCAST_INPUTS = ((0.0, 0.1), (0.3, -0.2), (0.0, 0.0), (-0.5, 1.7),
-                     (_PIN_X, _PIN_Y), (0.0, _PIN_Y), (_PIN_X[::3, None], _PIN_Y[None, :]))
-
-
-def _broadcast_digest(model, name):
-    digest = hashlib.sha256()
-    for x, y in _BROADCAST_INPUTS:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        value = np.broadcast_to(np.asarray(getattr(model, name)(x, y), dtype=float), shape)
-        digest.update(repr(shape).encode())
-        digest.update(np.ascontiguousarray(value).tobytes())
-    return digest.hexdigest()
-
-
-BROADCAST_PINS = {
-    ("heston", "sigma"): "e5e5411a023c9bf1ec3e8195eac6d38c1e1e6b35bf3122e27db057856c2f2a84",
-    ("heston", "f"): "dde7b53622e6e2edfaec81ea2e93d6c5c953c7f0e7b06ee235e23f3f5c219b19",
-    ("heston", "g"): "bfd8c9ba002959369c0f5bf2778aedf1b32c2455660867ef937b0cf51472c9d6",
-    ("stein_stein", "sigma"): "40862087314aab2674cc7737ce76b169abbde0d774ce4558d7a7e5da16e7583d",
-    ("stein_stein", "f"): "f215b25fa9e1c871d872858c110a5302fec5b54cd602dc3a9a8b8e6d54c8f106",
-    ("stein_stein", "g"): "04ffb88eb72daa90956112e36773d247a6f4cbbcc1bb130c3bb169a925ae2c13",
-    ("power_frac_050", "sigma"): "153598497a0bcea7ab41ae7a62714a02817cce078f1d6d2890f68c207be35ac6",
-    ("power_frac_050", "f"): "95a8170b1f76960df96b80e548af80dbe2512edeb5bd3deded685bc2659ad6e5",
-    ("power_frac_050", "g"): "bf39c2ab123285f583b48d789585b378388fa607f3432cc847f3ab69e7596bcf",
-    ("power_frac_025", "sigma"): "6314ae91def3df0bd240f0aa6c899bd9f2625b06307ce036af2ac9b129aa9b00",
-    ("power_frac_025", "f"): "968873860b18f97a3ccdea8179a78448ee225413fdd5aee9cca66a9b17da2aec",
-    ("power_frac_025", "g"): "69de020f464b0b580e53dc72feaa7ef52fcabf36373349ad0b279a32c217c215",
-    ("power_int", "sigma"): "06d5ee29750e33a2dc9ac19869112aee0777f172e4da9d5456c1ac69bd13728d",
-    ("power_int", "f"): "f1599124da7a9b1d5a74b5a948517df07e6b1f2e889fe765f14d4e85e5a120a1",
-    ("power_int", "g"): "0a929f1d95757c0b2f4f4a64ba3c9f3e1b620b1d3514e9969bdd7d87af238cd7",
-    ("constant_sigma", "sigma"): "8220734f914fd30584cb2f2e8e72a60bd190cd20d2060d88bec28929d5566b27",
-    ("constant_sigma", "f"): "b8e23bae1116f5b445c257928591011839a4b4cc3bb37c426fda40ba8825a726",
-    ("constant_sigma", "g"): "b8e23bae1116f5b445c257928591011839a4b4cc3bb37c426fda40ba8825a726",
-}
-
-
-@pytest.mark.parametrize("preset, name", sorted(BROADCAST_PINS))
-def test_broadcast_pins(preset, name):
-    assert _broadcast_digest(HANDLE_PRESETS[preset](), name) == BROADCAST_PINS[(preset, name)]
-
-
 def test_coefficients_follow_swapped_kernel():
     heston = make_heston(2.0, 0.1, 0.5, -0.5, 0.0, 0.1)
     calls = []
 
-    def kernel(x, y, out):
-        calls.append(np.shape(x))
+    def kernel(y, out):
+        calls.append(np.shape(y))
         out[0].fill(0.3)
         np.multiply(y, -1.0, out=out[1])
         out[2].fill(0.7)
 
     model = dataclasses.replace(heston, coeffs_fused=kernel)
     y = np.array([-0.5, 0.0, 0.2, 1.0])
-    np.testing.assert_array_equal(model.sigma(0.0, y), np.full(4, 0.3))
-    np.testing.assert_array_equal(model.f(0.0, y), -y)
-    np.testing.assert_array_equal(model.g(0.0, y), np.full(4, 0.7))
+    sigma, f, g = model.coefficients(y)
+    np.testing.assert_array_equal(sigma, np.full(4, 0.3))
+    np.testing.assert_array_equal(f, -y)
+    np.testing.assert_array_equal(g, np.full(4, 0.7))
     assert model.spot_sigma() == 0.3
-    assert calls == [(4,), (4,), (4,), ()]
+    assert calls == [(4,), ()]
 
 
 class TestGrowthCondition:

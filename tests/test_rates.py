@@ -103,7 +103,7 @@ class TestQbar:
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         measure = gamma_invariant(2, 0.1, 0.5)
         sol = solve_poisson_cev(lambda y: y, measure, q_h=1.0)
-        qbar = qbar_integrated(model, lambda y: y, measure, sol, 1.0)
+        qbar = qbar_integrated(model, measure, sol, 1.0)
         assert qbar.value == pytest.approx(0.00625, rel=1e-6)
         assert not qbar.degenerate
 
@@ -111,8 +111,8 @@ class TestQbar:
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         measure = gamma_invariant(2, 0.1, 0.5)
         sol = solve_poisson_cev(lambda y: y, measure, q_h=1.0)
-        one = qbar_integrated(model, lambda y: y, measure, sol, 1.0).value
-        two = qbar_integrated(model, lambda y: y, measure, sol, 2.0).value
+        one = qbar_integrated(model, measure, sol, 1.0).value
+        two = qbar_integrated(model, measure, sol, 2.0).value
         assert two == pytest.approx(one / 4, rel=1e-12)
 
     def test_constant_functional_degenerate(self):
@@ -120,7 +120,7 @@ class TestQbar:
         measure = gamma_invariant(2, 0.1, 0.5)
         sol = solve_poisson_cev(lambda y: np.full_like(np.asarray(y, float), 2.0),
                                 measure, q_h=0.0)
-        qbar = qbar_integrated(model, lambda y: y * 0 + 2.0, measure, sol, 1.0)
+        qbar = qbar_integrated(model, measure, sol, 1.0)
         assert qbar.degenerate
         assert qbar.value == pytest.approx(0.0, abs=1e-14)
 
@@ -216,8 +216,9 @@ class TestShareMeasure:
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         tilted = family(model).share_measure()
         y = np.linspace(0.0, 2.0, 41)
-        expect = model.f(0.0, y) + model.rho * model.g(0.0, y) * model.sigma(0.0, y)
-        np.testing.assert_allclose(tilted.f(0.0, y), expect, atol=1e-14)
+        sigma, f, g = model.coefficients(y)
+        np.testing.assert_allclose(tilted.coefficients(y)[1], f + model.rho * g * sigma,
+                                   atol=1e-14)
 
     def test_share_q_closed_form(self):
         from mdpvol import share_large_time_params

@@ -3,13 +3,26 @@
 Paths follow the full-truncation Euler scheme: at every step the coefficients
 are evaluated with the factor argument clamped at zero (square-root kinds
 clamp inside their coefficients), the factor itself may dip below zero between
-steps, and the integrated variance sums the clamped factor.  Correlated
-increments are built from independent draws as W = rho Z + sqrt(1 - rho^2) Zp,
-with Z driving the factor.
+steps, and the integrated variance sums the clamped factor.
 
-Stream layout ``STREAM_LAYOUT`` ("sfc64-seedseq-2^14"): paths are generated
-in fixed-size chunks of 2^14, and chunk j draws from an SFC64 generator
-seeded by ``SeedSequence((seed mod 2^64, j))``.  The chunks run on one worker
+One normal per path and step: Z drives the factor, and the log-price driver
+is W = rho Z + sqrt(1 - rho^2) Zp.  The coefficients read the factor alone,
+so X never feeds back, and given Z the orthogonal part of the Euler X_T,
+sqrt(1 - rho^2) sum_i sigma_i sqrt(dt) Zp_i, is exactly Gaussian with
+variance (1 - rho^2) dt q, where q = sum_i sigma_i^2.  The engine therefore
+draws it once per path at the end of the chunk:
+
+    X_T = x0 + a q dt + rho sqrt(dt) sum_i sigma_i Z_i + sqrt(1 - rho^2) sqrt(dt q) eps,
+
+with a the log-price drift coefficient and eps one standard normal per
+path.  This is the Euler law of X_T, sampled by plain Monte Carlo.  A batch
+that asks only for the integrated variance draws no eps and forms no X.
+
+Stream layout ``STREAM_LAYOUT`` ("sfc64-seedseq-2^14-z+eps"): paths are
+generated in fixed-size chunks of 2^14, and chunk j opens one SFC64
+generator per use, seeded by ``SeedSequence((seed mod 2^64, j, d))``: d = 0
+for Z, d = 2 for eps, which is opened only when ``x_terminal`` is asked for
+(d = 1 stays free for a per-step W).  The chunks run on one worker
 thread per core the process may use (capped at the number of chunks; there
 is no setting for it), worker w taking chunks w, w + workers, ...  Each
 worker owns one preallocated workspace, steps its chunks with in-place array
@@ -20,10 +33,12 @@ number of paths after them.
 
 Reproducibility contract: the float operations of a path and their order do
 not depend on the worker count, so serial and threaded runs agree bitwise and
-equal (model, config) inputs give bitwise-identical batches.  If paths
-overflow, the error names the lowest overflowing chunk, as a serial run would.
-Antithetic sampling flips both underlying normal streams and doubles the
-stored batch.
+equal (model, config) inputs give bitwise-identical batches, and the
+integrated variance is the same bytes whether or not X is asked for.  The
+overflow guard checks the fields computed: a value of X_T or V that is not
+finite or exceeds 1e12 in magnitude aborts the batch, and the error names the
+lowest overflowing chunk, as a serial run would.  Antithetic sampling negates
+Z and eps and doubles the stored batch.
 
 A ``PathBatch`` holds the two path summaries the estimators read: the
 terminal log-price and the integrated factor.  ``simulate`` computes only the
@@ -55,7 +70,9 @@ from .models import ModelSpec
 
 _OVERFLOW_GUARD = 1e12
 _CHUNK = 1 << 14
-STREAM_LAYOUT = "sfc64-seedseq-2^14"
+STREAM_LAYOUT = "sfc64-seedseq-2^14-z+eps"
+# the uses of a chunk's streams: the factor normals Z, and the end draw of X
+_Z_STREAM, _END_STREAM = 0, 2
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -124,8 +141,8 @@ class CallEstimate:
     n_paths: int
 
 
-def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
-    entropy = (seed & 0xFFFFFFFFFFFFFFFF, chunk_index)
+def _chunk_stream(seed: int, chunk_index: int, use: int) -> np.random.Generator:
+    entropy = (seed & 0xFFFFFFFFFFFFFFFF, chunk_index, use)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
@@ -147,7 +164,8 @@ def simulate(model: ModelSpec, config: SimConfig,
     """Full-truncation Euler batch of the model's system.
 
     ``fields`` names the ``PathBatch`` fields to compute; the others are None.
-    Raises SimulationOverflowError and aborts if any |X| crosses 1e12.
+    Raises SimulationOverflowError and aborts if a computed field has a value
+    that is not finite or exceeds 1e12 in magnitude.
     """
     unknown = [name for name in fields if name not in PATH_FIELDS]
     if unknown or not fields:
@@ -173,67 +191,79 @@ def simulate(model: ModelSpec, config: SimConfig,
     x_out, v_out = out["x_terminal"], out["integrated_variance"]
     n_chunks = (config.n_paths + _CHUNK - 1) // _CHUNK
     workers = _worker_count(n_chunks)
-    # Per worker: the two draw rows, sigma, f, g, Y, and X unless it lives
-    # in the outputs.  Allocated on the calling thread, so that freed
-    # workspaces go back to its heap for later batches, not to worker heaps.
+    # Per worker: Z, sigma, f, g, Y, and the sum q of sigma^2 when X is
+    # asked for.  Allocated on the calling thread, so that freed workspaces
+    # go back to its heap for later batches, not to worker heaps.
     size = copies * min(_CHUNK, config.n_paths)
-    workspaces = [(np.empty((2, size)), np.empty(size), np.empty(size), np.empty(size),
-                   np.empty(size), np.empty(size) if x_out is None else None)
+    workspaces = [(np.empty(size), np.empty(size), np.empty(size), np.empty(size),
+                   np.empty(size), None if x_out is None else np.empty(size))
                   for _ in range(workers)]
 
     def run_worker(first: int) -> int | None:
         """Run chunks first, first + workers, ...; return the first that overflows."""
-        draws, s, tmp, g, y_work, x_work = workspaces[first]
+        z_work, s, tmp, g, y_work, q_work = workspaces[first]
         for chunk_index in range(first, n_chunks, workers):
             n = min(_CHUNK, config.n_paths - chunk_index * _CHUNK)
             m = copies * n
             start = copies * chunk_index * _CHUNK
             rows = slice(start, start + m)
-            x = x_work[:m] if x_out is None else x_out[rows]
-            y = y_work[:m]
-            v = None if v_out is None else v_out[rows]
-            x.fill(x0)
+            z, y = z_work[:m], y_work[:m]
             y.fill(y0)
-            if v is not None:
+            if x_out is not None:
+                # x accumulates sum sigma_i z_i, q sums sigma_i^2
+                x, q = x_out[rows], q_work[:m]
+                x.fill(0.0)
+                q.fill(0.0)
+            if v_out is not None:
+                v = v_out[rows]
                 v.fill(0.0)
-            z, w = draws[0, :m], draws[1, :m]
             coeff_out = (s[:m], tmp[:m], g[:m])  # (sigma, f, g), f held in tmp
             s_m, f_m, g_m = coeff_out
-            rng = _chunk_stream(config.seed, chunk_index)
+            rng = _chunk_stream(config.seed, chunk_index, _Z_STREAM)
             for _ in range(config.n_steps):
                 rng.standard_normal(out=z[:n])
-                rng.standard_normal(out=w[:n])
                 if config.antithetic:
                     np.negative(z[:n], out=z[n:])
-                    np.negative(w[:n], out=w[n:])
-                # w = rho z + rho_perp zp, built in zp's buffer
-                w *= rho_perp
-                w += np.multiply(z, rho, out=s_m)
                 coeffs(y, coeff_out)
                 f_m *= dt
                 y += f_m
                 g_m *= z
                 g_m *= sqrt_dt
                 y += g_m
-                np.multiply(s_m, s_m, out=f_m)
-                f_m *= a_x
-                x += f_m
-                s_m *= w
-                s_m *= sqrt_dt
-                x += s_m
-                if v is not None:
+                if x_out is not None:
+                    q += np.multiply(s_m, s_m, out=f_m)
+                    x += np.multiply(s_m, z, out=s_m)
+                if v_out is not None:
                     v += np.maximum(y, 0.0, out=f_m) if clamp else y
-            if not np.abs(x, out=f_m).max() <= _OVERFLOW_GUARD:
-                return chunk_index
-            if clamp:  # the last trapezoid sample of V is the clamped factor
-                np.maximum(y, 0.0, out=y)
-            if v is not None:
+            if x_out is not None:
+                # given Z, the orthogonal part of X_T is N(0, rho_perp^2 dt q):
+                # X_T = x0 + a_x q + rho sqrt(dt) x + rho_perp sqrt(dt q) eps
+                eps = z
+                _chunk_stream(config.seed, chunk_index, _END_STREAM).standard_normal(
+                    out=eps[:n])
+                if config.antithetic:
+                    np.negative(eps[:n], out=eps[n:])
+                x *= rho * sqrt_dt
+                x += np.multiply(q, a_x, out=f_m)
+                q *= dt
+                np.sqrt(q, out=q)
+                q *= rho_perp
+                q *= eps
+                x += q
+                x += x0
+                if not np.abs(x, out=f_m).max() <= _OVERFLOW_GUARD:
+                    return chunk_index
+            if v_out is not None:
+                if clamp:  # the last trapezoid sample of V is the clamped factor
+                    np.maximum(y, 0.0, out=y)
                 # trapezoid of the clamped factor: dt * (sum of samples - end averages)
                 np.add(y, y_first, out=f_m)
                 f_m *= 0.5
                 v += y_first
                 v -= f_m
                 v *= dt
+                if not np.abs(v, out=f_m).max() <= _OVERFLOW_GUARD:
+                    return chunk_index
         return None
 
     if workers == 1:
@@ -244,7 +274,8 @@ def simulate(model: ModelSpec, config: SimConfig,
     overflowed = [j for j in overflowed if j is not None]
     if overflowed:
         raise SimulationOverflowError(
-            f"|X| crossed {_OVERFLOW_GUARD:g} in chunk {min(overflowed)}; batch aborted")
+            f"{' or '.join(fields)} crossed {_OVERFLOW_GUARD:g} in chunk "
+            f"{min(overflowed)}; batch aborted")
     return PathBatch(**out)
 
 

@@ -465,14 +465,17 @@ def test_every_key_changes_an_output(tmp_path, block, key):
 # bytes.  The bases give hits: at Stein-Stein's default y0 = 0.1 the tail
 # estimate is 0 at these batch sizes.  Under smalltime_tail the threshold
 # moves with x0, so x0 and the drift-only keys are read through a call.
+# Heston's rho and Stein-Stein's a are read through a call too: a tail row
+# is a hit count, which two values can share by chance at 3 000 paths,
+# while the call payoff is continuous in every X_T.
 _MODEL_KEY_CHANGES = {
     ("heston", "kappa"): ("call", {}, 3.0),
     ("heston", "theta"): ("call", {}, 0.2),
     ("heston", "xi"): ("smalltime_tail", {}, 0.8),
-    ("heston", "rho"): ("smalltime_tail", {}, 0.3),
+    ("heston", "rho"): ("call", {}, 0.3),
     ("heston", "x0"): ("call", {}, 0.05),
     ("heston", "y0"): ("smalltime_tail", {}, 0.3),
-    ("stein_stein", "a"): ("smalltime_tail", {"y0": 0.3}, 0.3),
+    ("stein_stein", "a"): ("call", {"y0": 0.3}, 0.3),
     ("stein_stein", "b"): ("call", {"y0": 0.3}, -2.0),
     ("stein_stein", "c"): ("smalltime_tail", {"y0": 0.3}, 0.6),
     ("stein_stein", "rho"): ("smalltime_tail", {"y0": 0.3}, 0.2),

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 from dataclasses import astuple, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,37 @@ class TestSimulate:
         assert abs(batch.x_terminal.mean() - mean) <= 4 * se_mean
         se_var = var * math.sqrt(2 / config.n_paths)
         assert abs(batch.x_terminal.var() - var) <= 4 * se_var
+
+    @pytest.mark.parametrize("rho", [-0.5, -1.0, 0.0])
+    def test_end_draw_gives_exact_gaussian_law(self, rho, monkeypatch):
+        # sigma = 0.2 beside a moving factor: for every rho the Euler X_t is
+        # exactly N(-sigma^2 t / 2, sigma^2 t), whose part orthogonal to Z
+        # is the end draw eps alone (all of it at rho = 0, none at rho = -1)
+        def kernel(y, out):
+            out[0].fill(0.2)
+            out[1][...] = -y
+            out[2].fill(0.3)
+
+        model = ModelSpec(coeffs_fused=kernel, rho=rho, x0=0.0, y0=0.1, kind="custom",
+                          growth=GrowthExponents())
+        t, thr = 0.01, 0.04
+        config = SimConfig(n_paths=400_000, n_steps=8, t_end=t, seed=123)
+        x = simulate(model, config, fields=("x_terminal",)).x_terminal
+        assert np.isfinite(x).all()
+        mean, var = -0.5 * 0.04 * t, 0.04 * t
+        assert abs(x.mean() - mean) <= 4 * math.sqrt(var / config.n_paths)
+        assert abs(x.var() - var) <= 4 * var * math.sqrt(2 / config.n_paths)
+        k = thr / (math.sqrt(t) * t ** (-0.25))
+        est = estimate_smalltime_tail(model, t, k, 0.25, config)
+        assert abs(est.p_hat - exact_gaussian_tail(0.2, t, thr)) <= 2 * est.ci_halfwidth
+
+        # another eps stream changes X_t exactly when rho_perp is not 0
+        def other_end_draw(seed, chunk_index, use, open_stream=mc._chunk_stream):
+            return open_stream(seed + (use == mc._END_STREAM), chunk_index, use)
+
+        monkeypatch.setattr(mc, "_chunk_stream", other_end_draw)
+        swapped = simulate(model, config, fields=("x_terminal",)).x_terminal
+        assert (swapped.tobytes() == x.tobytes()) == (rho == -1.0)
 
     def test_factor_nonnegative_under_truncation(self, heston):
         config = SimConfig(n_paths=50_000, n_steps=200, t_end=2.0, seed=19)
@@ -288,20 +321,26 @@ def _bitwise_case(name: str) -> str:
 # Digests of the full-truncation Euler engine's outputs under the stream
 # layout DIGEST_LAYOUT: any change to the draws, the order of the float
 # operations or the chunk layout changes them.
-DIGEST_LAYOUT = "sfc64-seedseq-2^14"
+DIGEST_LAYOUT = "sfc64-seedseq-2^14-z+eps"
 BITWISE_DIGESTS = {
-    "heston_chunks": "044a68fc3f9accdbb1864d5dbd7c02db4d5ba39845508d5e28dbe5965ac39e38",
-    "heston_antithetic": "0b3f9fe2a76292b53a1c78ea2c96cc8a4174c52d1fb4132d343fccea08625c07",
-    "constant_sigma": "d5ce6cb2cad20f142c6ba0e2d34dc23109207f69e4c2a1dff473f3ac9e61be07",
-    "stein_stein": "e537d5ee10cbd5c9b008677e531f9fc8d04f5379f4c7122251ff9607e2b6db64",
-    "power_fractional": "e5ca8339d95a4e5f8308d0ec79d5632cb0cefdb7dd0fbf5c79345f2e506ed37b",
-    "bare_handles": "84812b77557761772685bcf5a2ceef27c8242afa5d370acb67b0af7a8e7bc7b0",
+    "heston_chunks": "733745b8180326616bcb2e5d9178d07d49066bb69e4f152d8342275f053f5833",
+    "heston_antithetic": "1a25bc9816fa8b041d5abba963872814800a7ae0498112f3c0b5753ff9de9a7a",
+    "constant_sigma": "65219af1e08b0153ca0a43578bc61a5c7d9e754ee0ceba7cf86d9e3e43f8d95a",
+    "stein_stein": "1f282d927daa9d183a5d079f0a802d9c5e32dd70c8e15b34e88304dce71966e9",
+    "power_fractional": "8d74fc246e892dbc5db114fefd4635a9b5829c9ca01be9c0af1aa8a0dd956828",
+    "bare_handles": "9971efda8bc22df42f09008cf84171e4ca238661c7d3356cc8ef16385c6f030a",
 }
 
 
 class TestBitwiseLock:
     def test_digests_name_the_layout(self):
         assert mc.STREAM_LAYOUT == DIGEST_LAYOUT
+
+    def test_readme_names_the_layout(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        named = re.findall(r'STREAM_LAYOUT = "([^"]*)"', readme)
+        assert named and set(named) == {mc.STREAM_LAYOUT}
 
     @pytest.mark.parametrize("name", sorted(BITWISE_DIGESTS))
     def test_outputs_unchanged(self, name):
@@ -310,6 +349,20 @@ class TestBitwiseLock:
 
 def _set_workers(monkeypatch, workers: int) -> None:
     monkeypatch.setattr(mc, "_worker_count", lambda n_chunks: min(n_chunks, workers))
+
+
+def _overflow_level(seed: int, n_chunks: int, dt: float, y0: float):
+    """A factor level and the lower of the two chunks that cross it.
+
+    With f = 0 and g = 1 the first-step factor is y0 + sqrt(dt) Z; the level
+    lies between the second- and third-largest of the chunks' Z maxima.
+    """
+    peaks = [mc._chunk_stream(seed, j, mc._Z_STREAM).standard_normal(mc._CHUNK).max()
+             for j in range(n_chunks)]
+    order = np.argsort(peaks)
+    z_level = 0.5 * (peaks[order[-2]] + peaks[order[-3]])
+    assert sorted(order[-2:]) == [1, 2]
+    return y0 + math.sqrt(dt) * z_level, min(order[-2:])
 
 
 class TestThreadedChunks:
@@ -374,13 +427,7 @@ class TestThreadedChunks:
         # and 2, which two workers run on different threads, chunk 2 as its
         # first.
         seed, n_chunks, dt, y0 = 10, 4, 0.5, 0.1
-        peaks = [mc._chunk_stream(seed, j).standard_normal((2, mc._CHUNK))[0].max()
-                 for j in range(n_chunks)]
-        order = np.argsort(peaks)
-        z_level = 0.5 * (peaks[order[-2]] + peaks[order[-3]])
-        level = y0 + math.sqrt(dt) * z_level
-        expected = min(order[-2:])
-        assert sorted(order[-2:]) == [1, 2]
+        level, expected = _overflow_level(seed, n_chunks, dt, y0)
 
         def kernel(y, out):
             out[0][...] = np.where(y > level, 1e9, 0.2)
@@ -395,6 +442,30 @@ class TestThreadedChunks:
             _set_workers(monkeypatch, workers)
             with pytest.raises(SimulationOverflowError, match=f"chunk {expected};"):
                 simulate(model, config)
+
+    def test_variance_overflow_names_lowest_chunk(self, monkeypatch):
+        # a batch that asks for V alone forms no X, so the guard reads V: the
+        # factor drift jumps to 1e15 once Y passes the level of the test
+        # above, and V of the same two chunks 1 and 2 crosses the guard
+        seed, n_chunks, dt, y0 = 10, 4, 0.5, 0.1
+        level, expected = _overflow_level(seed, n_chunks, dt, y0)
+
+        def kernel(y, out):
+            out[0].fill(0.2)
+            out[1][...] = np.where(y > level, 1e15, 0.0)
+            out[2].fill(1.0)
+
+        model = ModelSpec(coeffs_fused=kernel, rho=0.0, x0=0.0, y0=y0, kind="custom",
+                          growth=GrowthExponents())
+        config = SimConfig(n_paths=n_chunks * mc._CHUNK, n_steps=2, t_end=2 * dt,
+                           seed=seed)
+        for workers in (1, 2, 4):
+            _set_workers(monkeypatch, workers)
+            with pytest.raises(SimulationOverflowError, match=f"chunk {expected};"):
+                simulate(model, config, fields=("integrated_variance",))
+            # X stays bounded, and a batch without V does not read it
+            assert np.isfinite(simulate(model, config, fields=("x_terminal",))
+                               .x_terminal).all()
 
     @pytest.mark.parametrize("n_paths", [1 << 16, 3 << 17, 200_000, 1_000_000])
     def test_two_workers_share_paths_evenly(self, monkeypatch, n_paths):
@@ -422,9 +493,9 @@ class TestThreadedChunks:
                     results.append(fn(item))
                 return results
 
-        def stream(seed, chunk_index, open_stream=mc._chunk_stream):
+        def stream(seed, chunk_index, use, open_stream=mc._chunk_stream):
             owner[chunk_index] = running[0] if running else 0
-            return open_stream(seed, chunk_index)
+            return open_stream(seed, chunk_index, use)
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(mc, "_chunk_stream", stream)

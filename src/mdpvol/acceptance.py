@@ -11,11 +11,13 @@ The two Monte Carlo trend criteria combine a monotonicity sub-check with a
 fixed band on the final value.  The trend parts hold; the band parts compare
 a finite-horizon estimate against a band that does not account for the
 subexponential prefactor of the tail probability (about exp(-log(z sqrt(2 pi)))
-relative to the pure quadratic decay), and independent oracles (exact
-Gaussian tail, saddlepoint on the exact cumulant function) put the true
-values outside the stated bands.  Those sub-checks are implemented exactly as
-stated and report their honest failure; the oracle values are included in the
-result details.
+relative to the pure quadratic decay), and independent oracles put the
+finite-horizon values outside the stated bands: for criterion 8 a Gaussian
+proxy that holds the spot variance fixed (the exact Heston tail agrees with
+the engine's final value), for criterion 9 a saddlepoint on the exact
+cumulant function.  Those sub-checks are implemented exactly as stated and
+report their honest failure; the oracle values are included in the result
+details.
 """
 
 from __future__ import annotations
@@ -200,8 +202,8 @@ def criterion_08_smalltime_trend(seed: int) -> CriterionResult:
     """Small-time tail trend: monotone toward -0.2 and final value in [-0.30, -0.12].
 
     10 seeds x 1e6 paths at t in {0.04, 0.02, 0.01}.  The band sub-check is
-    implemented exactly as stated; the exact Gaussian-tail oracle for the
-    final point is included in the details.
+    implemented exactly as stated; a Gaussian proxy of the final point's tail,
+    with the spot variance sigma^2 = y0 held fixed, is included in the details.
     """
     model = _reference_model()
     beta, k = 0.25, 0.2
@@ -222,7 +224,7 @@ def criterion_08_smalltime_trend(seed: int) -> CriterionResult:
     final = averaged[-1]
     band_ok = -0.30 <= final <= -0.12
 
-    # independent oracle: exact Gaussian tail with the Heston spot variance
+    # independent oracle: the Gaussian tail with the spot variance held fixed
     y0 = REFERENCE["y0"]
     t = t_values[-1]
     h = t ** (-beta)
@@ -353,8 +355,6 @@ def criterion_11_assumption_fixtures() -> CriterionResult:
         bound = 1.0 / (2 * beta + 1)
         for q_g in np.concatenate((np.linspace(0.5, 0.95, 19),
                                    [bound - 1e-9, bound + 1e-9])):
-            if not 0.5 <= q_g < 1:
-                continue
             lhs = mdp_growth_condition(float(q_g), 1.0, float(beta))
             rhs = q_g < bound
             if lhs != rhs:

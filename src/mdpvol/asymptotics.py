@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError
 from .families import family
 from .ldp import RealizedVarLdp, rv_lambda_star, rv_mdp_exponent
 from .models import ModelSpec
@@ -102,12 +102,10 @@ def rv_option_quotes(params: RealizedVarLdp, x: float, beta: float,
 def quote_catalog(model: ModelSpec, lt: LargeTimeParams, q_share: float,
                   k: float, x: float, x_rv: float, beta: float,
                   t: float) -> list[AsymptoticQuote]:
-    """Every asymptotic quote for one model, each with the strike it is evaluated at."""
+    """Every asymptotic quote for a model with a square-root factor (seven, in
+    a fixed order), each with the strike it is evaluated at."""
     leading, correction = largetime_put_quote(lt, -abs(x), beta, t)
-    try:
-        rv = RealizedVarLdp(*family(model).square_root_factor(), model.y0)
-    except UnsupportedModelError:  # no realised-variance rates for this family
-        rv = None
+    rv = RealizedVarLdp(*family(model).square_root_factor(), model.y0)
     quotes = [
         AsymptoticQuote("small_time_call", smalltime_call_exponent(model, k),
                         k, "h(t)^2 = t^(-2*beta)"),
@@ -117,18 +115,14 @@ def quote_catalog(model: ModelSpec, lt: LargeTimeParams, q_share: float,
         AsymptoticQuote("large_time_call", largetime_call_exponent(abs(x), q_share),
                         abs(x), "t^(2*beta)"),
     ]
-    if rv is not None:
-        ldp_quote, mdp_quote = rv_option_quotes(rv, x_rv, beta, t)
-        quotes.append(AsymptoticQuote("rv_option_ldp", ldp_quote, x_rv, "t"))
-        quotes.append(AsymptoticQuote("rv_option_mdp", mdp_quote, x_rv, "t^(2*beta)"))
-    growth = model.growth
-    if growth.nu_sigma is not None and growth.nu_g is not None \
-            and growth.nu_g <= 1 - growth.nu_sigma:
-        x_tail = abs(x) + abs(model.x0) + 0.2
-        quotes.append(AsymptoticQuote(
-            "tail_probability", tail_probability_exponent(model, x_tail, t),
-            x_tail, "h^2"))
-    return quotes
+    ldp_quote, mdp_quote = rv_option_quotes(rv, x_rv, beta, t)
+    x_tail = abs(x) + abs(model.x0) + 0.2
+    return quotes + [
+        AsymptoticQuote("rv_option_ldp", ldp_quote, x_rv, "t"),
+        AsymptoticQuote("rv_option_mdp", mdp_quote, x_rv, "t^(2*beta)"),
+        AsymptoticQuote("tail_probability", tail_probability_exponent(model, x_tail, t),
+                        x_tail, "h^2"),
+    ]
 
 
 def tail_probability_exponent(model: ModelSpec, x: float, t: float) -> float:

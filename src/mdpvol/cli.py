@@ -55,8 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> "ExperimentConfig":
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{args.config}: not UTF-8 text: {exc.reason} "
+                               f"at byte {exc.start}"]) from None
         config = parse_config(text)
     else:
         config = validate_config({})

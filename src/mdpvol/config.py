@@ -228,6 +228,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except RecursionError:
+        raise ConfigError(["parse error: the document nests too deeply"]) from None
     return validate_config(raw)
 
 

@@ -176,9 +176,8 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
     knots = np.geomspace(y_lo, y_hi, 4096)
     if not (knots[0] <= 1.0 <= knots[-1]):
         knots = np.sort(np.unique(np.concatenate([knots, [1.0]])))
-    cum = segment_cumulative(lambda z: exponent_integrand(z), knots)
+    cum = segment_cumulative(exponent_integrand, knots)
     anchor = int(np.searchsorted(knots, 1.0))
-    anchor = min(max(anchor, 0), len(knots) - 1)
     if abs(knots[anchor] - 1.0) > 1e-9:
         # anchor not on the grid: shift by the integral from 1 to the nearest knot
         shift = segment_cumulative(exponent_integrand, np.array([1.0, knots[anchor]]))[-1]

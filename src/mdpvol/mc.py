@@ -108,11 +108,6 @@ class PathBatch:
     x_terminal: np.ndarray | None
     integrated_variance: np.ndarray | None
 
-    @property
-    def size(self) -> int:
-        return next(len(getattr(self, name)) for name in PATH_FIELDS
-                    if getattr(self, name) is not None)
-
 
 PATH_FIELDS = tuple(f.name for f in dataclass_fields(PathBatch))
 
@@ -266,11 +261,8 @@ def simulate(model: ModelSpec, config: SimConfig,
                     return chunk_index
         return None
 
-    if workers == 1:
-        overflowed = [run_worker(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            overflowed = list(pool.map(run_worker, range(workers)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        overflowed = list(pool.map(run_worker, range(workers)))
     overflowed = [j for j in overflowed if j is not None]
     if overflowed:
         raise SimulationOverflowError(

@@ -131,9 +131,6 @@ class AssumptionReport:
                 return check.passed
         raise KeyError(assumption)
 
-    def __iter__(self):
-        return iter(self.checks)
-
 
 def _require(condition: bool, name: str, message: str) -> None:
     if not condition:
@@ -165,7 +162,7 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
         coeffs_fused=fused, rho=rho, x0=x0, y0=y0, kind="heston",
         growth=GrowthExponents(nu_sigma=0.5, nu_g=0.5, q_sigma=0.5, q_g=0.5),
         params={"kappa": kappa, "theta": theta, "xi": xi,
-                "a": kappa * theta, "b": -kappa, "c_sigma": 1.0, "c_g": xi},
+                "a": kappa * theta, "b": -kappa},
         clamp_y=True, finite_exp_moments=moment_flag,
     )
 
@@ -186,7 +183,7 @@ def make_stein_stein(a: float, b: float, c: float, rho: float,
     return ModelSpec(
         coeffs_fused=fused, rho=rho, x0=x0, y0=y0, kind="stein_stein",
         growth=GrowthExponents(nu_sigma=1.0, nu_g=0.0, q_sigma=1.0, q_g=0.0),
-        params={"a": a, "b": b, "c": c, "c_sigma": 1.0, "c_g": c},
+        params={"a": a, "b": b, "c": c},
         finite_exp_moments=moment_flag,
     )
 

@@ -4,10 +4,12 @@ Each test runs its criterion at the stated scale and tolerance, prints one
 PASS/FAIL line with the measured values, enforces the stated runtime budget,
 and asserts the criterion outcome.  Criteria 8 and 9 are implemented exactly
 as stated; their band sub-checks compare finite-horizon estimates against
-bands that independent oracles (exact Gaussian tail, saddlepoint on the exact
-cumulant function) place out of reach, so their honest outcome is a failure
-of the band part while the trend part holds.  The analysis is recorded in the
-result notes and in the "Known status" section of the README.
+bands that independent oracles place out of reach (criterion 8: a Gaussian
+proxy with the spot variance held fixed, and the exact Heston tail of
+``mdpbench/oracles.heston_tail``, which the engine matches; criterion 9: a
+saddlepoint on the exact cumulant function), so their honest outcome is a
+failure of the band part while the trend part holds.  The analysis is
+recorded in the result notes and in the "Known status" section of the README.
 """
 
 import time

@@ -162,19 +162,23 @@ class TestCliRuns:
         assert main([sub, "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert f"config error: {field}: expected" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sub", ["invariant", "poisson"])
+    @pytest.mark.parametrize("sub", ["invariant", "poisson", "rate", "ldp",
+                                     "compare", "asymptotics"])
     @pytest.mark.parametrize("model", [
         {"kind": "stein_stein", "a": 0.3, "b": -1, "c": 0.4, "y0": 0.2},
         {"kind": "power"},
-    ], ids=["stein_stein", "power"])
+        {"kind": "constant_sigma"},
+    ], ids=["stein_stein", "power", "constant_sigma"])
     def test_non_heston_factor_rejected(self, tmp_path, capsys, sub, model):
-        # both runners build the square-root factor from Heston's kappa,
-        # theta, xi; another kind has none to give
+        # every deterministic runner reads Heston's square-root factor
+        # (kappa, theta, xi); another kind has none to give
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": model}))
-        assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert f"'{model['kind']}'" in capsys.readouterr().err
-        assert not (tmp_path / f"{sub}.csv").exists()
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: no square-root factor for kind '{model['kind']}'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, code", [([], 1), (["--t", "1"], 0)],
                              ids=["no_t", "t_flag"])
@@ -271,6 +275,21 @@ class TestCliRuns:
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json }")
         assert main(["rate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "{bad}: not UTF-8 text: invalid start byte at byte 0"),
+        (b"[" * 100_000 + b"]" * 100_000, "parse error: the document nests too deeply"),
+    ], ids=["not_utf8", "deep_nesting"])
+    def test_malformed_config_file_exit_code(self, tmp_path, capsys, content, message):
+        # a config file is UTF-8 JSON only; an undecodable file or one that
+        # nests past the parser's depth is one config error line
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["rate", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message.format(bad=bad)}\n"
+        assert not out.exists()
 
     def test_domain_error_exit_code(self, tmp_path):
         # share-measure tilt undefined: kappa - rho xi <= 0 surfaces as

@@ -7,10 +7,11 @@ compares module names, not timings.
 The dead-name checks read the source with ``ast``: no module imports a name
 it never uses, every public name (each name the package exports, and each
 module-level function, class and constant of every module) has a consumer
-in the package, every public class member is read as an attribute outside its
-class's own constructor, every defaulted parameter of a module-level
-function is passed by some call, and every parameter of every function is
-read by its body, each or else has a stated reason to stay.
+in the package, every public class member (protocol dunders such as
+``__iter__`` included) is read as an attribute outside its class's own
+constructor, every defaulted parameter of a module-level function is passed
+by some call, and every parameter of every function is read by its body,
+each or else has a stated reason to stay.
 """
 
 import ast
@@ -169,11 +170,18 @@ def test_every_public_name_has_a_consumer_or_a_reason():
 
 
 def _members(cls: ast.ClassDef) -> set[str]:
-    """Public fields, methods and properties declared in a class body."""
+    """Public fields, methods and properties declared in a class body, and its
+    protocol dunders (``__iter__``, ``__len__``, ...) other than the constructor's.
+
+    ``ast`` cannot see ``for x in obj`` or ``len(obj)`` as a read, so a
+    dunder counts as read only where it is named explicitly.
+    """
     names = {node.target.id for node in cls.body
              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
     names |= {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
-    return {name for name in names if not name.startswith("_")}
+    return {name for name in names if not name.startswith("_")
+            or (name.startswith("__") and name.endswith("__")
+                and name not in ("__init__", "__post_init__"))}
 
 
 def _constructor_self_reads(cls: ast.ClassDef) -> set[int]:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
 import sys
 from dataclasses import astuple, fields
@@ -88,7 +89,7 @@ class TestSimulate:
     def test_antithetic_doubles_batch(self, heston):
         config = SimConfig(n_paths=1000, n_steps=10, t_end=0.5, seed=5,
                            antithetic=True)
-        assert simulate(heston, config).size == 2000
+        assert len(simulate(heston, config).x_terminal) == 2000
 
     def test_antithetic_variance_reduction(self):
         # paired-seed comparison on the price estimator, sign test over 20 seeds
@@ -366,6 +367,14 @@ def _overflow_level(seed: int, n_chunks: int, dt: float, y0: float):
 
 
 class TestThreadedChunks:
+    @pytest.mark.parametrize("cpus, expected", [(4, [1, 3, 4]), (None, [1, 1, 1])])
+    def test_worker_count_without_affinity(self, monkeypatch, cpus, expected):
+        # where os.sched_getaffinity is missing, the core count is cpu_count(),
+        # or 1 when that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert [mc._worker_count(n_chunks) for n_chunks in (1, 3, 8)] == expected
+
     def test_threaded_matches_serial(self, heston, monkeypatch):
         config = SimConfig(n_paths=3 * (1 << 17) + 1000, n_steps=3, t_end=0.01,
                            seed=4, antithetic=True)
@@ -409,7 +418,7 @@ class TestThreadedChunks:
         full = simulate(heston, config)
         for name in PATH_FIELDS:
             batch = simulate(heston, config, fields=(name,))
-            assert batch.size == 5000
+            assert len(getattr(batch, name)) == 5000
             for other in PATH_FIELDS:
                 value = getattr(batch, other)
                 if other == name:

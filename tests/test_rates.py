@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from mdpvol import (INFINITE_RATE, DiscretePath, DomainError,
                     GridMismatchError, contract_two_to_one, endpoint_rate,
                     family, gamma_invariant, heston_large_time_params,
-                    large_time_params, make_heston, minimize_endpoint,
-                    qbar_integrated, small_time_rate_1d, small_time_rate_2d,
-                    solve_poisson_cev)
+                    large_time_params, make_heston, make_stein_stein,
+                    minimize_endpoint, qbar_integrated, small_time_rate_1d,
+                    small_time_rate_2d, solve_poisson_cev)
 
 Q_REF = 0.1140625  # theta (1 + xi^2/(4 kappa^2) - rho xi / kappa) at the reference set
 
@@ -210,6 +210,11 @@ class TestShareMeasure:
     def test_non_mean_reverting_tilt_rejected(self):
         model = make_heston(2, 0.1, 4.0, 1.0, 0.0, 0.1)
         with pytest.raises(DomainError):
+            family(model).share_measure()
+
+    def test_stein_stein_non_mean_reverting_tilt_rejected(self):
+        model = make_stein_stein(0.0, -0.1, 0.3, 0.5, 0.0, 0.1)  # b + rho c = 0.05
+        with pytest.raises(DomainError, match="b \\+ rho c = 0.05 must be negative"):
             family(model).share_measure()
 
     def test_tilted_drift_matches_f_plus_rho_g_sigma(self):

@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .config import EXPERIMENTS, config_document, parse_config, validate_config
+from .config import EXPERIMENTS, parse_config, validate_config
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      QuadratureError, SimulationOverflowError,
                      SingularSystemError, UnsupportedModelError)
@@ -54,33 +54,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> "ExperimentConfig":
+    """The config file, or {}, with the flags set, validated as the subcommand."""
+    doc = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
+                doc = parse_config(handle.read())
         except UnicodeDecodeError as exc:
             raise ConfigError([f"{args.config}: not UTF-8 text: {exc.reason} "
                                f"at byte {exc.start}"]) from None
-        config = parse_config(text)
-    else:
-        config = validate_config({})
-    doc = config_document(config)
-    doc["experiment"] = args.experiment
-    if args.experiment == "mc":
-        if args.model is not None:
-            # keep the config's values of the keys this kind reads
-            doc["model"] = {"kind": args.model, **{key: doc["model"].get(key, value)
-                            for key, value in MODELS[args.model].defaults.items()}}
-        if args.beta is not None:
-            doc["regime"]["beta"] = args.beta
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        for key in ("t", "k", "x", "paths", "steps", "antithetic"):
-            value = getattr(args, key)
-            if value is not None:
-                doc["params"][key] = value
-    if args.experiment == "acceptance" and getattr(args, "seed", None) is not None:
+    if not isinstance(doc, dict):  # validate_config names the top level
+        return validate_config(doc)
+    doc = {**doc, "experiment": args.experiment}
+    if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
+    if args.experiment == "mc":
+        model = doc.get("model", {})
+        if args.model is not None and isinstance(model, dict):
+            # the file's values of the keys the new kind reads stay
+            doc["model"] = {"kind": args.model, **{key: model[key] for key in
+                                                   MODELS[args.model].defaults
+                                                   if key in model}}
+        flags = {"regime": {"beta": args.beta},
+                 "params": {key: getattr(args, key) for key in
+                            ("t", "k", "x", "paths", "steps", "antithetic")}}
+        for where, values in flags.items():
+            block = doc.get(where, {})
+            if isinstance(block, dict):  # validate_config names any other block
+                doc[where] = {**block, **{key: value for key, value in values.items()
+                                          if value is not None}}
     return validate_config(doc)
 
 

@@ -10,7 +10,7 @@ human-readable format, no autodetection, so experiment reruns are bit-exact):
                                        # sub-seeds by labeled hashing
       "model":  {"kind": "heston", "kappa": 2.0, "theta": 0.1, "xi": 0.5,
                  "rho": -0.5, "x0": 0.0, "y0": 0.1},
-      "regime": {"beta": 0.25, "zeta_c": 0.0},
+      "regime": {"beta": 0.25},        # the keys the experiment reads
       "params": { ... experiment-specific keys ... }
     }
 
@@ -19,9 +19,12 @@ Every key is optional; omitted blocks fall back to the documented defaults
 listed with their defaults in the kind's entry of ``families.MODELS``:
 heston (kappa, theta, xi, rho, x0, y0), stein_stein (a, b, c, rho, x0, y0),
 power (a, b, c_g, c_sigma, nu_g, nu_sigma, rho, x0, y0) and constant_sigma
-(c_sigma, x0).  Unknown keys, a model key of another kind included, are
-rejected with a closest-match suggestion, and validation reports every
-violation, not just the first.
+(c_sigma, x0).  Each experiment accepts only the regime and params keys its
+runner reads, listed in its entry of ``EXPERIMENTS``; the runners hold their
+defaults.  Unknown keys, a key of another kind or experiment included, are
+rejected, a typo with a closest-match suggestion, and validation reports
+every violation, not just the first.  The CLI sets the subcommand and its
+flags on the decoded document and validates it once, as that experiment.
 """
 
 from __future__ import annotations
@@ -38,8 +41,19 @@ from .families import MODELS
 from .ldp import D_VARIANTS
 from .models import ModelSpec
 
-EXPERIMENTS = ("invariant", "poisson", "rate", "ldp", "mc", "asymptotics",
-               "compare", "acceptance")
+# the regime and params keys each experiment's runner reads
+_LDP_KEYS = {"regime": (), "params": ("x_min", "x_max", "n_points", "d_variant")}
+EXPERIMENTS: Mapping[str, Mapping[str, tuple]] = {
+    "invariant": {"regime": (), "params": ("q_g",)},
+    "poisson": {"regime": (), "params": ("q_g", "functional")},
+    "rate": {"regime": ("zeta_c",), "params": ("x", "x_values")},
+    "ldp": _LDP_KEYS,
+    "mc": {"regime": ("beta",),
+           "params": ("target", "t", "k", "x", "paths", "steps", "antithetic")},
+    "asymptotics": {"regime": ("beta",), "params": ("k", "x", "t")},
+    "compare": _LDP_KEYS,
+    "acceptance": {"regime": (), "params": ()},
+}
 
 # bounds of a model key wherever its kind reads it; the presets check the rest
 _POSITIVE = {"lo": 0, "lo_strict": True}
@@ -49,13 +63,7 @@ _MODEL_BOUNDS = {"kappa": _POSITIVE, "theta": _POSITIVE, "rho": {"lo": -1, "hi":
 DEFAULT_REGIME: Mapping[str, Any] = {"beta": 0.25, "zeta_c": 0.0}
 DEFAULT_SEED = 20260501
 
-_REGIME_KEYS = ("beta", "zeta_c")
 _TOP_KEYS = ("experiment", "seed", "model", "regime", "params", "out_prefix")
-
-_PARAM_KEYS = (
-    "target", "t", "k", "x", "x_values", "paths", "steps", "antithetic",
-    "x_min", "x_max", "n_points", "d_variant", "functional", "q_g",
-)
 # the values a string-valued params key may take
 _PARAM_CHOICES: Mapping[str, tuple] = {
     "target": ("smalltime_tail", "rv_tail", "call"),
@@ -80,10 +88,12 @@ def _suggest(key: str, allowed) -> str:
 
 
 def _check_keys(block: Mapping, allowed, where: str, violations: list,
-                whose: str = "") -> None:
+                whose: str = "", elsewhere=()) -> None:
     for key in block:
         if key not in allowed:
-            violations.append(f"{where}: unknown key '{key}'{whose}{_suggest(key, allowed)}")
+            # a key read elsewhere is no typo of one read here
+            hint = "" if key in elsewhere else _suggest(key, allowed)
+            violations.append(f"{where}: unknown key '{key}'{whose}{hint}")
 
 
 def _check_number(block: Mapping, key: str, where: str, violations: list,
@@ -156,7 +166,9 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     _check_keys(raw, _TOP_KEYS, "top level", violations)
 
     experiment = raw.get("experiment", "acceptance")
-    if experiment not in EXPERIMENTS:
+    # an unhashable experiment, such as a list, is unknown too
+    reads = EXPERIMENTS.get(experiment) if isinstance(experiment, str) else None
+    if reads is None:
         violations.append(
             f"experiment: unknown experiment '{experiment}'"
             f"{_suggest(str(experiment), EXPERIMENTS)}")
@@ -184,24 +196,23 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         for key in defaults:
             _check_number(model, key, "model", violations, **_MODEL_BOUNDS.get(key, {}))
 
-    regime = dict(DEFAULT_REGIME)
-    raw_regime = raw.get("regime", {})
-    if not isinstance(raw_regime, Mapping):
-        violations.append("regime: expected an object")
-    else:
-        _check_keys(raw_regime, _REGIME_KEYS, "regime", violations)
-        regime.update({k: v for k, v in raw_regime.items() if k in _REGIME_KEYS})
-        _check_number(regime, "beta", "regime", violations,
-                      lo=0, hi=0.5, lo_strict=True, hi_strict=True)
-        _check_number(regime, "zeta_c", "regime", violations)
-
-    params = raw.get("params", {})
-    if not isinstance(params, Mapping):
-        violations.append("params: expected an object")
-        params = {}
-    else:
-        _check_keys(params, _PARAM_KEYS, "params", violations)
-        _check_params(params, violations)
+    # an experiment's keys fill a copy of the block's defaults; the values
+    # of another experiment's keys are not checked, since the key is rejected
+    blocks = {"regime": dict(DEFAULT_REGIME), "params": {}}
+    for where, values in blocks.items():
+        block = raw.get(where, {})
+        if not isinstance(block, Mapping):
+            violations.append(f"{where}: expected an object")
+        elif reads is not None:
+            _check_keys(block, reads[where], where, violations,
+                        f" for experiment '{experiment}'",
+                        {key for entry in EXPERIMENTS.values() for key in entry[where]})
+            values.update((key, block[key]) for key in block if key in reads[where])
+    regime, params = blocks["regime"], blocks["params"]
+    _check_number(regime, "beta", "regime", violations,
+                  lo=0, hi=0.5, lo_strict=True, hi_strict=True)
+    _check_number(regime, "zeta_c", "regime", violations)
+    _check_params(params, violations)
 
     out_prefix = raw.get("out_prefix")
     if out_prefix is not None and not isinstance(out_prefix, str):
@@ -212,39 +223,20 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(experiment=experiment, seed=seed, model=model,
-                            regime=regime, params=dict(params),
+                            regime=regime, params=params,
                             out_prefix=out_prefix)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON configuration document.
-
-    Parse errors carry line/column context; validation errors list every bad
-    field.  The empty document "{}" yields the documented defaults.
-    """
+def parse_config(text: str) -> Any:
+    """Decode a JSON configuration document; a parse error names its line and column."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
     except RecursionError:
         raise ConfigError(["parse error: the document nests too deeply"]) from None
-    return validate_config(raw)
-
-
-def config_document(config: ExperimentConfig) -> dict:
-    """The config as a JSON document of fresh dicts; validate_config inverts it."""
-    doc = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "model": dict(config.model),
-        "regime": dict(config.regime),
-        "params": dict(config.params),
-    }
-    if config.out_prefix is not None:
-        doc["out_prefix"] = config.out_prefix
-    return doc
 
 
 def build_model(config: ExperimentConfig) -> ModelSpec:

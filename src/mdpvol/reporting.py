@@ -266,7 +266,6 @@ def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
 
 def run_asymptotics(config: ExperimentConfig, outdir: str) -> list[str]:
     model = build_model(config)
-    zeta = config.regime["zeta_c"]
     p = config.params
     k = p.get("k", 0.2)
     x = p.get("x", 0.1)
@@ -274,8 +273,12 @@ def run_asymptotics(config: ExperimentConfig, outdir: str) -> list[str]:
     # the put and call quotes take -|x| and |x|; the realised-variance
     # quotes price the positive strike |x| too
     x_rv = abs(x) if "x" in p else 0.05
-    lt = heston_large_time_params(model, zeta=zeta)
-    lt_q = share_large_time_params(model, zeta=zeta)
+    if x_rv == 0:
+        raise ConfigError(["params.x: must be non-zero: the realised-variance quotes "
+                           "price |x|"])
+    # the quotes read q alone, which zeta_c does not move
+    lt = heston_large_time_params(model)
+    lt_q = share_large_time_params(model)
     quotes = asy.quote_catalog(model, lt, lt_q.q, k, x, x_rv, config.regime["beta"], t)
     rows = [(q.regime, q.strike, q.exponent_value, q.speed) for q in quotes]
     path = _out(outdir, config, "asymptotics.csv")

@@ -2,57 +2,68 @@ import csv
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import mdpvol
 from mdpvol import ConfigError
 from mdpvol.cli import main
-from mdpvol.config import (_PARAM_KEYS, _REGIME_KEYS, DEFAULT_SEED, build_model,
-                           config_document, parse_config, subseed)
+from mdpvol.config import (DEFAULT_SEED, EXPERIMENTS, build_model, parse_config,
+                           subseed, validate_config)
 from mdpvol.families import MODELS
 from mdpvol.reporting import CSV_HEADERS
 
 
+def _validated(doc: dict):
+    return validate_config(parse_config(json.dumps(doc)))
+
+
 class TestParseConfig:
     def test_minimal_heston_mc(self):
-        config = parse_config(json.dumps({
+        config = _validated({
             "experiment": "mc",
             "model": {"kind": "heston", "kappa": 2.0, "theta": 0.1, "xi": 0.5,
                       "rho": -0.5, "x0": 0.0, "y0": 0.1},
             "params": {"t": 0.01, "k": 0.2, "paths": 1000, "steps": 10},
-        }))
+        })
         assert config.experiment == "mc"
         assert build_model(config).kind == "heston"
 
     def test_empty_document_uses_defaults(self):
-        config = parse_config("{}")
+        config = validate_config(parse_config("{}"))
         assert config.seed == DEFAULT_SEED
         assert config.model["kappa"] == 2.0
         assert config.regime["beta"] == 0.25
 
     def test_beta_out_of_range(self):
         with pytest.raises(ConfigError) as info:
-            parse_config(json.dumps({"regime": {"beta": 0.7}}))
+            _validated({"experiment": "mc", "regime": {"beta": 0.7}})
         assert any("beta" in v for v in info.value.violations)
 
     def test_unknown_key_suggestion(self):
         with pytest.raises(ConfigError) as info:
-            parse_config(json.dumps({"model": {"kapa": 2.0}}))
+            _validated({"model": {"kapa": 2.0}})
         assert any("did you mean 'kappa'" in v for v in info.value.violations)
 
     def test_params_checks_collect_every_violation(self):
-        with pytest.raises(ConfigError) as info:
-            parse_config(json.dumps({"params": {
-                "paths": 2.5, "steps": 0, "t": -1.0, "k": -0.1, "x": "z",
-                "x_values": [0.1, "a"], "antithetic": 1, "n_points": 2,
-                "x_min": None, "x_max": float("inf"), "q_g": 1,
-                "target": "call_price", "functional": "y",
-                "d_variant": "standrd"}}))
-        text = " | ".join(info.value.violations)
+        violations = []
+        for experiment, params in (
+                ("mc", {"paths": 2.5, "steps": 0, "t": -1.0, "k": -0.1, "x": "z",
+                        "antithetic": 1, "target": "call_price"}),
+                ("rate", {"x_values": [0.1, "a"]}),
+                ("ldp", {"n_points": 2, "x_min": None, "x_max": float("inf"),
+                         "d_variant": "standrd"}),
+                ("poisson", {"q_g": 1, "functional": "y"})):
+            with pytest.raises(ConfigError) as info:
+                _validated({"experiment": experiment, "params": params})
+            assert len(info.value.violations) == len(params)
+            violations += info.value.violations
+        text = " | ".join(violations)
         for key in ("paths", "steps", "t", "k", "x", "x_values[1]", "antithetic",
                     "n_points", "x_min", "x_max", "q_g", "target", "functional",
                     "d_variant"):
@@ -61,12 +72,14 @@ class TestParseConfig:
 
     def test_all_violations_reported(self):
         with pytest.raises(ConfigError) as info:
-            parse_config(json.dumps({
+            _validated({
+                "experiment": "rate",
                 "model": {"kappa": -1.0, "rho": 3.0},
-                "regime": {"beta": 0.9, "zeta_c": float("inf")},
-            }))
+                "regime": {"zeta_c": float("inf")},
+                "params": {"x": "z"},
+            })
         text = " | ".join(info.value.violations)
-        assert "kappa" in text and "rho" in text and "beta" in text
+        assert "kappa" in text and "rho" in text and "params.x" in text
         assert "regime.zeta_c: must be finite" in text
 
     def test_parse_error_carries_position(self):
@@ -74,15 +87,13 @@ class TestParseConfig:
             parse_config("{\n  \"experiment\": \n}")
         assert "line" in info.value.violations[0]
 
-    def test_round_trip(self):
-        config = parse_config(json.dumps({
-            "experiment": "ldp", "seed": 7,
-            "model": {"kind": "heston", "kappa": 1.5, "theta": 0.2, "xi": 0.4,
-                      "rho": 0.1, "x0": 0.0, "y0": 0.2},
-            "regime": {"beta": 0.3, "zeta_c": 0.0},
-            "params": {"n_points": 11},
-        }))
-        assert parse_config(json.dumps(config_document(config))) == config
+    def test_unknown_experiment_is_reported_once(self):
+        # an unknown experiment reads no key, so no key is named as well
+        with pytest.raises(ConfigError) as info:
+            validate_config({"experiment": "rates", "regime": {"beta": 9},
+                             "params": {"x": "a", "paths": 1}})
+        assert info.value.violations == [
+            "experiment: unknown experiment 'rates' (did you mean 'rate'?)"]
 
     def test_subseed_stable_and_label_sensitive(self):
         assert subseed(1, "a") == subseed(1, "a")
@@ -253,7 +264,8 @@ class TestCliRuns:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"regime": {"gamma": 7.0}}))
         assert main(["rate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "config error: regime: unknown key 'gamma'\n"
+        assert capsys.readouterr().err == \
+            "config error: regime: unknown key 'gamma' for experiment 'rate'\n"
 
     def test_asymptotics_at_negative_x(self, tmp_path):
         # a put strike x < 0: the realised-variance quotes price |x|, as the
@@ -270,6 +282,17 @@ class TestCliRuns:
         assert len(rows[-0.3]) == 2
         assert all(float(row["x_or_k"]) == 0.3 for row in rows[-0.3])
         assert rows[-0.3] == rows[0.3]
+
+    def test_asymptotics_at_zero_x(self, tmp_path, capsys):
+        # the realised-variance quotes price |x| = 0, a strike they refuse:
+        # the config is refused before any quote is computed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"x": 0}}))
+        out = tmp_path / "out"
+        assert main(["asymptotics", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("config error: params.x: must be non-zero: "
+                                           "the realised-variance quotes price |x|\n")
+        assert not out.exists()
 
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -426,29 +449,35 @@ class TestCliRuns:
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "file"]
 
 
-# For each regime and params key: one experiment and one value that is not
-# the default.  Each key must change that experiment's output bytes; a key
+# For each (experiment, block, key) of config.EXPERIMENTS: a value that is
+# not the default.  Each must change that experiment's output bytes; a key
 # that changes nothing is an option that accepts every value and ignores it.
 _KEY_CHANGES = {
-    ("regime", "beta"): ("asymptotics", 0.3),
-    ("regime", "zeta_c"): ("rate", 0.5),
-    ("params", "target"): ("mc", "call"),
-    ("params", "t"): ("asymptotics", 50.0),
-    ("params", "k"): ("asymptotics", 0.3),
-    ("params", "x"): ("rate", 0.2),
-    ("params", "x_values"): ("rate", [0.05, 0.15]),
-    ("params", "paths"): ("mc", 3000),
-    ("params", "steps"): ("mc", 8),
-    ("params", "antithetic"): ("mc", True),
-    ("params", "x_min"): ("ldp", -0.2),
-    ("params", "x_max"): ("ldp", 0.1),
-    ("params", "n_points"): ("ldp", 11),
-    ("params", "d_variant"): ("ldp", "standard"),
-    ("params", "functional"): ("poisson", "half_centered_variance"),
-    ("params", "q_g"): ("invariant", 0.75),
+    ("invariant", "params", "q_g"): 0.75,
+    ("poisson", "params", "q_g"): 0.75,
+    ("poisson", "params", "functional"): "half_centered_variance",
+    ("rate", "regime", "zeta_c"): 0.5,
+    ("rate", "params", "x"): 0.2,
+    ("rate", "params", "x_values"): [0.05, 0.15],
+    **{(experiment, "params", key): value for experiment in ("ldp", "compare")
+       for key, value in (("x_min", -0.2), ("x_max", 0.1), ("n_points", 11),
+                          ("d_variant", "standard"))},
+    ("mc", "regime", "beta"): 0.3,
+    ("mc", "params", "target"): "call",
+    ("mc", "params", "t"): 0.02,
+    ("mc", "params", "k"): 0.3,
+    ("mc", "params", "x"): 0.02,
+    ("mc", "params", "paths"): 3000,
+    ("mc", "params", "steps"): 8,
+    ("mc", "params", "antithetic"): True,
+    ("asymptotics", "regime", "beta"): 0.3,
+    ("asymptotics", "params", "k"): 0.3,
+    ("asymptotics", "params", "x"): 0.2,
+    ("asymptotics", "params", "t"): 50.0,
 }
-# every run of mc stays small
+# every run of mc stays small, and mc reads x under target rv_tail only
 _BASE_PARAMS = {"mc": {"paths": 2000, "steps": 10}}
+_BASE_PARAMS_OF_KEY = {("mc", "params", "x"): {"target": "rv_tail", "t": 1.0}}
 
 
 def _outputs(directory, experiment: str, doc: dict) -> list:
@@ -460,23 +489,84 @@ def _outputs(directory, experiment: str, doc: dict) -> list:
     return sorted((p.name, p.read_bytes()) for p in out.iterdir())
 
 
+def _table_pairs() -> set:
+    return {(experiment, block, key) for experiment, reads in EXPERIMENTS.items()
+            for block, keys in reads.items() for key in keys}
+
+
 def test_key_table_covers_every_regime_and_params_key():
-    keys = {("regime", key) for key in _REGIME_KEYS}
-    keys |= {("params", key) for key in _PARAM_KEYS}
-    assert sorted(keys - set(_KEY_CHANGES)) == []
-    # an entry whose key left the config is stale
-    assert sorted(set(_KEY_CHANGES) - keys) == []
+    assert sorted(_table_pairs() - set(_KEY_CHANGES)) == []
+    # an entry whose key its experiment no longer reads is stale
+    assert sorted(set(_KEY_CHANGES) - _table_pairs()) == []
 
 
-@pytest.mark.parametrize("block, key", sorted(_KEY_CHANGES),
-                         ids=[key for _, key in sorted(_KEY_CHANGES)])
+_KEYS = sorted({(block, key) for _, block, key in _KEY_CHANGES})
+
+
+@pytest.mark.parametrize("block, key", _KEYS, ids=[key for _, key in _KEYS])
 def test_every_key_changes_an_output(tmp_path, block, key):
-    experiment, value = _KEY_CHANGES[block, key]
-    base = {"params": dict(_BASE_PARAMS.get(experiment, {}))}
-    changed = {"params": dict(base["params"])}
-    changed.setdefault(block, {})[key] = value
-    assert (_outputs(tmp_path / "changed", experiment, changed)
-            != _outputs(tmp_path / "base", experiment, base))
+    experiments = [name for name, b, k in sorted(_KEY_CHANGES) if (b, k) == (block, key)]
+    for experiment in experiments:
+        entry = (experiment, block, key)
+        base = {"params": {**_BASE_PARAMS.get(experiment, {}),
+                           **_BASE_PARAMS_OF_KEY.get(entry, {})}}
+        changed = {"params": dict(base["params"])}
+        changed.setdefault(block, {})[key] = _KEY_CHANGES[entry]
+        assert (_outputs(tmp_path / f"{experiment}-changed", experiment, changed)
+                != _outputs(tmp_path / f"{experiment}-base", experiment, base)), entry
+
+
+# every regime and params key under each experiment that does not read it
+_REJECTED = sorted({(experiment, block, key) for experiment in EXPERIMENTS
+                    for _, block, key in _KEY_CHANGES} - _table_pairs())
+
+
+@pytest.mark.parametrize("experiment, block, key", _REJECTED,
+                         ids=["-".join(entry) for entry in _REJECTED])
+def test_key_outside_the_table_rejected(experiment, block, key):
+    # None is a bad value for every key: only the key itself is reported
+    with pytest.raises(ConfigError) as info:
+        validate_config({"experiment": experiment, block: {key: None}})
+    assert info.value.violations == [
+        f"{block}: unknown key '{key}' for experiment '{experiment}'"]
+
+
+@pytest.mark.parametrize("args, doc, line", [
+    (["rate"], {"params": {"paths": 2000, "d_variant": "standard", "q_g": 0.75}},
+     "params: unknown key 'paths' for experiment 'rate'"),
+    (["mc", "--paths", "2000"], {"params": {"x_values": [0.1], "q_g": 0.75},
+                                 "regime": {"zeta_c": 0.5}},
+     "regime: unknown key 'zeta_c' for experiment 'mc'"),
+    (["acceptance", "--criterion", "3"], {"params": {"t": 1.0}, "regime": {"beta": 0.3},
+                                          "model": {"kappa": 3.0}},
+     "regime: unknown key 'beta' for experiment 'acceptance'"),
+], ids=["rate", "mc", "acceptance"])
+def test_cli_rejects_keys_its_experiment_does_not_read(tmp_path, capsys, args, doc, line):
+    # the file is validated as the subcommand's experiment, whatever its own says
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "ldp", **doc}))
+    out = tmp_path / "out"
+    assert main([*args, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert f"config error: {line}" in err
+    assert len(err) == sum(len(block) for name, block in doc.items() if name != "model")
+    assert all(text.startswith("config error: ") for text in err)
+    assert not out.exists()
+
+
+def test_readme_lists_the_keys_of_each_experiment():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "| experiment | `regime` keys | `params` keys |"
+    assert readme.count(header) == 1
+    listed = {}
+    for row in readme.split(header)[1].splitlines()[2:]:
+        if not row.startswith("|"):
+            break
+        names, regime, params = (re.findall(r"`(\w+)`", cell)
+                                 for cell in row.strip("|").split("|"))
+        listed.update({name: {"regime": tuple(regime), "params": tuple(params)}
+                       for name in names})
+    assert listed == EXPERIMENTS
 
 
 # For each model kind and each key it reads: an mc target, a base model

@@ -9,7 +9,8 @@ it never uses, every public name (each name the package exports, and each
 module-level function, class and constant of every module) has a consumer
 in the package, every public class member (protocol dunders such as
 ``__iter__`` included) is read as an attribute outside its class's own
-constructor, every defaulted parameter of a module-level function is passed
+constructor, and one whose name an array, dict, list or str has too names
+the functions that read it, every defaulted parameter of a module-level function is passed
 by some call, and every parameter of every function is read by its body,
 each or else has a stated reason to stay.
 """
@@ -18,6 +19,8 @@ import ast
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "mdpvol")
@@ -43,6 +46,16 @@ UNREAD_MEMBERS = {
     "CallEstimate.strike_log": "the strike the estimated price refers to",
     "QbarResult.degenerate": "flags a vanishing Qbar, read with qbar_integrated",
 }
+
+# Public class members whose name an array, a dict, a list or a str has
+# too, so that a read of the name may be the builtin's: the functions, as
+# module.function, that read each member.
+BUILTIN_NAMED_MEMBERS = {
+    "InvariantMeasure.shape": ("reporting.run_invariant",),
+    "DiscretePath.values": ("rates._forward_diff", "rates.contract_two_to_one",
+                            "acceptance.criterion_06_variational_oracle"),
+}
+_BUILTIN_NAMES = set().union(*map(dir, (np.ndarray, dict, list, str)))
 
 # Defaulted parameters of module-level functions that no call in the
 # package passes, and why each stays.
@@ -214,6 +227,27 @@ def test_every_class_member_is_read_or_has_a_reason():
     assert sorted(unread - set(UNREAD_MEMBERS)) == []
     # an entry whose member gained a reader or left the package is stale
     assert sorted(set(UNREAD_MEMBERS) - unread) == []
+
+
+def test_every_member_with_a_builtin_name_names_its_readers():
+    # matching reads by name cannot tell shape of a measure from shape of an
+    # array, so each such member names the functions that read it
+    trees = _modules()
+    shared = {f"{node.name}.{name}" for tree in trees.values() for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              for name in _members(node) if name in _BUILTIN_NAMES}
+    assert sorted(shared - set(BUILTIN_NAMED_MEMBERS)) == []
+    # an entry whose member left the package or lost its builtin name is stale
+    assert sorted(set(BUILTIN_NAMED_MEMBERS) - shared) == []
+    functions = {f"{module[:-3]}.{name}": function for module, tree in trees.items()
+                 for name, function in _functions(tree)}
+    stale = [f"{member} {reader}" for member, readers in BUILTIN_NAMED_MEMBERS.items()
+             for reader in readers
+             if reader not in functions or member.split(".")[1] not in {
+                 node.attr for node in ast.walk(functions[reader])
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}]
+    # a named reader that left the package or no longer reads the name is stale
+    assert stale == []
 
 
 def test_every_default_is_passed_or_has_a_reason():

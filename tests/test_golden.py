@@ -3,9 +3,9 @@
 The files under ``tests/golden/<case>/`` are what each runner writes for the
 case's config (the ``mc`` cases on small seeded batches); the test reruns the
 runner into a temporary directory and compares the bytes.  The scalar pins
-record the Gaussian and saddlepoint oracles and the truncation of the Gamma
-invariant measure with ``float.hex``, so any change in their float operations
-shows as a failure.
+record the Gaussian and saddlepoint oracles and the truncations of the Gamma
+and speed invariant measures with ``float.hex``, so any change in their float
+operations shows as a failure.
 """
 
 import os
@@ -118,3 +118,48 @@ def test_gamma_truncation_pins(construct, params):
     got = tuple(float(v).hex() for v in (measure.y_lo, measure.y_hi,
                                          measure.mass_below, measure.mass_above))
     assert got == GAMMA_PINS[params]
+
+
+# speed_measure away from q_g = 1/2, at the (kappa, theta, xi) of the five
+# sets of test_digests.py: (kappa, theta, xi, q_g)
+# -> y_lo, y_hi, mass_below, mass_above
+SPEED_PINS = {
+    (1.0, 0.04, 0.8, 0.6): ("0x1.47ae147ae147bp-34", "0x1.1160000000000p+4",
+                            "0x1.f06f20bf95fa9p-95", "0x1.7be359bc74ab5p-63"),
+    (1.5, 0.06, 0.6, 0.6): ("0x1.eb851eb851eb8p-24", "0x1.4400000000000p+2",
+                            "0x1.6cc6b635d6f79p-82", "0x1.6987769b338fap-58"),
+    (2.4, 0.1, 0.5, 0.6): ("0x1.999999999999ap-15", "0x1.2000000000000p+1",
+                           "0x1.7112f20817163p-76", "0x1.b62bf88001d30p-58"),
+    (2.5, 0.15, 0.4, 0.6): ("0x1.3333333333333p-10", "0x1.2000000000000p+1",
+                            "0x1.661fcb2482419p-72", "0x1.8d123442eaa83p-82"),
+    (3.0, 0.2, 0.3, 0.6): ("0x1.999999999999ap-7", "0x1.0000000000000p+0",
+                           "0x1.ea910a7a602dfp-73", "0x1.015b1532b44fcp-56"),
+    (1.0, 0.04, 0.8, 0.75): ("0x1.47ae147ae147bp-16", "0x1.9a10000000000p+4",
+                             "0x1.d239e592834dap-80", "0x1.33b07f3852db0p-53"),
+    (1.5, 0.06, 0.6, 0.75): ("0x1.eb851eb851eb8p-13", "0x1.4400000000000p+2",
+                             "0x1.4550c7f66b31cp-85", "0x1.8f0a05adea42ep-52"),
+    (2.4, 0.1, 0.5, 0.75): ("0x1.999999999999ap-9", "0x1.2000000000000p+1",
+                            "0x1.3bceffc7121e5p-70", "0x1.112f37264e8cdp-59"),
+    (2.5, 0.15, 0.4, 0.75): ("0x1.3333333333333p-7", "0x1.8000000000000p+0",
+                             "0x1.593c770bacd06p-82", "0x1.001c65d0c8d60p-58"),
+    (3.0, 0.2, 0.3, 0.75): ("0x1.999999999999ap-6", "0x1.0000000000000p+0",
+                            "0x1.b23c04dcb2ae8p-106", "0x1.520573676a5bcp-65"),
+    (1.0, 0.04, 0.8, 0.95): ("0x1.47ae147ae147bp-10", "0x1.59fd800000000p+6",
+                             "0x1.222dfd7d281c3p-71", "0x1.47c7ae2cbad7fp-48"),
+    (1.5, 0.06, 0.6, 0.95): ("0x1.eb851eb851eb8p-9", "0x1.4400000000000p+2",
+                             "0x1.32121fa6cd957p-93", "0x1.e8a05b447358dp-51"),
+    (2.4, 0.1, 0.5, 0.95): ("0x1.999999999999ap-7", "0x1.8000000000000p+0",
+                            "0x1.c4a9d025afcd6p-97", "0x1.8c9291530abf5p-54"),
+    (2.5, 0.15, 0.4, 0.95): ("0x1.3333333333333p-6", "0x1.8000000000000p+0",
+                             "0x1.a87d6af8fa981p-162", "0x1.a5f21d6722f62p-68"),
+    (3.0, 0.2, 0.3, 0.95): ("0x1.999999999999ap-5", "0x1.0000000000000p+0",
+                            "0x1.4817eb33cb609p-124", "0x1.429f680e7f032p-80"),
+}
+
+
+@pytest.mark.parametrize("params", sorted(SPEED_PINS))
+def test_speed_truncation_pins(params):
+    measure = speed_measure(*params)
+    got = tuple(float(v).hex() for v in (measure.y_lo, measure.y_hi,
+                                         measure.mass_below, measure.mass_above))
+    assert got == SPEED_PINS[params]

@@ -26,7 +26,7 @@ from .errors import (ConfigError, DomainError, GridMismatchError, GrowthError,
                      SingularSystemError, UnsupportedModelError)
 from .families import family
 from .invariant import (InvariantMeasure, gamma_invariant, integrate,
-                        measure_mean, measure_variance, speed_measure)
+                        measure_moments, speed_measure)
 from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   curvature_identity, fenchel_legendre_numeric, heston_lambda,
                   heston_lambda_star, heston_u_star, rv_lambda_inf,

@@ -224,7 +224,7 @@ def criterion_08_smalltime_trend(seed: int) -> CriterionResult:
     final = averaged[-1]
     band_ok = -0.30 <= final <= -0.12
 
-    # independent oracle: the Gaussian tail with the spot variance held fixed
+    # independent proxy: the Gaussian tail with the spot variance held fixed
     y0 = REFERENCE["y0"]
     t = t_values[-1]
     h = t ** (-beta)
@@ -240,8 +240,9 @@ def criterion_08_smalltime_trend(seed: int) -> CriterionResult:
                  "final_in_band": band_ok, "band": [-0.30, -0.12],
                  "gaussian_oracle_final": oracle_final},
         notes=("band sub-check compares against [-0.30, -0.12] as stated; the "
-               "exact Gaussian-tail oracle already sits below that band at "
-               "t = 0.01 because of the subexponential prefactor"))
+               "Gaussian proxy with the spot variance held fixed already sits "
+               "below that band at t = 0.01, as does the exact Heston tail, "
+               "because of the subexponential prefactor"))
 
 
 def _rv_mgf_saddle_tail(kappa, theta, xi, y0, c, t):

@@ -16,8 +16,12 @@ Quadrature uses composite Gauss-Legendre on geometrically spaced panels over
 a truncated domain [y_lo, y_hi]; the truncation bounds are placed so that the
 untruncated mass is below 1e-13 wherever floating-point range permits, and the
 remaining boundary mass enters integrals through a leading-order correction
-term.  The per-panel order is doubled until two successive values agree, so
-every integral is returned together with an error estimate.
+term.  The Gamma bounds are quantiles.  The speed-measure bounds (q_g > 1/2)
+come from one outward walk from theta on each side, which accumulates
+log m(y) - log m(theta) one Gauss-Legendre panel per step and stops where it
+falls 36 below zero.  The per-panel order of the integration rule is doubled
+until two successive values agree, so every integral is returned together
+with an error estimate.
 
 Measures are immutable after construction; ``integrate`` is pure and
 thread-safe with a fixed summation order.
@@ -32,7 +36,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError, GrowthError, QuadratureError
-from .quadrature import (geometric_edges, integrate_logweight,
+from .quadrature import (_leggauss, geometric_edges, integrate_logweight,
                          segment_cumulative, segment_nodes)
 
 # Smallest usable left truncation point: keeps (shape-1) * log(y_lo) inside
@@ -133,7 +137,17 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
     by cumulative Gauss-Legendre segments on 4096 log-spaced knots anchored at
     1 and splined in log y; the normalizing constant comes from the adaptive
     panel rule.  At q_g = 1/2 the result agrees with ``gamma_invariant`` and
-    is its numeric oracle.
+    is its numeric oracle, and takes its truncation from the Gamma quantiles.
+
+    For q_g > 1/2 the truncation comes from two outward walks from theta over
+    d(y) = log m(y) - log m(theta) = -2 q_g log(y / theta) + int_theta^y of the
+    exponent integrand.  The left walk halves y_lo, and the right one starts
+    at max(2 theta, 1) and multiplies y_hi by 1.5; each stops at the first
+    point where d <= -36 or a range limit is reached.  Each step adds one
+    order-16 panel over the stretch it covers to the running integral, and
+    the first right stretch, theta to max(2 theta, 1), is split into panels
+    of edge ratio at most 2.  The knot table, the spline, the normalizer and
+    the one-term Laplace tail masses are computed once, for the bounds found.
     """
     if not 0.5 <= q_g < 1:
         raise DomainError(f"q_g: must lie in [1/2, 1), got {q_g}")
@@ -156,19 +170,27 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
         # unnormalized density falls 36 below its value at theta (relative
         # density about 2e-16, leaving untruncated mass far below 1e-13 while
         # keeping the density representable for ratio-based consumers).
-        def raw_log(y):
-            # one-off scalar evaluation by direct quadrature from the anchor 1
-            grid = np.geomspace(min(y, 1.0), max(y, 1.0), 512)
-            cum = segment_cumulative(exponent_integrand, grid)
-            val = cum[-1] if y >= 1.0 else -cum[-1]
-            return -math.log(xi ** 2) - 2 * q_g * math.log(y) + val
+        nodes, weights = _leggauss(16)
 
-        ref = raw_log(theta)
-        y_lo = theta
-        while raw_log(y_lo) > ref - 36 and y_lo > _Y_FLOOR * 10:
+        def panel(a, b):
+            # int_a^b of the exponent integrand, one order-16 panel
+            half = 0.5 * (b - a)
+            return half * float(exponent_integrand(0.5 * (a + b) + half * nodes) @ weights)
+
+        def decay(y, integral):
+            # log m(y) - log m(theta), given integral = int_theta^y
+            return -2 * q_g * math.log(y / theta) + integral
+
+        y_lo, below = theta, 0.0
+        while decay(y_lo, below) > -36 and y_lo > _Y_FLOOR * 10:
+            below += panel(y_lo, y_lo / 2.0)
             y_lo /= 2.0
         y_hi = max(2 * theta, 1.0)
-        while raw_log(y_hi) > ref - 36 and y_hi < 1e12:
+        # the first stretch, theta to y_hi, in panels of edge ratio at most 2
+        stretch = np.geomspace(theta, y_hi, max(1, math.ceil(math.log2(y_hi / theta))) + 1)
+        above = sum(map(panel, stretch[:-1], stretch[1:]))
+        while decay(y_hi, above) > -36 and y_hi < 1e12:
+            above += panel(y_hi, 1.5 * y_hi)
             y_hi *= 1.5
         mass_below = mass_above = None  # one-term Laplace estimates, set below
 
@@ -188,9 +210,11 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
 
     spline = CubicSpline(np.log(knots), exponent)
 
+    log_scale = -math.log(xi ** 2)
+
     def log_unnormalized(y):
-        y = np.asarray(y, dtype=float)
-        return -math.log(xi ** 2) - 2 * q_g * np.log(y) + spline(np.log(y))
+        log_y = np.log(np.asarray(y, dtype=float))
+        return log_scale - 2 * q_g * log_y + spline(log_y)
 
     edges = geometric_edges(y_lo, y_hi)
     norm, _ = integrate_logweight(lambda y: np.ones_like(y), log_unnormalized, edges)
@@ -299,11 +323,7 @@ class TabulatedRule:
             abs(value - coarse))
 
 
-def measure_mean(measure: InvariantMeasure) -> float:
-    return integrate(measure, lambda y: y).value
-
-
-def measure_variance(measure: InvariantMeasure) -> float:
-    m1 = measure_mean(measure)
-    m2 = integrate(measure, lambda y: y ** 2).value
-    return m2 - m1 ** 2
+def measure_moments(measure: InvariantMeasure) -> tuple[float, float]:
+    """Mean and variance of the measure, each moment integrated once."""
+    mean = integrate(measure, lambda y: y).value
+    return mean, integrate(measure, lambda y: y ** 2).value - mean ** 2

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 from .errors import DomainError
@@ -67,18 +68,18 @@ class LdpHestonParams:
         if self.d_variant not in D_VARIANTS:
             raise DomainError(f"d_variant: must be one of {D_VARIANTS}")
 
-    @property
+    @cached_property
     def zeta_hat(self) -> float:
         return math.sqrt(4 * self.kappa ** 2 + self.xi ** 2
                          - 4 * self.kappa * self.rho * self.xi)
 
     # zeta_hat takes the sign of xi, so that u_minus < u_plus also for xi < 0
-    @property
+    @cached_property
     def u_minus(self) -> float:
         return (self.xi - 2 * self.kappa * self.rho - math.copysign(self.zeta_hat, self.xi)) \
             / (2 * self.xi * (1 - self.rho ** 2))
 
-    @property
+    @cached_property
     def u_plus(self) -> float:
         return (self.xi - 2 * self.kappa * self.rho + math.copysign(self.zeta_hat, self.xi)) \
             / (2 * self.xi * (1 - self.rho ** 2))

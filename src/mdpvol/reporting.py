@@ -25,8 +25,8 @@ from . import ldp as ldp_mod
 from .config import ExperimentConfig, build_model, subseed
 from .errors import ConfigError, DomainError
 from .families import family
-from .invariant import (gamma_invariant, integrate, measure_mean,
-                        measure_variance, speed_measure)
+from .invariant import (gamma_invariant, integrate, measure_moments,
+                        speed_measure)
 from .mc import (STREAM_LAYOUT, SimConfig, estimate_call_smalltime,
                  estimate_rv_tail, estimate_smalltime_tail)
 from .poisson import generator_residuals, solve_poisson_cev
@@ -114,8 +114,7 @@ def run_invariant(config: ExperimentConfig, outdir: str) -> list[str]:
     measure = _factor_measure(config)
     shape = "" if measure.shape is None else measure.shape
     rate = "" if measure.rate is None else measure.rate
-    rows = [(measure.kind, shape, rate, measure_mean(measure),
-             measure_variance(measure))]
+    rows = [(measure.kind, shape, rate, *measure_moments(measure))]
     path = _out(outdir, config, "invariant.csv")
     write_csv(path, CSV_HEADERS["invariant"], rows)
     return [path]

@@ -82,7 +82,8 @@ def test_criterion_08_small_time_mdp_trend():
     result = _run(acceptance.criterion_08_smalltime_trend, 600.0, DEFAULT_SEED)
     assert result.details["monotone_toward_target"]
     assert result.passed, (
-        "band sub-check failed as predicted by the Gaussian-tail oracle "
+        "band sub-check failed as predicted by the Gaussian proxy with the "
+        "spot variance held fixed "
         f"({result.details['gaussian_oracle_final']:.4f} vs band "
         f"{result.details['band']}); see \"Known status\" in README.md")
 

@@ -3,6 +3,8 @@ import pytest
 
 from mdpvol import (DomainError, GrowthError, gamma_invariant, family, integrate,
                     make_heston, speed_measure)
+from mdpvol import invariant
+from mdpvol.quadrature import segment_cumulative
 
 REF = dict(kappa=2.0, theta=0.1, xi=0.5)
 
@@ -63,6 +65,24 @@ class TestSpeedMeasure:
         measure = speed_measure(**REF, q_g=0.75)
         value, _ = integrate(measure, lambda y: np.ones_like(y))
         assert abs(value - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("params, calls", [
+        ((3.0, 0.2, 0.3, 0.75), 1),   # y_hi = 1: the anchor is the last knot
+        ((2.0, 0.1, 0.5, 0.75), 2),   # anchor between knots: one more segment
+    ])
+    def test_one_knot_table_per_call(self, monkeypatch, params, calls):
+        # the truncation walk integrates its own panels; the only cumulative
+        # quadrature is the knot table (and the shift to an off-grid anchor)
+        grids = []
+
+        def counted(fn, grid):
+            grids.append(len(grid))
+            return segment_cumulative(fn, grid)
+
+        monkeypatch.setattr(invariant, "segment_cumulative", counted)
+        measure = speed_measure(*params)
+        assert (measure.y_hi == 1.0) == (calls == 1)
+        assert len(grids) == calls and grids[0] >= 4096
 
     def test_domain(self):
         with pytest.raises(DomainError, match="q_g"):

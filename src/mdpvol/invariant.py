@@ -187,7 +187,7 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
             y_lo /= 2.0
         y_hi = max(2 * theta, 1.0)
         # the first stretch, theta to y_hi, in panels of edge ratio at most 2
-        stretch = np.geomspace(theta, y_hi, max(1, math.ceil(math.log2(y_hi / theta))) + 1)
+        stretch = np.geomspace(theta, y_hi, math.ceil(math.log2(y_hi / theta)) + 1)
         above = sum(map(panel, stretch[:-1], stretch[1:]))
         while decay(y_hi, above) > -36 and y_hi < 1e12:
             above += panel(y_hi, 1.5 * y_hi)

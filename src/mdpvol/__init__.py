@@ -12,7 +12,7 @@ Library layout:
 - ``rates``: quadratic rate functions and variational minimizers;
 - ``ldp``: closed-form large-deviations objects, Fenchel-Legendre transform,
   curvature;
-- ``mc``: full-truncation Euler simulation and normalized tail estimates;
+- ``mc``: full-truncation Euler simulation and the table of ``mc`` targets;
 - ``asymptotics``: option-price and tail exponents;
 - ``config``/``cli``: experiment configuration and the command-line frontend;
 - ``acceptance``: the executable acceptance-criteria suite.
@@ -32,8 +32,7 @@ from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   heston_lambda_star, heston_u_star, rv_lambda_inf,
                   rv_lambda_star, rv_mdp_exponent, rv_mgf)
 from .mc import (CallEstimate, PathBatch, SimConfig, TailEstimate,
-                 estimate_call_smalltime, estimate_rv_tail,
-                 estimate_smalltime_tail, exact_gaussian_call,
+                 estimate_rv_tail, estimate_smalltime_tail, exact_gaussian_call,
                  exact_gaussian_tail, simulate)
 from .models import (AssumptionReport, GrowthExponents, ModelSpec,
                      check_assumptions, make_constant_sigma, make_heston,

@@ -32,9 +32,9 @@ from .families import MODELS
 from .invariant import gamma_invariant, integrate, speed_measure
 from .ldp import (LdpHestonParams, RealizedVarLdp, curvature,
                   curvature_identity, fenchel_legendre_numeric, rv_lambda_inf,
-                  rv_lambda_star, rv_mdp_exponent, rv_mgf)
-from .mc import (SimConfig, estimate_rv_tail, estimate_smalltime_tail,
-                 exact_gaussian_tail)
+                  rv_lambda_star, rv_mgf)
+from .mc import (RV_TAIL, SMALLTIME_TAIL, SimConfig, estimate_rv_tail,
+                 estimate_smalltime_tail, exact_gaussian_tail)
 from .models import (check_assumptions, make_constant_sigma, make_heston,
                      mdp_growth_condition)
 from .paths import DiscretePath
@@ -207,8 +207,8 @@ def criterion_08_smalltime_trend(seed: int) -> CriterionResult:
     """
     model = _reference_model()
     beta, k = 0.25, 0.2
-    target = -k ** 2 / (2 * REFERENCE["y0"])
     t_values = (0.04, 0.02, 0.01)
+    threshold, speed, target = SMALLTIME_TAIL.levels(model, t_values[-1], k, beta)
     steps = {0.04: 400, 0.02: 200, 0.01: 100}
     averaged = []
     for t in t_values:
@@ -218,20 +218,19 @@ def criterion_08_smalltime_trend(seed: int) -> CriterionResult:
                                seed=subseed(seed, f"criterion-8-{t}-{i}"))
             p_sum += estimate_smalltime_tail(model, t, k, beta, config).p_hat
         p_bar = p_sum / 10
+        # not log(p_bar) / h(t)^2, which can differ from this in the last bit
         averaged.append(math.log(p_bar) * t ** (2 * beta))
     gaps = [abs(v - target) for v in averaged]
     monotone = gaps[0] > gaps[1] > gaps[2]
     final = averaged[-1]
     band_ok = -0.30 <= final <= -0.12
 
-    # independent proxy: the Gaussian tail with the spot variance held fixed
-    y0 = REFERENCE["y0"]
-    t = t_values[-1]
-    h = t ** (-beta)
-    z = (k * math.sqrt(t) * h + 0.5 * y0 * t) / math.sqrt(y0 * t)
+    # independent proxy: the final point's Gaussian tail, spot variance held fixed
+    y0, t = REFERENCE["y0"], t_values[-1]
+    z = (threshold + 0.5 * y0 * t) / math.sqrt(y0 * t)
     from scipy.special import ndtr
 
-    oracle_final = math.log(float(ndtr(-z))) / h ** 2
+    oracle_final = math.log(float(ndtr(-z))) / speed
     return CriterionResult(
         8, "small-time tail trend toward the quadratic target",
         passed=monotone and band_ok,
@@ -280,10 +279,10 @@ def criterion_09_rv_trend(seed: int) -> CriterionResult:
     model = _reference_model()
     m = REFERENCE
     beta, x = 0.25, 0.05
-    target = rv_mdp_exponent(RealizedVarLdp(m["kappa"], m["theta"], m["xi"], m["y0"]), x)
     t_values = (25.0, 50.0, 100.0)
     averaged = []
     for t in t_values:
+        threshold, speed, target = RV_TAIL.levels(model, t, x, beta)
         steps = int(round(t / 0.05))
         p_sum = 0.0
         for i in range(10):
@@ -291,16 +290,15 @@ def criterion_09_rv_trend(seed: int) -> CriterionResult:
                                seed=subseed(seed, f"criterion-9-{t}-{i}"))
             p_sum += estimate_rv_tail(model, t, x, beta, config).p_hat
         p_bar = p_sum / 10
-        averaged.append(math.log(p_bar) / t ** (2 * beta))
+        averaged.append(math.log(p_bar) / speed)
     gaps = [abs(v - target) for v in averaged]
     monotone = gaps[0] > gaps[1] > gaps[2]
     final = averaged[-1]
     band = [1.5 * target, 0.5 * target]
     band_ok = band[0] <= final <= band[1]
-    t = t_values[-1]
-    oracle = _rv_mgf_saddle_tail(m["kappa"], m["theta"], m["xi"], m["y0"],
-                                 x * t ** (beta + 0.5) + m["theta"] * t, t)
-    oracle_final = math.log(oracle) / t ** (2 * beta)
+    # the final point's threshold and speed
+    oracle = _rv_mgf_saddle_tail(m["kappa"], m["theta"], m["xi"], m["y0"], threshold, t)
+    oracle_final = math.log(oracle) / speed
     return CriterionResult(
         9, "realised-variance tail trend toward the quadratic target",
         passed=monotone and band_ok,
@@ -383,8 +381,7 @@ def criterion_12_determinism(seed: int) -> CriterionResult:
     from .reporting import RUNNERS
 
     mismatches = []
-    mc_params = {"target": "smalltime_tail", "t": 0.01, "k": 0.2,
-                 "paths": 20000, "steps": 20}
+    mc_params = {"paths": 20000, "steps": 20}  # the default target, t and k
     with tempfile.TemporaryDirectory() as tmp:
         for name, runner in RUNNERS.items():
             config = validate_config({"experiment": name, "seed": seed,

@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .config import EXPERIMENTS, parse_config, validate_config
+from .config import EXPERIMENTS, TARGET_KEYS, parse_config, validate_config
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      QuadratureError, SimulationOverflowError,
                      SingularSystemError, UnsupportedModelError)
@@ -38,10 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: .)")
         if name == "mc":
             p.add_argument("--model", choices=tuple(MODELS))
-            p.add_argument("--t", type=float)
-            p.add_argument("--k", type=float)
-            p.add_argument("--x", type=float)
-            p.add_argument("--beta", type=float)
+            for key in (*TARGET_KEYS, "beta"):
+                p.add_argument(f"--{key}", type=float)
             p.add_argument("--paths", type=int)
             p.add_argument("--steps", type=int)
             p.add_argument("--seed", type=int)
@@ -75,9 +73,9 @@ def _load_config(args) -> "ExperimentConfig":
             doc["model"] = {"kind": args.model, **{key: model[key] for key in
                                                    MODELS[args.model].defaults
                                                    if key in model}}
+        # every params key of mc but target has a flag
         flags = {"regime": {"beta": args.beta},
-                 "params": {key: getattr(args, key) for key in
-                            ("t", "k", "x", "paths", "steps", "antithetic")}}
+                 "params": {key: vars(args).get(key) for key in EXPERIMENTS["mc"]["params"]}}
         for where, values in flags.items():
             block = doc.get(where, {})
             if isinstance(block, dict):  # validate_config names any other block

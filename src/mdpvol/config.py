@@ -21,9 +21,10 @@ heston (kappa, theta, xi, rho, x0, y0), stein_stein (a, b, c, rho, x0, y0),
 power (a, b, c_g, c_sigma, nu_g, nu_sigma, rho, x0, y0) and constant_sigma
 (c_sigma, x0).  Each experiment accepts only the regime and params keys its
 runner reads, listed in its entry of ``EXPERIMENTS``; the runners hold their
-defaults.  Unknown keys, a key of another kind or experiment included, are
-rejected, a typo with a closest-match suggestion, and validation reports
-every violation, not just the first.  The CLI sets the subcommand and its
+defaults; each ``mc`` target reads its keys of ``mc.TARGETS`` only.  Unknown
+keys, a key of another kind, experiment or target included, are rejected, a
+typo with a closest-match suggestion, and validation reports every
+violation, not just the first.  The CLI sets the subcommand and its
 flags on the decoded document and validates it once, as that experiment.
 """
 
@@ -36,11 +37,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, bound_violation
 from .families import MODELS
 from .ldp import D_VARIANTS
+from .mc import BETA_BOUNDS, DEFAULT_TARGET, TARGETS
 from .models import ModelSpec
 
+TARGET_KEYS = tuple(dict.fromkeys(key for entry in TARGETS.values() for key in entry.bounds))
 # the regime and params keys each experiment's runner reads
 _LDP_KEYS = {"regime": (), "params": ("x_min", "x_max", "n_points", "d_variant")}
 EXPERIMENTS: Mapping[str, Mapping[str, tuple]] = {
@@ -49,7 +52,7 @@ EXPERIMENTS: Mapping[str, Mapping[str, tuple]] = {
     "rate": {"regime": ("zeta_c",), "params": ("x", "x_values")},
     "ldp": _LDP_KEYS,
     "mc": {"regime": ("beta",),
-           "params": ("target", "t", "k", "x", "paths", "steps", "antithetic")},
+           "params": ("target", *TARGET_KEYS, "paths", "steps", "antithetic")},
     "asymptotics": {"regime": ("beta",), "params": ("k", "x", "t")},
     "compare": _LDP_KEYS,
     "acceptance": {"regime": (), "params": ()},
@@ -58,6 +61,7 @@ EXPERIMENTS: Mapping[str, Mapping[str, tuple]] = {
 # bounds of a model key wherever its kind reads it; the presets check the rest
 _POSITIVE = {"lo": 0, "lo_strict": True}
 _MODEL_BOUNDS = {"kappa": _POSITIVE, "theta": _POSITIVE, "rho": {"lo": -1, "hi": 1}}
+_PARAM_BOUNDS = {"t": _POSITIVE, "k": {"lo": 0}}  # asymptotics'; each mc target has its own
 # h(eps) = eps^{-beta}, and eps/delta = 1 + zeta_c sqrt(eps) h(eps): every
 # runner computes at the limit constant 1 of eps/delta
 DEFAULT_REGIME: Mapping[str, Any] = {"beta": 0.25, "zeta_c": 0.0}
@@ -66,7 +70,7 @@ DEFAULT_SEED = 20260501
 _TOP_KEYS = ("experiment", "seed", "model", "regime", "params", "out_prefix")
 # the values a string-valued params key may take
 _PARAM_CHOICES: Mapping[str, tuple] = {
-    "target": ("smalltime_tail", "rv_tail", "call"),
+    "target": tuple(TARGETS),
     "functional": ("linear", "half_centered_variance"),
     "d_variant": D_VARIANTS,
 }
@@ -97,42 +101,40 @@ def _check_keys(block: Mapping, allowed, where: str, violations: list,
 
 
 def _check_number(block: Mapping, key: str, where: str, violations: list,
-                  lo=None, hi=None, lo_strict=False, hi_strict=False) -> None:
+                  integer: bool = False, **bounds) -> None:
     if key not in block:
         return
     value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        violations.append(f"{where}.{key}: expected a number, got {value!r}")
-        return
-    if not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        violations.append(f"{where}.{key}: expected {'an integer' if integer else 'a number'}"
+                          f", got {value!r}")
+    # an int is finite however large, and math.isfinite cannot convert a huge one
+    elif isinstance(value, float) and not math.isfinite(value):
         violations.append(f"{where}.{key}: must be finite, got {value!r}")
-        return
-    if lo is not None and (value <= lo if lo_strict else value < lo):
-        op = ">" if lo_strict else ">="
-        violations.append(f"{where}.{key}: must be {op} {lo}, got {value}")
-    if hi is not None and (value >= hi if hi_strict else value > hi):
-        op = "<" if hi_strict else "<="
-        violations.append(f"{where}.{key}: must be {op} {hi}, got {value}")
+    elif (problem := bound_violation(value, **bounds)) is not None:
+        violations.append(f"{where}.{key}: {problem}, got {value}")
 
 
-def _check_integer(block: Mapping, key: str, where: str, violations: list,
-                   lo: int) -> None:
-    if key not in block:
-        return
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        violations.append(f"{where}.{key}: expected an integer, got {value!r}")
-    elif value < lo:
-        violations.append(f"{where}.{key}: must be >= {lo}, got {value}")
+def _target_bounds(params: dict, violations: list) -> Mapping:
+    """The mc target's bounds; names (and drops) another target's keys, and missing keys."""
+    name = params.get("target", DEFAULT_TARGET)
+    target = TARGETS.get(name) if isinstance(name, str) else None
+    if target is None:
+        return _PARAM_BOUNDS
+    for key in [key for key in params if key in TARGET_KEYS and key not in target.bounds]:
+        violations.append(f"params: unknown key '{key}' for mc target '{name}'")
+        del params[key]
+    violations.extend(f"params.{key}: required for mc target '{name}', which has "
+                      "no default for it" for key in target.bounds
+                      if key not in params and key not in target.defaults)
+    return target.bounds
 
 
-def _check_params(params: Mapping, violations: list) -> None:
-    _check_integer(params, "paths", "params", violations, lo=1)
-    _check_integer(params, "steps", "params", violations, lo=1)
-    _check_integer(params, "n_points", "params", violations, lo=3)
-    _check_number(params, "t", "params", violations, lo=0, lo_strict=True)
-    _check_number(params, "k", "params", violations, lo=0)
-    _check_number(params, "x", "params", violations)
+def _check_params(params: Mapping, violations: list, bounds: Mapping) -> None:
+    for key, lo in (("paths", 1), ("steps", 1), ("n_points", 3)):
+        _check_number(params, key, "params", violations, integer=True, lo=lo)
+    for key in ("t", "k", "x"):
+        _check_number(params, key, "params", violations, **bounds.get(key, {}))
     _check_number(params, "x_min", "params", violations)
     _check_number(params, "x_max", "params", violations)
     _check_number(params, "q_g", "params", violations, lo=0.5, hi=1, hi_strict=True)
@@ -146,11 +148,9 @@ def _check_params(params: Mapping, violations: list) -> None:
             violations.append(
                 f"params.x_values: expected a nonempty list of numbers, got {values!r}")
         else:
-            for index, value in enumerate(values):
-                if (isinstance(value, bool) or not isinstance(value, (int, float))
-                        or not math.isfinite(value)):
-                    violations.append(f"params.x_values[{index}]: expected a finite "
-                                      f"number, got {value!r}")
+            items = {f"x_values[{index}]": value for index, value in enumerate(values)}
+            for key in items:
+                _check_number(items, key, "params", violations)
     if "x" in params and "x_values" in params:
         violations.append("params.x: give x or x_values, not both")
     antithetic = params.get("antithetic", False)
@@ -209,10 +209,10 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
                         {key for entry in EXPERIMENTS.values() for key in entry[where]})
             values.update((key, block[key]) for key in block if key in reads[where])
     regime, params = blocks["regime"], blocks["params"]
-    _check_number(regime, "beta", "regime", violations,
-                  lo=0, hi=0.5, lo_strict=True, hi_strict=True)
+    _check_number(regime, "beta", "regime", violations, **BETA_BOUNDS)
     _check_number(regime, "zeta_c", "regime", violations)
-    _check_params(params, violations)
+    _check_params(params, violations, _target_bounds(params, violations)
+                  if experiment == "mc" else _PARAM_BOUNDS)
 
     out_prefix = raw.get("out_prefix")
     if out_prefix is not None and not isinstance(out_prefix, str):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a number's bounds."""
 
 
 class DomainError(ValueError):
@@ -38,3 +38,12 @@ class ConfigError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def bound_violation(value, lo=None, hi=None, lo_strict=False, hi_strict=False) -> str | None:
+    """The bound ``value`` breaks (NaN breaks each), as "must be > lo", or None."""
+    if lo is not None and not (value > lo if lo_strict else value >= lo):
+        return f"must be {'>' if lo_strict else '>='} {lo}"
+    if hi is not None and not (value < hi if hi_strict else value <= hi):
+        return f"must be {'<' if hi_strict else '<='} {hi}"
+    return None

@@ -42,12 +42,11 @@ Z and eps and doubles the stored batch.
 
 A ``PathBatch`` holds the two path summaries the estimators read: the
 terminal log-price and the integrated factor.  ``simulate`` computes only the
-fields it is asked for; the others come back as None.  The price estimators
-ask for ``x_terminal`` alone, the realised-variance estimator for
-``integrated_variance`` alone.
+fields it is asked for; the others come back as None.  ``TARGETS`` is the one
+table of the ``mc`` targets, each naming the one field its estimate asks for.
 
-Tail estimators report the hit probability with a normal-approximation 95%
-confidence halfwidth and the normalized logarithm log(p) / h(t)^2 used by the
+Tail estimates report the hit probability with a normal-approximation 95%
+confidence halfwidth and the normalized logarithm log(p) / speed used by the
 moderate-deviations comparisons; a batch with no hits reports p = 0 with a
 -inf sentinel rather than a smoothed estimate, which would silently bias the
 log-scale comparison.
@@ -59,11 +58,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .asymptotics import smalltime_call_exponent
-from .errors import DomainError, SimulationOverflowError
+from .errors import DomainError, SimulationOverflowError, bound_violation
 from .families import family
 from .ldp import RealizedVarLdp, rv_mdp_exponent
 from .models import ModelSpec
@@ -74,6 +74,10 @@ STREAM_LAYOUT = "sfc64-seedseq-2^14-z+eps"
 # the uses of a chunk's streams: the factor normals Z, and the end draw of X
 _Z_STREAM, _END_STREAM = 0, 2
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
+# bounds as errors.bound_violation reads them
+_POSITIVE = {"lo": 0, "lo_strict": True}
+_OPEN_UNIT = {"lo": 0, "hi": 1, "lo_strict": True, "hi_strict": True}
+BETA_BOUNDS = {"lo": 0, "hi": 0.5, "lo_strict": True, "hi_strict": True}
 
 
 @dataclass(frozen=True)
@@ -90,12 +94,10 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise DomainError(f"n_paths: must be >= 1, got {self.n_paths}")
-        if self.n_steps < 1:
-            raise DomainError(f"n_steps: must be >= 1, got {self.n_steps}")
-        if self.t_end <= 0:
-            raise DomainError(f"t_end: must be positive, got {self.t_end}")
+        for key, bounds in (("n_paths", {"lo": 1}), ("n_steps", {"lo": 1}),
+                            ("t_end", _POSITIVE)):
+            if (problem := bound_violation(getattr(self, key), **bounds)) is not None:
+                raise DomainError(f"{key}: {problem}, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,10 @@ class TailEstimate:
     analytic_target: float
     threshold: float
     n_paths: int
+
+    @property
+    def value(self) -> float:  # p_hat, under the name of a CallEstimate's price
+        return self.p_hat
 
 
 @dataclass(frozen=True)
@@ -179,11 +185,11 @@ def simulate(model: ModelSpec, config: SimConfig,
 
     copies = 2 if config.antithetic else 1
     try:
-        out = {name: np.empty(copies * config.n_paths) if name in fields else None
-               for name in PATH_FIELDS}
+        batch = PathBatch(**{name: np.empty(copies * config.n_paths)
+                             if name in fields else None for name in PATH_FIELDS})
     except ValueError as exc:  # more bytes than one array can address
         raise MemoryError(str(exc)) from None
-    x_out, v_out = out["x_terminal"], out["integrated_variance"]
+    x_out, v_out = batch.x_terminal, batch.integrated_variance
     n_chunks = (config.n_paths + _CHUNK - 1) // _CHUNK
     workers = _worker_count(n_chunks)
     # Per worker: Z, sigma, f, g, Y, and the sum q of sigma^2 when X is
@@ -268,84 +274,90 @@ def simulate(model: ModelSpec, config: SimConfig,
         raise SimulationOverflowError(
             f"{' or '.join(fields)} crossed {_OVERFLOW_GUARD:g} in chunk "
             f"{min(overflowed)}; batch aborted")
-    return PathBatch(**out)
+    return batch
 
 
 def _tail_from_batch(values: np.ndarray, threshold: float, speed: float,
                      target: float) -> TailEstimate:
     n = len(values)
-    hits = int(np.sum(values >= threshold))
-    p_hat = hits / n
-    ci = _CI_Z * math.sqrt(p_hat * (1 - p_hat) / n)
+    p_hat = int(np.sum(values >= threshold)) / n
     normalized = math.log(p_hat) / speed if p_hat > 0 else -math.inf
-    return TailEstimate(p_hat=p_hat, ci_halfwidth=ci, normalized_log=normalized,
-                        analytic_target=target, threshold=threshold, n_paths=n)
+    return TailEstimate(p_hat, _CI_Z * math.sqrt(p_hat * (1 - p_hat) / n), normalized,
+                        target, threshold, n)
+
+
+def _call_from_batch(values: np.ndarray, log_strike: float, speed: float,
+                     target: float) -> CallEstimate:
+    payoff = np.maximum(np.exp(values) - math.exp(log_strike), 0.0)
+    value, n = float(np.mean(payoff)), len(payoff)
+    normalized = math.log(value) / speed if value > 0 else -math.inf
+    return CallEstimate(value, _CI_Z * float(np.std(payoff)) / math.sqrt(n), normalized,
+                        target, log_strike, n)
+
+
+def _smalltime_levels(model: ModelSpec, t: float, k: float, beta: float):
+    h = t ** (-beta)
+    return model.x0 + k * math.sqrt(t) * h, h ** 2, -k ** 2 / (2 * model.spot_sigma() ** 2)
+
+
+def _rv_levels(model: ModelSpec, t: float, x: float, beta: float):
+    kappa, theta, xi = family(model).square_root_factor()
+    return (x * t ** (beta + 0.5) + theta * t, t ** (2 * beta),
+            rv_mdp_exponent(RealizedVarLdp(kappa, theta, xi, model.y0), x))
+
+
+@dataclass(frozen=True)
+class Target:
+    """One ``mc`` target: it reads ``t`` and its ``level`` key (k or x) within
+    ``bounds``, with ``defaults`` where it has them.  ``levels(model, t, level,
+    beta)`` gives its threshold or log-strike, speed and analytic target, from
+    which ``statistic`` makes its ``path_field`` values into its estimate."""
+
+    path_field: str
+    level: str
+    defaults: Mapping[str, float]
+    bounds: Mapping[str, Mapping]
+    levels: Callable
+    statistic: Callable
+
+    def estimate(self, model: ModelSpec, t: float, level: float, beta: float,
+                 config: SimConfig) -> TailEstimate | CallEstimate:
+        """The estimate on one batch of ``config`` run to ``t``; DomainError out of bounds."""
+        bounds = {**self.bounds, "beta": BETA_BOUNDS}
+        for key, value in (("t", t), (self.level, level), ("beta", beta)):
+            if (problem := bound_violation(value, **bounds[key])) is not None:
+                raise DomainError(f"{key}: {problem}, got {value}")
+        threshold, speed, target = self.levels(model, t, level, beta)
+        batch = simulate(model, replace(config, t_end=t), fields=(self.path_field,))
+        return self.statistic(getattr(batch, self.path_field), threshold, speed, target)
+
+
+# P(X_t >= x0 + k sqrt(t) h(t)), h(t) = t^{-beta}: speed h(t)^2, target -k^2 / (2 sigma^2(y0))
+SMALLTIME_TAIL = Target("x_terminal", "k", {"t": 0.01, "k": 0.2},
+                        {"t": _OPEN_UNIT, "k": {"lo": 0}}, _smalltime_levels, _tail_from_batch)
+# P(V_t >= x t^{beta + 1/2} + theta t): speed t^{2 beta}, target -kappa^2 x^2 / (2 xi^2 theta);
+# no default t, since the small-time horizons do not reach this large-time tail
+RV_TAIL = Target("integrated_variance", "x", {"x": 0.05}, {"t": _POSITIVE, "x": _POSITIVE},
+                 _rv_levels, _tail_from_batch)
+# E(e^{X_t} - e^{x0 + k sqrt(t) h(t)})_+ at the tail's speed, with the call quote's exponent
+CALL = Target("x_terminal", "k", {"t": 0.01, "k": 0.2}, {"t": _OPEN_UNIT, "k": _POSITIVE},
+              lambda model, t, k, beta: (*_smalltime_levels(model, t, k, beta)[:2],
+                                         smalltime_call_exponent(model, k)),
+              _call_from_batch)
+TARGETS = {"smalltime_tail": SMALLTIME_TAIL, "rv_tail": RV_TAIL, "call": CALL}
+DEFAULT_TARGET = "smalltime_tail"
 
 
 def estimate_smalltime_tail(model: ModelSpec, t: float, k: float, beta: float,
                             config: SimConfig) -> TailEstimate:
-    """Estimate P(X_t >= k sqrt(t) h(t)) with h(t) = t^{-beta}.
-
-    The normalized log is log(p) / h(t)^2 and the analytic small-time target
-    is -k^2 / (2 sigma^2(y0)).
-    """
-    if not 0 < t < 1:
-        raise DomainError(f"t: must lie in (0, 1), got {t}")
-    if k < 0:
-        raise DomainError(f"k: must be nonnegative, got {k}")
-    if not 0 < beta < 0.5:
-        raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
-    h = t ** (-beta)
-    threshold = model.x0 + k * math.sqrt(t) * h
-    target = -k ** 2 / (2 * model.spot_sigma() ** 2)
-    batch = simulate(model, replace(config, t_end=t), fields=("x_terminal",))
-    return _tail_from_batch(batch.x_terminal, threshold, h ** 2, target)
+    """The ``SMALLTIME_TAIL`` estimate of P(X_t >= x0 + k sqrt(t) t^{-beta})."""
+    return SMALLTIME_TAIL.estimate(model, t, k, beta, config)
 
 
 def estimate_rv_tail(model: ModelSpec, t: float, x: float, beta: float,
                      config: SimConfig) -> TailEstimate:
-    """Estimate P(V_t >= x t^{beta + 1/2} + theta t) for the square-root model.
-
-    The normalized log is log(p) / t^{2 beta}; the analytic target is the
-    integrated-variance rate -kappa^2 x^2 / (2 xi^2 theta).
-    """
-    kappa, theta, xi = family(model).square_root_factor()
-    if x <= 0:
-        raise DomainError(f"x: must be positive, got {x}")
-    if not 0 < beta < 0.5:
-        raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
-    if t <= 0:
-        raise DomainError(f"t: must be positive, got {t}")
-    threshold = x * t ** (beta + 0.5) + theta * t
-    target = rv_mdp_exponent(RealizedVarLdp(kappa, theta, xi, model.y0), x)
-    batch = simulate(model, replace(config, t_end=t), fields=("integrated_variance",))
-    return _tail_from_batch(batch.integrated_variance, threshold, t ** (2 * beta), target)
-
-
-def estimate_call_smalltime(model: ModelSpec, t: float, k: float, beta: float,
-                            config: SimConfig) -> CallEstimate:
-    """Estimate E(e^{X_t} - e^{k_t})_+ with k_t = k sqrt(t) h(t), k > 0.
-
-    The normalized log is log(estimate) / h(t)^2; the small-time target and
-    its preconditions (k > 0, the model's finite-exponential-moment flag, a
-    non-zero spot volatility) are those of ``smalltime_call_exponent``.
-    """
-    target = smalltime_call_exponent(model, k)
-    if not 0 < t < 1:
-        raise DomainError(f"t: must lie in (0, 1), got {t}")
-    if not 0 < beta < 0.5:
-        raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
-    h = t ** (-beta)
-    k_t = k * math.sqrt(t) * h
-    batch = simulate(model, replace(config, t_end=t), fields=("x_terminal",))
-    log_strike = model.x0 + k_t
-    payoff = np.maximum(np.exp(batch.x_terminal) - math.exp(log_strike), 0.0)
-    value = float(np.mean(payoff))
-    ci = _CI_Z * float(np.std(payoff)) / math.sqrt(len(payoff))
-    normalized = math.log(value) / h ** 2 if value > 0 else -math.inf
-    return CallEstimate(value=value, ci_halfwidth=ci, normalized_log=normalized,
-                        analytic_target=target, strike_log=log_strike,
-                        n_paths=len(payoff))
+    """The ``RV_TAIL`` estimate of P(V_t >= x t^{beta + 1/2} + theta t)."""
+    return RV_TAIL.estimate(model, t, x, beta, config)
 
 
 def exact_gaussian_tail(sigma_level: float, t: float, threshold: float,

@@ -27,8 +27,7 @@ from .errors import ConfigError, DomainError
 from .families import family
 from .invariant import (gamma_invariant, integrate, measure_moments,
                         speed_measure)
-from .mc import (STREAM_LAYOUT, SimConfig, estimate_call_smalltime,
-                 estimate_rv_tail, estimate_smalltime_tail)
+from .mc import DEFAULT_TARGET, STREAM_LAYOUT, TARGETS, SimConfig
 from .poisson import generator_residuals, solve_poisson_cev
 from .rates import (endpoint_rate, heston_large_time_params,
                     share_large_time_params)
@@ -225,38 +224,23 @@ def run_compare(config: ExperimentConfig, outdir: str) -> list[str]:
 
 
 def run_mc(config: ExperimentConfig, outdir: str) -> list[str]:
-    model = build_model(config)
-    beta = config.regime["beta"]
     p = config.params
-    target_kind = p.get("target", "smalltime_tail")
-    if target_kind == "rv_tail" and "t" not in p:
-        raise ConfigError(["params.t: required for target rv_tail, a large-time "
-                           "tail that the small-time default t = 0.01 cannot reach"])
-    t = p.get("t", 0.01)
-    sim = SimConfig(
-        n_paths=int(p.get("paths", 100_000)),
-        n_steps=int(p.get("steps", 100)),
-        t_end=t,
-        seed=subseed(config.seed, "mc"),
-        antithetic=bool(p.get("antithetic", False)),
-    )
+    name = p.get("target", DEFAULT_TARGET)
+    target = TARGETS[name]
+    values = {**target.defaults, **p}
+    sim = SimConfig(n_paths=p.get("paths", 100_000), n_steps=p.get("steps", 100),
+                    t_end=values["t"], seed=subseed(config.seed, "mc"),
+                    antithetic=p.get("antithetic", False))
     try:
-        if target_kind == "smalltime_tail":
-            est = estimate_smalltime_tail(model, t, p.get("k", 0.2), beta, sim)
-            value = est.p_hat
-        elif target_kind == "rv_tail":
-            est = estimate_rv_tail(model, t, p.get("x", 0.05), beta, sim)
-            value = est.p_hat
-        else:  # "call"
-            est = estimate_call_smalltime(model, t, p.get("k", 0.2), beta, sim)
-            value = est.value
+        est = target.estimate(build_model(config), values["t"], values[target.level],
+                              config.regime["beta"], sim)
     except MemoryError:
         raise _too_large("paths", sim.n_paths) from None
-    if value == 0:
-        print(f"warning: mc: no path of {est.n_paths} reached the {target_kind} "
+    if est.value == 0:
+        print(f"warning: mc: no path of {est.n_paths} reached the {name} "
               "threshold, so the estimate is 0 and normalized_log is -inf",
               file=sys.stderr)
-    row = (value, est.ci_halfwidth, est.normalized_log, est.analytic_target,
+    row = (est.value, est.ci_halfwidth, est.normalized_log, est.analytic_target,
            est.normalized_log - est.analytic_target, STREAM_LAYOUT)
     path = _out(outdir, config, "mc.csv")
     write_csv(path, CSV_HEADERS["mc"], [row])

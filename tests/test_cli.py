@@ -13,9 +13,10 @@ import pytest
 import mdpvol
 from mdpvol import ConfigError
 from mdpvol.cli import main
-from mdpvol.config import (DEFAULT_SEED, EXPERIMENTS, build_model, parse_config,
-                           subseed, validate_config)
+from mdpvol.config import (_PARAM_CHOICES, DEFAULT_SEED, EXPERIMENTS, TARGET_KEYS,
+                           build_model, parse_config, subseed, validate_config)
 from mdpvol.families import MODELS
+from mdpvol.mc import TARGETS
 from mdpvol.reporting import CSV_HEADERS
 
 
@@ -331,6 +332,8 @@ class TestCliRuns:
         ("mc", {"params": {"k": 1e300, "t": 0.5, "paths": 100, "steps": 2}}),
         ("asymptotics", {"params": {"k": 1e300}}),
         ("asymptotics", {"params": {"x": 1e300}}),
+        # a JSON integer beyond float range is finite, and valid until a float needs it
+        ("asymptotics", {"params": {"k": 10 ** 400}}),
     ])
     def test_overflowing_input_exit_code(self, tmp_path, capsys, experiment, doc):
         cfg = tmp_path / "cfg.json"
@@ -452,6 +455,7 @@ class TestCliRuns:
 # For each (experiment, block, key) of config.EXPERIMENTS: a value that is
 # not the default.  Each must change that experiment's output bytes; a key
 # that changes nothing is an option that accepts every value and ignores it.
+# The keys of an mc target count once per target, under "mc/<target>".
 _KEY_CHANGES = {
     ("invariant", "params", "q_g"): 0.75,
     ("poisson", "params", "q_g"): 0.75,
@@ -464,9 +468,12 @@ _KEY_CHANGES = {
                           ("d_variant", "standard"))},
     ("mc", "regime", "beta"): 0.3,
     ("mc", "params", "target"): "call",
-    ("mc", "params", "t"): 0.02,
-    ("mc", "params", "k"): 0.3,
-    ("mc", "params", "x"): 0.02,
+    ("mc/smalltime_tail", "params", "t"): 0.02,
+    ("mc/smalltime_tail", "params", "k"): 0.3,
+    ("mc/rv_tail", "params", "t"): 2.0,
+    ("mc/rv_tail", "params", "x"): 0.02,
+    ("mc/call", "params", "t"): 0.02,
+    ("mc/call", "params", "k"): 0.3,
     ("mc", "params", "paths"): 3000,
     ("mc", "params", "steps"): 8,
     ("mc", "params", "antithetic"): True,
@@ -475,9 +482,11 @@ _KEY_CHANGES = {
     ("asymptotics", "params", "x"): 0.2,
     ("asymptotics", "params", "t"): 50.0,
 }
-# every run of mc stays small, and mc reads x under target rv_tail only
-_BASE_PARAMS = {"mc": {"paths": 2000, "steps": 10}}
-_BASE_PARAMS_OF_KEY = {("mc", "params", "x"): {"target": "rv_tail", "t": 1.0}}
+# every run of mc stays small, and rv_tail has no default t
+_BASE_PARAMS = {"mc": {"paths": 2000, "steps": 10},
+                **{f"mc/{name}": {"target": name, "paths": 2000, "steps": 10}
+                   for name in TARGETS}}
+_BASE_PARAMS["mc/rv_tail"]["t"] = 1.0
 
 
 def _outputs(directory, experiment: str, doc: dict) -> list:
@@ -489,15 +498,24 @@ def _outputs(directory, experiment: str, doc: dict) -> list:
     return sorted((p.name, p.read_bytes()) for p in out.iterdir())
 
 
-def _table_pairs() -> set:
+def _experiment_pairs() -> set:
     return {(experiment, block, key) for experiment, reads in EXPERIMENTS.items()
             for block, keys in reads.items() for key in keys}
+
+
+def _table_pairs() -> set:
+    """The pairs of config.EXPERIMENTS, with mc's target keys once per target."""
+    split = {(f"mc/{name}", "params", key) for name, target in TARGETS.items()
+             for key in target.bounds}
+    return (_experiment_pairs() - {("mc", block, key) for _, block, key in split}) | split
 
 
 def test_key_table_covers_every_regime_and_params_key():
     assert sorted(_table_pairs() - set(_KEY_CHANGES)) == []
     # an entry whose key its experiment no longer reads is stale
     assert sorted(set(_KEY_CHANGES) - _table_pairs()) == []
+    # the mc targets are the table's entries, no more and no fewer
+    assert _PARAM_CHOICES["target"] == tuple(TARGETS)
 
 
 _KEYS = sorted({(block, key) for _, block, key in _KEY_CHANGES})
@@ -506,19 +524,19 @@ _KEYS = sorted({(block, key) for _, block, key in _KEY_CHANGES})
 @pytest.mark.parametrize("block, key", _KEYS, ids=[key for _, key in _KEYS])
 def test_every_key_changes_an_output(tmp_path, block, key):
     experiments = [name for name, b, k in sorted(_KEY_CHANGES) if (b, k) == (block, key)]
-    for experiment in experiments:
-        entry = (experiment, block, key)
-        base = {"params": {**_BASE_PARAMS.get(experiment, {}),
-                           **_BASE_PARAMS_OF_KEY.get(entry, {})}}
+    for name in experiments:
+        entry = (name, block, key)
+        base = {"params": dict(_BASE_PARAMS.get(name, {}))}
         changed = {"params": dict(base["params"])}
         changed.setdefault(block, {})[key] = _KEY_CHANGES[entry]
-        assert (_outputs(tmp_path / f"{experiment}-changed", experiment, changed)
-                != _outputs(tmp_path / f"{experiment}-base", experiment, base)), entry
+        experiment, label = name.partition("/")[0], name.replace("/", "-")
+        assert (_outputs(tmp_path / f"{label}-changed", experiment, changed)
+                != _outputs(tmp_path / f"{label}-base", experiment, base)), entry
 
 
 # every regime and params key under each experiment that does not read it
 _REJECTED = sorted({(experiment, block, key) for experiment in EXPERIMENTS
-                    for _, block, key in _KEY_CHANGES} - _table_pairs())
+                    for _, block, key in _KEY_CHANGES} - _experiment_pairs())
 
 
 @pytest.mark.parametrize("experiment, block, key", _REJECTED,
@@ -554,19 +572,82 @@ def test_cli_rejects_keys_its_experiment_does_not_read(tmp_path, capsys, args, d
     assert not out.exists()
 
 
-def test_readme_lists_the_keys_of_each_experiment():
+# each level key under each mc target that does not read it
+_OTHER_TARGET_KEYS = sorted((name, key) for name, target in TARGETS.items()
+                            for key in TARGET_KEYS if key not in target.bounds)
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+@pytest.mark.parametrize("target, key", _OTHER_TARGET_KEYS,
+                         ids=[f"{name}-{key}" for name, key in _OTHER_TARGET_KEYS])
+def test_key_of_another_mc_target_rejected(tmp_path, capsys, target, key, source):
+    # a level key the target does not read would change no output; None is
+    # a bad value, so only the key itself is reported
+    params = {"target": target, "t": 0.5, "paths": 1000, "steps": 5}
+    flags = [f"--{key}", "0.02"] if source == "flag" else []
+    if source == "file":
+        params[key] = None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    out = tmp_path / "out"
+    assert main(["mc", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: params: unknown key '{key}' for mc target '{target}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, line", [
+    ({"t": 2.0}, "params.t: must be < 1, got 2.0"),
+    ({"target": "call", "t": 1.0}, "params.t: must be < 1, got 1.0"),
+    ({"target": "call", "k": 0}, "params.k: must be > 0, got 0"),
+    ({"target": "rv_tail", "t": 1.0, "x": -0.05}, "params.x: must be > 0, got -0.05"),
+    ({"target": "rv_tail"},
+     "params.t: required for mc target 'rv_tail', which has no default for it"),
+], ids=["smalltime-t", "call-t", "call-k", "rv-x", "rv-no-t"])
+def test_mc_target_bounds_reported_with_every_violation(params, line):
+    # a target's bounds, and its need of t, are checked at validation and
+    # reported in the list of every violation
+    with pytest.raises(ConfigError) as info:
+        validate_config({"experiment": "mc", "regime": {"beta": 0.7},
+                         "params": {**params, "steps": 0}})
+    assert sorted(info.value.violations) == sorted([
+        "regime.beta: must be < 0.5, got 0.7", line,
+        "params.steps: must be >= 1, got 0"])
+
+
+def _readme_rows(header: str) -> list[list[str]]:
+    """The cells of each row of the README table under ``header``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    header = "| experiment | `regime` keys | `params` keys |"
     assert readme.count(header) == 1
-    listed = {}
+    rows = []
     for row in readme.split(header)[1].splitlines()[2:]:
         if not row.startswith("|"):
             break
-        names, regime, params = (re.findall(r"`(\w+)`", cell)
-                                 for cell in row.strip("|").split("|"))
+        rows.append(row.strip("|").split("|"))
+    return rows
+
+
+def _bound_text(key: str, lo=None, hi=None, lo_strict=False, hi_strict=False) -> str:
+    text = key if lo is None else f"{lo} {'<' if lo_strict else '<='} {key}"
+    return text if hi is None else f"{text} {'<' if hi_strict else '<='} {hi}"
+
+
+def test_readme_lists_the_keys_of_each_experiment():
+    listed = {}
+    for row in _readme_rows("| experiment | `regime` keys | `params` keys |"):
+        names, regime, params = (re.findall(r"`(\w+)`", cell) for cell in row)
         listed.update({name: {"regime": tuple(regime), "params": tuple(params)}
                        for name in names})
     assert listed == EXPERIMENTS
+    # each mc target's keys, defaults and bounds
+    rows = _readme_rows("| `mc` target | keys with defaults | bounds |")
+    listed = {re.findall(r"`(\w+)`", name)[0]: (re.findall(r"`(\w+)` ([\w.]+)", keys),
+                                                bounds.strip())
+              for name, keys, bounds in rows}
+    assert listed == {
+        name: ([(key, str(target.defaults.get(key, "required"))) for key in target.bounds],
+               ", ".join(_bound_text(key, **bounds) for key, bounds in target.bounds.items()))
+        for name, target in TARGETS.items()}
 
 
 # For each model kind and each key it reads: an mc target, a base model

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mdpvol import (DomainError, RealizedVarLdp, SimConfig, SimulationOverflowError,
-                    UnsupportedModelError, estimate_call_smalltime, estimate_rv_tail,
+                    UnsupportedModelError, estimate_rv_tail,
                     estimate_smalltime_tail, exact_gaussian_call,
                     exact_gaussian_tail, make_constant_sigma, make_heston,
                     rv_mgf, simulate)
@@ -232,26 +232,26 @@ class TestSmalltimeCall:
         model = make_constant_sigma(0.2, 0.0)
         t, k, beta = 0.01, 0.2, 0.25
         config = SimConfig(n_paths=500_000, n_steps=8, t_end=t, seed=44)
-        est = estimate_call_smalltime(model, t, k, beta, config)
+        est = mc.CALL.estimate(model, t, k, beta, config)
         exact = exact_gaussian_call(0.2, t, est.strike_log)
         assert abs(est.value - exact) <= 2 * est.ci_halfwidth
 
     def test_strike_sign_precondition(self, heston):
         config = SimConfig(n_paths=10, n_steps=2, t_end=0.01, seed=0)
         with pytest.raises(DomainError, match="k"):
-            estimate_call_smalltime(heston, 0.01, -0.2, 0.25, config)
+            mc.CALL.estimate(heston, 0.01, -0.2, 0.25, config)
 
     def test_moment_flag_required(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1, moment_flag=False)
         config = SimConfig(n_paths=10, n_steps=2, t_end=0.01, seed=0)
         with pytest.raises(DomainError, match="moment"):
-            estimate_call_smalltime(model, 0.01, 0.2, 0.25, config)
+            mc.CALL.estimate(model, 0.01, 0.2, 0.25, config)
 
     def test_cauchy_schwarz_bound_on_same_batch(self, heston):
         # call price <= sqrt(E e^{2X}) sqrt(P(X >= k_t)) on the same sample
         t, k, beta = 0.01, 0.1, 0.25
         config = SimConfig(n_paths=100_000, n_steps=20, t_end=t, seed=15)
-        est = estimate_call_smalltime(heston, t, k, beta, config)
+        est = mc.CALL.estimate(heston, t, k, beta, config)
         batch = simulate(heston, SimConfig(n_paths=100_000, n_steps=20,
                                            t_end=t, seed=15))
         p_hat = np.mean(batch.x_terminal >= est.strike_log)
@@ -298,7 +298,7 @@ def _bitwise_case(name: str) -> str:
                            seed=11)
         return _digest(simulate(heston, config),
                        estimate_smalltime_tail(heston, 0.01, 0.2, 0.25, config),
-                       estimate_call_smalltime(heston, 0.01, 0.2, 0.25, config),
+                       mc.CALL.estimate(heston, 0.01, 0.2, 0.25, config),
                        estimate_rv_tail(heston, 1.0, 0.05, 0.25, config))
     if name == "heston_antithetic":
         config = SimConfig(n_paths=(1 << 17) + 500, n_steps=6, t_end=0.5,
@@ -316,7 +316,7 @@ def _bitwise_case(name: str) -> str:
     config = SimConfig(n_paths=(1 << 17) + 300, n_steps=5, t_end=0.05, seed=14)
     return _digest(simulate(model, config),
                    estimate_smalltime_tail(model, 0.05, 0.2, 0.25, config),
-                   estimate_call_smalltime(model, 0.05, 0.2, 0.25, config))
+                   mc.CALL.estimate(model, 0.05, 0.2, 0.25, config))
 
 
 # Digests of the full-truncation Euler engine's outputs under the stream

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdpvol import (DomainError, SimConfig, check_assumptions,
-                    estimate_call_smalltime, estimate_smalltime_tail,
-                    make_constant_sigma, make_heston, make_power_family,
-                    make_stein_stein, mdp_growth_condition,
+                    estimate_smalltime_tail, make_constant_sigma, make_heston,
+                    make_power_family, make_stein_stein, mdp_growth_condition,
                     tail_probability_exponent)
+from mdpvol import mc
 
 
 class TestMakeHeston:
@@ -147,7 +147,7 @@ _SMALL_RUN = SimConfig(n_paths=100, n_steps=2, t_end=0.01, seed=1)
 @pytest.mark.parametrize("read_spot", [
     lambda model: model.spot_sigma(),
     lambda model: estimate_smalltime_tail(model, 0.01, 0.2, 0.25, _SMALL_RUN),
-    lambda model: estimate_call_smalltime(model, 0.01, 0.2, 0.25, _SMALL_RUN),
+    lambda model: mc.CALL.estimate(model, 0.01, 0.2, 0.25, _SMALL_RUN),
     lambda model: tail_probability_exponent(model, 0.3, 0.01),
 ], ids=["spot_sigma", "smalltime_tail", "call", "tail_probability"])
 def test_zero_spot_volatility_refused(read_spot):

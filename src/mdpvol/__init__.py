@@ -15,7 +15,8 @@ Library layout:
 - ``mc``: full-truncation Euler simulation and the table of ``mc`` targets;
 - ``asymptotics``: option-price and tail exponents;
 - ``config``/``cli``: experiment configuration and the command-line frontend;
-- ``acceptance``: the executable acceptance-criteria suite.
+- ``acceptance``: the executable acceptance-criteria suite;
+- ``errors``: the exception types and the one range check.
 """
 
 from .asymptotics import (AsymptoticQuote, largetime_call_exponent,

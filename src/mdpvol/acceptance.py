@@ -22,6 +22,7 @@ details.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -424,8 +425,6 @@ ALL_CRITERIA = (
     criterion_12_determinism,
 )
 
-_NEEDS_SEED = {1, 6, 7, 8, 9, 12}
-
 
 def run_all(seed: int = DEFAULT_SEED, only: tuple[int, ...] | None = None):
     """Run the criteria (all, or the ``only`` subset of ids); returns
@@ -434,10 +433,8 @@ def run_all(seed: int = DEFAULT_SEED, only: tuple[int, ...] | None = None):
     for index, criterion in enumerate(ALL_CRITERIA, start=1):
         if only is not None and index not in only:
             continue
-        if index in _NEEDS_SEED:
-            results.append(criterion(seed))
-        else:
-            results.append(criterion())
+        takes_seed = "seed" in inspect.signature(criterion).parameters
+        results.append(criterion(seed) if takes_seed else criterion())
     payload = {
         "seed": seed,
         "criteria": [result_payload(r) for r in results],

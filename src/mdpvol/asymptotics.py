@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import BETA_BOUNDS, POSITIVE, DomainError, bound_violation
 from .families import family
 from .ldp import RealizedVarLdp, rv_lambda_star, rv_mdp_exponent
 from .models import ModelSpec
@@ -45,8 +45,7 @@ def smalltime_call_exponent(model: ModelSpec, k: float) -> float:
     Requires the model's declared finite-exponential-moment flag; without it
     call prices need not be finite and no quote is emitted.
     """
-    if k <= 0:
-        raise DomainError(f"k: the small-time call quote requires k > 0, got {k}")
+    bound_violation("k", k, **POSITIVE)
     if not model.finite_exp_moments:
         raise DomainError(
             "model: declared finite-exponential-moment flag is required; "
@@ -61,10 +60,8 @@ def largetime_put_quote(params: LargeTimeParams, x: float, beta: float,
     For x < 0 the pair is (x, -t^{beta - 1/2} J(x)) with J(x) = x^2 / (2 q)
     (horizon 1); for x >= 0 the correction vanishes.
     """
-    if not 0 < beta < 0.5:
-        raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
-    if t <= 0:
-        raise DomainError(f"t: must be positive, got {t}")
+    bound_violation("beta", beta, **BETA_BOUNDS)
+    bound_violation("t", t, **POSITIVE)
     if x >= 0:
         return x, 0.0
     correction = -t ** (beta - 0.5) * endpoint_rate(params.q, x)
@@ -90,12 +87,9 @@ def rv_option_quotes(params: RealizedVarLdp, x: float, beta: float,
     -kappa^2 x^2 / (2 xi^2 theta) at speed t^{2 beta}, after removal of the
     x t^{1/2 - beta} drift term.  Both require x > 0.
     """
-    if x <= 0:
-        raise DomainError(f"x: must be positive, got {x}")
-    if not 0 < beta < 0.5:
-        raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
-    if t <= 0:
-        raise DomainError(f"t: must be positive, got {t}")
+    bound_violation("x", x, **POSITIVE)
+    bound_violation("beta", beta, **BETA_BOUNDS)
+    bound_violation("t", t, **POSITIVE)
     return x - rv_lambda_star(params, x), rv_mdp_exponent(params, x)
 
 
@@ -134,12 +128,8 @@ def tail_probability_exponent(model: ModelSpec, x: float, t: float) -> float:
     growth = model.growth
     if growth.nu_sigma is None or growth.nu_g is None:
         raise DomainError("model: power exponents nu_sigma/nu_g must be declared")
-    if growth.nu_g > 1 - growth.nu_sigma:
-        raise DomainError(
-            f"nu_g: must satisfy nu_g <= 1 - nu_sigma, got {growth.nu_g} "
-            f"> {1 - growth.nu_sigma}")
-    if x <= model.x0:
+    bound_violation("nu_g", growth.nu_g, hi=1 - growth.nu_sigma)
+    if not x > model.x0:
         raise DomainError(f"x: must exceed the start x0 = {model.x0}, got {x}")
-    if t <= 0:
-        raise DomainError(f"t: must be positive, got {t}")
+    bound_violation("t", t, **POSITIVE)
     return -x ** 2 / (2 * model.spot_sigma() ** 2 * t)

@@ -37,10 +37,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import ConfigError, bound_violation
+from .errors import (BETA_BOUNDS, CORRELATION, POSITIVE, ConfigError, DomainError,
+                     bound_violation)
 from .families import MODELS
 from .ldp import D_VARIANTS
-from .mc import BETA_BOUNDS, DEFAULT_TARGET, TARGETS
+from .mc import DEFAULT_TARGET, TARGETS
 from .models import ModelSpec
 
 TARGET_KEYS = tuple(dict.fromkeys(key for entry in TARGETS.values() for key in entry.bounds))
@@ -59,9 +60,8 @@ EXPERIMENTS: Mapping[str, Mapping[str, tuple]] = {
 }
 
 # bounds of a model key wherever its kind reads it; the presets check the rest
-_POSITIVE = {"lo": 0, "lo_strict": True}
-_MODEL_BOUNDS = {"kappa": _POSITIVE, "theta": _POSITIVE, "rho": {"lo": -1, "hi": 1}}
-_PARAM_BOUNDS = {"t": _POSITIVE, "k": {"lo": 0}}  # asymptotics'; each mc target has its own
+_MODEL_BOUNDS = {"kappa": POSITIVE, "theta": POSITIVE, "rho": CORRELATION}
+_PARAM_BOUNDS = {"t": POSITIVE, "k": {"lo": 0}}  # asymptotics'; each mc target has its own
 # h(eps) = eps^{-beta}, and eps/delta = 1 + zeta_c sqrt(eps) h(eps): every
 # runner computes at the limit constant 1 of eps/delta
 DEFAULT_REGIME: Mapping[str, Any] = {"beta": 0.25, "zeta_c": 0.0}
@@ -111,8 +111,11 @@ def _check_number(block: Mapping, key: str, where: str, violations: list,
     # an int is finite however large, and math.isfinite cannot convert a huge one
     elif isinstance(value, float) and not math.isfinite(value):
         violations.append(f"{where}.{key}: must be finite, got {value!r}")
-    elif (problem := bound_violation(value, **bounds)) is not None:
-        violations.append(f"{where}.{key}: {problem}, got {value}")
+    else:
+        try:
+            bound_violation(f"{where}.{key}", value, **bounds)
+        except DomainError as exc:
+            violations.append(str(exc))
 
 
 def _target_bounds(params: dict, violations: list) -> Mapping:

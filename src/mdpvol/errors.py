@@ -40,10 +40,21 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def bound_violation(value, lo=None, hi=None, lo_strict=False, hi_strict=False) -> str | None:
-    """The bound ``value`` breaks (NaN breaks each), as "must be > lo", or None."""
+# bounds as bound_violation reads them
+POSITIVE = {"lo": 0, "lo_strict": True}
+OPEN_UNIT = {"lo": 0, "hi": 1, "lo_strict": True, "hi_strict": True}
+BETA_BOUNDS = {"lo": 0, "hi": 0.5, "lo_strict": True, "hi_strict": True}  # h(eps) = eps^-beta
+CORRELATION = {"lo": -1, "hi": 1}
+OPEN_CORRELATION = {"lo": -1, "hi": 1, "lo_strict": True, "hi_strict": True}
+
+
+def bound_violation(name, value, lo=None, hi=None, lo_strict=False, hi_strict=False) -> None:
+    """Raise DomainError("name: must be > lo, got value") for the first bound
+    ``value`` breaks; NaN breaks each."""
     if lo is not None and not (value > lo if lo_strict else value >= lo):
-        return f"must be {'>' if lo_strict else '>='} {lo}"
-    if hi is not None and not (value < hi if hi_strict else value <= hi):
-        return f"must be {'<' if hi_strict else '<='} {hi}"
-    return None
+        problem = f"must be {'>' if lo_strict else '>='} {lo}"
+    elif hi is not None and not (value < hi if hi_strict else value <= hi):
+        problem = f"must be {'<' if hi_strict else '<='} {hi}"
+    else:
+        return
+    raise DomainError(f"{name}: {problem}, got {value}")

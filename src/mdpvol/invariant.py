@@ -35,7 +35,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, GrowthError, QuadratureError
+from .errors import POSITIVE, DomainError, GrowthError, QuadratureError, bound_violation
 from .quadrature import (_leggauss, geometric_edges, integrate_logweight,
                          segment_cumulative, segment_nodes)
 
@@ -100,10 +100,8 @@ def gamma_invariant(kappa: float, theta: float, xi: float) -> InvariantMeasure:
     Density m(y) = rate^shape / Gamma(shape) * y^{shape-1} exp(-rate y) with
     shape = 2 kappa theta / xi^2 and rate = 2 kappa / xi^2.
     """
-    if kappa <= 0:
-        raise DomainError(f"kappa: must be positive, got {kappa}")
-    if theta <= 0:
-        raise DomainError(f"theta: must be positive, got {theta}")
+    bound_violation("kappa", kappa, **POSITIVE)
+    bound_violation("theta", theta, **POSITIVE)
     if xi == 0:
         raise DomainError("xi: must be non-zero")
     from scipy.special import gammaln
@@ -149,12 +147,9 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
     of edge ratio at most 2.  The knot table, the spline, the normalizer and
     the one-term Laplace tail masses are computed once, for the bounds found.
     """
-    if not 0.5 <= q_g < 1:
-        raise DomainError(f"q_g: must lie in [1/2, 1), got {q_g}")
-    if kappa <= 0:
-        raise DomainError(f"kappa: must be positive, got {kappa}")
-    if theta <= 0:
-        raise DomainError(f"theta: must be positive, got {theta}")
+    bound_violation("q_g", q_g, lo=0.5, hi=1, hi_strict=True)
+    bound_violation("kappa", kappa, **POSITIVE)
+    bound_violation("theta", theta, **POSITIVE)
     if xi == 0:
         raise DomainError("xi: must be non-zero")
 

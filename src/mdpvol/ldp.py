@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
-from .errors import DomainError
+from .errors import OPEN_CORRELATION, POSITIVE, DomainError, bound_violation
 
 D_VARIANTS = ("as_printed", "standard")
 
@@ -57,14 +57,11 @@ class LdpHestonParams:
     d_variant: str = "as_printed"
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise DomainError(f"kappa: must be positive, got {self.kappa}")
-        if self.theta <= 0:
-            raise DomainError(f"theta: must be positive, got {self.theta}")
+        bound_violation("kappa", self.kappa, **POSITIVE)
+        bound_violation("theta", self.theta, **POSITIVE)
         if self.xi == 0:
             raise DomainError("xi: must be non-zero")
-        if not abs(self.rho) < 1:
-            raise DomainError(f"rho: must lie in (-1, 1), got {self.rho}")
+        bound_violation("rho", self.rho, **OPEN_CORRELATION)
         if self.d_variant not in D_VARIANTS:
             raise DomainError(f"d_variant: must be one of {D_VARIANTS}")
 
@@ -94,9 +91,7 @@ def _radicand(params: LdpHestonParams, u: float) -> float:
 
 def heston_lambda(params: LdpHestonParams, u: float) -> float:
     """Limiting cumulant generating function Lambda(u) on (u_minus, u_plus)."""
-    if not params.u_minus < u < params.u_plus:
-        raise DomainError(
-            f"u: must lie in ({params.u_minus:g}, {params.u_plus:g}), got {u}")
+    bound_violation("u", u, lo=params.u_minus, hi=params.u_plus, lo_strict=True, hi_strict=True)
     rad = _radicand(params, u)
     if rad < 0:
         raise DomainError(f"u: radicand of d(u) is negative ({rad:g}) at u={u}")
@@ -108,7 +103,7 @@ def heston_u_star(params: LdpHestonParams, x: float) -> float:
     """The stationary point u*(x) of u x - Lambda(u), in closed form."""
     kappa, theta, xi, rho = params.kappa, params.theta, params.xi, params.rho
     inner = x ** 2 * xi ** 2 + 2 * x * kappa * theta * rho * xi + kappa ** 2 * theta ** 2
-    if inner <= 0:
+    if not inner > 0:
         raise DomainError(
             f"x: inner square root argument {inner:g} must be positive at x={x}")
     return (xi - 2 * kappa * rho
@@ -139,14 +134,11 @@ class RealizedVarLdp:
     y0: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise DomainError(f"kappa: must be positive, got {self.kappa}")
-        if self.theta <= 0:
-            raise DomainError(f"theta: must be positive, got {self.theta}")
+        bound_violation("kappa", self.kappa, **POSITIVE)
+        bound_violation("theta", self.theta, **POSITIVE)
         if self.xi == 0:
             raise DomainError("xi: must be non-zero")
-        if self.y0 <= 0:
-            raise DomainError(f"y0: must be positive, got {self.y0}")
+        bound_violation("y0", self.y0, **POSITIVE)
 
     @property
     def u_max(self) -> float:
@@ -161,10 +153,8 @@ def rv_mgf(params: RealizedVarLdp, u: float, t: float) -> float:
     + kappa (1 - e^{-g t})) to stay finite for large t.
     """
     kappa, theta, xi, y0 = params.kappa, params.theta, params.xi, params.y0
-    if t <= 0:
-        raise DomainError(f"t: must be positive, got {t}")
-    if u >= params.u_max:
-        raise DomainError(f"u: must be below kappa^2/(2 xi^2) = {params.u_max:g}, got {u}")
+    bound_violation("t", t, **POSITIVE)
+    bound_violation("u", u, hi=params.u_max, hi_strict=True)
     g = math.sqrt(kappa ** 2 - 2 * xi ** 2 * u)
     e = math.exp(-g * t)
     den = g * (1 + e) + kappa * (1 - e)
@@ -177,16 +167,14 @@ def rv_mgf(params: RealizedVarLdp, u: float, t: float) -> float:
 
 def rv_lambda_inf(params: RealizedVarLdp, u: float) -> float:
     """Large-time limit Lambda_inf(u) = (kappa theta / xi^2)(kappa - sqrt(kappa^2 - 2 xi^2 u))."""
-    if u >= params.u_max:
-        raise DomainError(f"u: must be below kappa^2/(2 xi^2) = {params.u_max:g}, got {u}")
+    bound_violation("u", u, hi=params.u_max, hi_strict=True)
     g = math.sqrt(params.kappa ** 2 - 2 * params.xi ** 2 * u)
     return params.kappa * params.theta / params.xi ** 2 * (params.kappa - g)
 
 
 def rv_lambda_star(params: RealizedVarLdp, x: float) -> float:
     """Realised-variance rate function kappa^2 (x - theta)^2 / (2 xi^2 x), x > 0."""
-    if x <= 0:
-        raise DomainError(f"x: must be positive, got {x}")
+    bound_violation("x", x, **POSITIVE)
     return params.kappa ** 2 * (x - params.theta) ** 2 / (2 * params.xi ** 2 * x)
 
 

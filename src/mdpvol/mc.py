@@ -63,7 +63,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .asymptotics import smalltime_call_exponent
-from .errors import DomainError, SimulationOverflowError, bound_violation
+from .errors import (BETA_BOUNDS, OPEN_UNIT, POSITIVE, DomainError, SimulationOverflowError,
+                     bound_violation)
 from .families import family
 from .ldp import RealizedVarLdp, rv_mdp_exponent
 from .models import ModelSpec
@@ -74,10 +75,6 @@ STREAM_LAYOUT = "sfc64-seedseq-2^14-z+eps"
 # the uses of a chunk's streams: the factor normals Z, and the end draw of X
 _Z_STREAM, _END_STREAM = 0, 2
 _CI_Z = 1.959963984540054  # two-sided 95% normal quantile
-# bounds as errors.bound_violation reads them
-_POSITIVE = {"lo": 0, "lo_strict": True}
-_OPEN_UNIT = {"lo": 0, "hi": 1, "lo_strict": True, "hi_strict": True}
-BETA_BOUNDS = {"lo": 0, "hi": 0.5, "lo_strict": True, "hi_strict": True}
 
 
 @dataclass(frozen=True)
@@ -94,10 +91,9 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        for key, bounds in (("n_paths", {"lo": 1}), ("n_steps", {"lo": 1}),
-                            ("t_end", _POSITIVE)):
-            if (problem := bound_violation(getattr(self, key), **bounds)) is not None:
-                raise DomainError(f"{key}: {problem}, got {getattr(self, key)}")
+        bound_violation("n_paths", self.n_paths, lo=1)
+        bound_violation("n_steps", self.n_steps, lo=1)
+        bound_violation("t_end", self.t_end, **POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -323,10 +319,9 @@ class Target:
     def estimate(self, model: ModelSpec, t: float, level: float, beta: float,
                  config: SimConfig) -> TailEstimate | CallEstimate:
         """The estimate on one batch of ``config`` run to ``t``; DomainError out of bounds."""
-        bounds = {**self.bounds, "beta": BETA_BOUNDS}
-        for key, value in (("t", t), (self.level, level), ("beta", beta)):
-            if (problem := bound_violation(value, **bounds[key])) is not None:
-                raise DomainError(f"{key}: {problem}, got {value}")
+        bound_violation("t", t, **self.bounds["t"])
+        bound_violation(self.level, level, **self.bounds[self.level])
+        bound_violation("beta", beta, **BETA_BOUNDS)
         threshold, speed, target = self.levels(model, t, level, beta)
         batch = simulate(model, replace(config, t_end=t), fields=(self.path_field,))
         return self.statistic(getattr(batch, self.path_field), threshold, speed, target)
@@ -334,13 +329,13 @@ class Target:
 
 # P(X_t >= x0 + k sqrt(t) h(t)), h(t) = t^{-beta}: speed h(t)^2, target -k^2 / (2 sigma^2(y0))
 SMALLTIME_TAIL = Target("x_terminal", "k", {"t": 0.01, "k": 0.2},
-                        {"t": _OPEN_UNIT, "k": {"lo": 0}}, _smalltime_levels, _tail_from_batch)
+                        {"t": OPEN_UNIT, "k": {"lo": 0}}, _smalltime_levels, _tail_from_batch)
 # P(V_t >= x t^{beta + 1/2} + theta t): speed t^{2 beta}, target -kappa^2 x^2 / (2 xi^2 theta);
 # no default t, since the small-time horizons do not reach this large-time tail
-RV_TAIL = Target("integrated_variance", "x", {"x": 0.05}, {"t": _POSITIVE, "x": _POSITIVE},
+RV_TAIL = Target("integrated_variance", "x", {"x": 0.05}, {"t": POSITIVE, "x": POSITIVE},
                  _rv_levels, _tail_from_batch)
 # E(e^{X_t} - e^{x0 + k sqrt(t) h(t)})_+ at the tail's speed, with the call quote's exponent
-CALL = Target("x_terminal", "k", {"t": 0.01, "k": 0.2}, {"t": _OPEN_UNIT, "k": _POSITIVE},
+CALL = Target("x_terminal", "k", {"t": 0.01, "k": 0.2}, {"t": OPEN_UNIT, "k": POSITIVE},
               lambda model, t, k, beta: (*_smalltime_levels(model, t, k, beta)[:2],
                                          smalltime_call_exponent(model, k)),
               _call_from_batch)

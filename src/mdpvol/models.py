@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BETA_BOUNDS, CORRELATION, POSITIVE, DomainError, bound_violation
 
 @dataclass(frozen=True)
 class GrowthExponents:
@@ -132,11 +132,6 @@ class AssumptionReport:
         raise KeyError(assumption)
 
 
-def _require(condition: bool, name: str, message: str) -> None:
-    if not condition:
-        raise DomainError(f"{name}: {message}")
-
-
 def make_heston(kappa: float, theta: float, xi: float, rho: float,
                 x0: float, y0: float, *, moment_flag: bool = True) -> ModelSpec:
     """Heston model: sigma = sqrt(y), f = kappa (theta - y), g = xi sqrt(y).
@@ -144,11 +139,12 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
     Requires kappa > 0, theta > 0, xi != 0, |rho| <= 1 and y0 > 0.  The factor
     argument is clamped at zero inside all three coefficients.
     """
-    _require(kappa > 0, "kappa", f"must be positive, got {kappa}")
-    _require(theta > 0, "theta", f"must be positive, got {theta}")
-    _require(xi != 0, "xi", "must be non-zero")
-    _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
-    _require(y0 > 0, "y0", f"must be positive, got {y0}")
+    bound_violation("kappa", kappa, **POSITIVE)
+    bound_violation("theta", theta, **POSITIVE)
+    if xi == 0:
+        raise DomainError("xi: must be non-zero")
+    bound_violation("rho", rho, **CORRELATION)
+    bound_violation("y0", y0, **POSITIVE)
 
     def fused(y, out):
         root, drift, diffusion = out
@@ -170,8 +166,9 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
 def make_stein_stein(a: float, b: float, c: float, rho: float,
                      x0: float, y0: float, *, moment_flag: bool = True) -> ModelSpec:
     """Stein-Stein model: sigma = y, f = a + b y, g = c (constant)."""
-    _require(c != 0, "c", "must be non-zero")
-    _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
+    if c == 0:
+        raise DomainError("c: must be non-zero")
+    bound_violation("rho", rho, **CORRELATION)
 
     def fused(y, out):
         vol, drift, diffusion = out
@@ -197,11 +194,11 @@ def make_power_family(a: float, b: float, c_g: float, c_sigma: float,
     outside that region the tail-scaling reduction does not apply and
     construction is refused.
     """
-    _require(0 < nu_sigma <= 1, "nu_sigma", f"must lie in (0, 1], got {nu_sigma}")
-    _require(0 <= nu_g <= 1 - nu_sigma, "nu_g",
-             f"must lie in [0, 1 - nu_sigma] = [0, {1 - nu_sigma}], got {nu_g}")
-    _require(c_sigma != 0, "c_sigma", "must be non-zero")
-    _require(abs(rho) <= 1, "rho", f"must lie in [-1, 1], got {rho}")
+    bound_violation("nu_sigma", nu_sigma, lo=0, hi=1, lo_strict=True)
+    bound_violation("nu_g", nu_g, lo=0, hi=1 - nu_sigma)
+    if c_sigma == 0:
+        raise DomainError("c_sigma: must be non-zero")
+    bound_violation("rho", rho, **CORRELATION)
 
     fractional = (nu_sigma != int(nu_sigma)) or (nu_g != int(nu_g))
 
@@ -232,7 +229,8 @@ def make_constant_sigma(c_sigma: float, x0: float) -> ModelSpec:
     sigma^2 t, which makes this the closed-form oracle for the Monte Carlo
     engine.  The factor feeds no coefficient, so its start is no parameter.
     """
-    _require(c_sigma != 0, "c_sigma", "must be non-zero")
+    if c_sigma == 0:
+        raise DomainError("c_sigma: must be non-zero")
 
     def fused(y, out):
         out[0].fill(c_sigma)
@@ -319,8 +317,6 @@ def mdp_growth_condition(q_g: float, q_h: float, beta: float) -> bool:
     the power form eps^{-beta}, beta in (0, 1/2), because every concrete regime
     of interest uses it and a general h adds nothing testable.
     """
-    if not 0 <= q_g < 1:
-        raise DomainError(f"q_g: must lie in [0, 1), got {q_g}")
-    if not 0 < beta < 0.5:
-        raise DomainError(f"beta: must lie in (0, 1/2), got {beta}")
+    bound_violation("q_g", q_g, lo=0, hi=1, hi_strict=True)
+    bound_violation("beta", beta, **BETA_BOUNDS)
     return 0.5 - beta * (q_g + q_h - 1) / (1 - q_g) > 0

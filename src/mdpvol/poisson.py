@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, GrowthError
+from .errors import POSITIVE, DomainError, GrowthError, bound_violation
 from .invariant import InvariantMeasure, TabulatedRule
 
 _GRID_POINTS = 2048
@@ -81,10 +81,8 @@ def solve_phi_cir(kappa: float, theta: float, drift_coeff: float = -0.5) -> Pois
     large-time constants); the share-measure dynamics use +1/2, flipping the
     sign of u'.
     """
-    if kappa <= 0:
-        raise DomainError(f"kappa: must be positive, got {kappa}")
-    if theta <= 0:
-        raise DomainError(f"theta: must be positive, got {theta}")
+    bound_violation("kappa", kappa, **POSITIVE)
+    bound_violation("theta", theta, **POSITIVE)
     grid = np.geomspace(max(1e-10, 1e-6 * theta), 60 * theta, _GRID_POINTS)
     return PoissonSolution(
         grid=grid, u_values=drift_coeff * (grid - theta) / kappa,

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError
+from .errors import OPEN_CORRELATION, POSITIVE, DomainError, SingularSystemError, bound_violation
 from .invariant import InvariantMeasure, TabulatedRule, integrate
 from .families import family
 from .models import ModelSpec
@@ -92,8 +92,7 @@ def small_time_rate_2d(sigma0: float, g0: float, rho: float,
         raise DomainError("sigma0: must be non-zero")
     if g0 == 0:
         raise DomainError("g0: must be non-zero")
-    if not abs(rho) < 1:
-        raise DomainError(f"rho: must lie in (-1, 1), got {rho}")
+    bound_violation("rho", rho, **OPEN_CORRELATION)
     require_same_grid(phi, psi)
     if not (phi.starts_at_zero() and psi.starts_at_zero()):
         return INFINITE_RATE
@@ -162,8 +161,7 @@ def qbar_integrated(model: ModelSpec, measure: InvariantMeasure,
     flag raised when Qbar falls below 1e-14 (the quadratic rate is then
     meaningless for this H).
     """
-    if gamma <= 0:
-        raise DomainError(f"gamma: must be positive, got {gamma}")
+    bound_violation("gamma", gamma, **POSITIVE)
 
     def integrand(y):
         return (poisson_u.u_prime(y) * model.coefficients(y)[2]) ** 2
@@ -196,12 +194,9 @@ def minimize_endpoint(q: float, alpha: float, x_target: float,
     coefficients the minimum is (x_target - alpha T)^2 / (2 q T) and the path
     is the straight line, which the discretization reproduces exactly.
     """
-    if q <= 0:
-        raise DomainError(f"q: must be positive, got {q}")
-    if n_steps < 2:
-        raise DomainError(f"n_steps: must be >= 2, got {n_steps}")
-    if horizon <= 0:
-        raise DomainError(f"horizon: must be positive, got {horizon}")
+    bound_violation("q", q, **POSITIVE)
+    bound_violation("n_steps", n_steps, lo=2)
+    bound_violation("horizon", horizon, **POSITIVE)
     n_int = n_steps - 1
     lower = -np.ones(n_int - 1)
     diag = 2.0 * np.ones(n_int)
@@ -229,8 +224,7 @@ def contract_two_to_one(sigma0: float, g0: float, rho: float,
         raise DomainError("sigma0: must be non-zero")
     if g0 == 0:
         raise DomainError("g0: must be non-zero")
-    if not abs(rho) < 1:
-        raise DomainError(f"rho: must lie in (-1, 1), got {rho}")
+    bound_violation("rho", rho, **OPEN_CORRELATION)
     slope = rho * g0 / sigma0
     values = phi.values
     n = phi.n_steps
@@ -254,6 +248,5 @@ def share_large_time_params(model: ModelSpec, zeta: float = 0.0) -> LargeTimePar
 
 def endpoint_rate(q: float, x: float, alpha: float = 0.0) -> float:
     """Closed-form endpoint contraction (x - alpha T)^2 / (2 q T) at horizon T = 1."""
-    if q <= 0:
-        raise DomainError(f"q: must be positive, got {q}")
+    bound_violation("q", q, **POSITIVE)
     return (x - alpha) ** 2 / (2 * q)

@@ -12,7 +12,8 @@ in the package, every public class member (protocol dunders such as
 constructor, and one whose name an array, dict, list or str has too names
 the functions that read it, every defaulted parameter of a module-level function is passed
 by some call, and every parameter of every function is read by its body,
-each or else has a stated reason to stay.
+each or else has a stated reason to stay.  No module writes a range check
+by hand: each goes through ``errors.bound_violation``.
 """
 
 import ast
@@ -142,6 +143,21 @@ def _referenced(node: ast.AST) -> set[str]:
     """Names read under ``node``, bare or as an attribute (``asy.quote_catalog``)."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+# the hand-written range checks that errors.bound_violation replaced
+_HAND_CHECKS = ("_require(", "must be positive, got", "must lie in")
+
+
+def test_every_range_check_goes_through_bound_violation():
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+                found += [f"{name}:{number} {line.strip()}"
+                          for number, line in enumerate(handle, start=1)
+                          if any(check in line for check in _HAND_CHECKS)]
+    assert found == []
 
 
 def test_no_module_imports_an_unused_name():

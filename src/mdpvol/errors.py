@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check of a number's bounds."""
+"""Exception types shared across the package, and the one range and non-zero checks."""
 
 
 class DomainError(ValueError):
@@ -46,6 +46,7 @@ OPEN_UNIT = {"lo": 0, "hi": 1, "lo_strict": True, "hi_strict": True}
 BETA_BOUNDS = {"lo": 0, "hi": 0.5, "lo_strict": True, "hi_strict": True}  # h(eps) = eps^-beta
 CORRELATION = {"lo": -1, "hi": 1}
 OPEN_CORRELATION = {"lo": -1, "hi": 1, "lo_strict": True, "hi_strict": True}
+FINITE = {"lo": -float("inf"), "hi": float("inf"), "lo_strict": True, "hi_strict": True}
 
 
 def bound_violation(name, value, lo=None, hi=None, lo_strict=False, hi_strict=False) -> None:
@@ -58,3 +59,16 @@ def bound_violation(name, value, lo=None, hi=None, lo_strict=False, hi_strict=Fa
     else:
         return
     raise DomainError(f"{name}: {problem}, got {value}")
+
+
+def nonzero_violation(name, value) -> None:
+    """Raise DomainError("name: must be non-zero, got value") for 0 and NaN."""
+    if not abs(value) > 0:
+        raise DomainError(f"{name}: must be non-zero, got {value}")
+
+
+def square_root_factor_violation(kappa, theta, xi) -> None:
+    """The square-root factor's kappa > 0, theta > 0 and xi != 0, in that order."""
+    bound_violation("kappa", kappa, **POSITIVE)
+    bound_violation("theta", theta, **POSITIVE)
+    nonzero_violation("xi", xi)

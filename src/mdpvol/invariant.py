@@ -35,7 +35,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import POSITIVE, DomainError, GrowthError, QuadratureError, bound_violation
+from .errors import GrowthError, QuadratureError, bound_violation, square_root_factor_violation
 from .quadrature import (_leggauss, geometric_edges, integrate_logweight,
                          segment_cumulative, segment_nodes)
 
@@ -100,10 +100,7 @@ def gamma_invariant(kappa: float, theta: float, xi: float) -> InvariantMeasure:
     Density m(y) = rate^shape / Gamma(shape) * y^{shape-1} exp(-rate y) with
     shape = 2 kappa theta / xi^2 and rate = 2 kappa / xi^2.
     """
-    bound_violation("kappa", kappa, **POSITIVE)
-    bound_violation("theta", theta, **POSITIVE)
-    if xi == 0:
-        raise DomainError("xi: must be non-zero")
+    square_root_factor_violation(kappa, theta, xi)
     from scipy.special import gammaln
 
     shape = 2 * kappa * theta / xi ** 2
@@ -148,10 +145,7 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
     the one-term Laplace tail masses are computed once, for the bounds found.
     """
     bound_violation("q_g", q_g, lo=0.5, hi=1, hi_strict=True)
-    bound_violation("kappa", kappa, **POSITIVE)
-    bound_violation("theta", theta, **POSITIVE)
-    if xi == 0:
-        raise DomainError("xi: must be non-zero")
+    square_root_factor_violation(kappa, theta, xi)
 
     def exponent_integrand(z):
         return 2 * kappa * (theta - z) / (xi ** 2 * z ** (2 * q_g))

@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
-from .errors import OPEN_CORRELATION, POSITIVE, DomainError, bound_violation
+from .errors import (OPEN_CORRELATION, POSITIVE, DomainError, bound_violation,
+                     square_root_factor_violation)
 
 D_VARIANTS = ("as_printed", "standard")
 
@@ -57,10 +58,7 @@ class LdpHestonParams:
     d_variant: str = "as_printed"
 
     def __post_init__(self):
-        bound_violation("kappa", self.kappa, **POSITIVE)
-        bound_violation("theta", self.theta, **POSITIVE)
-        if self.xi == 0:
-            raise DomainError("xi: must be non-zero")
+        square_root_factor_violation(self.kappa, self.theta, self.xi)
         bound_violation("rho", self.rho, **OPEN_CORRELATION)
         if self.d_variant not in D_VARIANTS:
             raise DomainError(f"d_variant: must be one of {D_VARIANTS}")
@@ -134,10 +132,7 @@ class RealizedVarLdp:
     y0: float
 
     def __post_init__(self):
-        bound_violation("kappa", self.kappa, **POSITIVE)
-        bound_violation("theta", self.theta, **POSITIVE)
-        if self.xi == 0:
-            raise DomainError("xi: must be non-zero")
+        square_root_factor_violation(self.kappa, self.theta, self.xi)
         bound_violation("y0", self.y0, **POSITIVE)
 
     @property

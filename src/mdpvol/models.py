@@ -36,7 +36,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import BETA_BOUNDS, CORRELATION, POSITIVE, DomainError, bound_violation
+from .errors import (BETA_BOUNDS, CORRELATION, FINITE, POSITIVE, bound_violation,
+                     nonzero_violation, square_root_factor_violation)
 
 @dataclass(frozen=True)
 class GrowthExponents:
@@ -68,7 +69,8 @@ class ModelSpec:
     rho : float
         Correlation between the price and factor Brownian motions.
     x0, y0 : float
-        Initial log-price and factor level.
+        Initial log-price and factor level; like every ``params`` value, they
+        must be finite.
     kind : str
         The family name; ``families.family`` dispatches on it.
     growth : GrowthExponents
@@ -97,6 +99,10 @@ class ModelSpec:
     clamp_y: bool = False
     finite_exp_moments: bool = True
 
+    def __post_init__(self):
+        for name, value in {"x0": self.x0, "y0": self.y0, **self.params}.items():
+            bound_violation(name, value, **FINITE)
+
     def coefficients(self, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sigma, f, g) at the factor values y, as three new arrays."""
         y = np.asarray(y, dtype=float)
@@ -105,10 +111,9 @@ class ModelSpec:
         return out
 
     def spot_sigma(self) -> float:
-        """Volatility level sigma(y0); raises DomainError when it is zero."""
+        """Volatility level sigma(y0); raises DomainError when it is zero or NaN."""
         sigma0 = float(self.coefficients(self.y0)[0])
-        if sigma0 == 0:
-            raise DomainError("sigma(y0): must be non-zero")
+        nonzero_violation("sigma(y0)", sigma0)
         return sigma0
 
 
@@ -139,10 +144,7 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
     Requires kappa > 0, theta > 0, xi != 0, |rho| <= 1 and y0 > 0.  The factor
     argument is clamped at zero inside all three coefficients.
     """
-    bound_violation("kappa", kappa, **POSITIVE)
-    bound_violation("theta", theta, **POSITIVE)
-    if xi == 0:
-        raise DomainError("xi: must be non-zero")
+    square_root_factor_violation(kappa, theta, xi)
     bound_violation("rho", rho, **CORRELATION)
     bound_violation("y0", y0, **POSITIVE)
 
@@ -166,8 +168,7 @@ def make_heston(kappa: float, theta: float, xi: float, rho: float,
 def make_stein_stein(a: float, b: float, c: float, rho: float,
                      x0: float, y0: float, *, moment_flag: bool = True) -> ModelSpec:
     """Stein-Stein model: sigma = y, f = a + b y, g = c (constant)."""
-    if c == 0:
-        raise DomainError("c: must be non-zero")
+    nonzero_violation("c", c)
     bound_violation("rho", rho, **CORRELATION)
 
     def fused(y, out):
@@ -196,8 +197,7 @@ def make_power_family(a: float, b: float, c_g: float, c_sigma: float,
     """
     bound_violation("nu_sigma", nu_sigma, lo=0, hi=1, lo_strict=True)
     bound_violation("nu_g", nu_g, lo=0, hi=1 - nu_sigma)
-    if c_sigma == 0:
-        raise DomainError("c_sigma: must be non-zero")
+    nonzero_violation("c_sigma", c_sigma)
     bound_violation("rho", rho, **CORRELATION)
 
     fractional = (nu_sigma != int(nu_sigma)) or (nu_g != int(nu_g))
@@ -229,8 +229,7 @@ def make_constant_sigma(c_sigma: float, x0: float) -> ModelSpec:
     sigma^2 t, which makes this the closed-form oracle for the Monte Carlo
     engine.  The factor feeds no coefficient, so its start is no parameter.
     """
-    if c_sigma == 0:
-        raise DomainError("c_sigma: must be non-zero")
+    nonzero_violation("c_sigma", c_sigma)
 
     def fused(y, out):
         out[0].fill(c_sigma)

@@ -40,7 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OPEN_CORRELATION, POSITIVE, DomainError, SingularSystemError, bound_violation
+from .errors import (OPEN_CORRELATION, POSITIVE, SingularSystemError, bound_violation,
+                     nonzero_violation)
 from .invariant import InvariantMeasure, TabulatedRule, integrate
 from .families import family
 from .models import ModelSpec
@@ -85,14 +86,17 @@ def _forward_diff(path: DiscretePath) -> np.ndarray:
     return np.diff(path.values, axis=0) / path.dt
 
 
+def _check_small_time(sigma0: float, g0: float, rho: float) -> None:
+    """sigma0 != 0, g0 != 0 and |rho| < 1 of the two-component action, in that order."""
+    nonzero_violation("sigma0", sigma0)
+    nonzero_violation("g0", g0)
+    bound_violation("rho", rho, **OPEN_CORRELATION)
+
+
 def small_time_rate_2d(sigma0: float, g0: float, rho: float,
                        phi: DiscretePath, psi: DiscretePath) -> float:
     """Two-component small-time action of (phi, psi); inf unless both start at 0."""
-    if sigma0 == 0:
-        raise DomainError("sigma0: must be non-zero")
-    if g0 == 0:
-        raise DomainError("g0: must be non-zero")
-    bound_violation("rho", rho, **OPEN_CORRELATION)
+    _check_small_time(sigma0, g0, rho)
     require_same_grid(phi, psi)
     if not (phi.starts_at_zero() and psi.starts_at_zero()):
         return INFINITE_RATE
@@ -109,8 +113,7 @@ def small_time_rate_1d(sigma0: float, phi: DiscretePath) -> float:
 
     sigma0 is the spot volatility level, ``model.spot_sigma()``.
     """
-    if sigma0 == 0:
-        raise DomainError("sigma0: must be non-zero")
+    nonzero_violation("sigma0", sigma0)
     if not phi.starts_at_zero():
         return INFINITE_RATE
     dphi = _forward_diff(phi)
@@ -180,7 +183,9 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     ab[2, :-1] = lower
     try:
         return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by q > 0
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - both callers solve a
+        # nonsingular Laplacian: with two Dirichlet ends in minimize_endpoint, and
+        # with one natural end in contract_two_to_one
         raise SingularSystemError(str(exc)) from exc
 
 
@@ -220,11 +225,7 @@ def contract_two_to_one(sigma0: float, g0: float, rho: float,
     condition is psi' = rho (g0 / sigma0) phi' on every interval, so the
     minimum coincides with the one-component rate of phi.
     """
-    if sigma0 == 0:
-        raise DomainError("sigma0: must be non-zero")
-    if g0 == 0:
-        raise DomainError("g0: must be non-zero")
-    bound_violation("rho", rho, **OPEN_CORRELATION)
+    _check_small_time(sigma0, g0, rho)
     slope = rho * g0 / sigma0
     values = phi.values
     n = phi.n_steps

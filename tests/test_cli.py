@@ -431,7 +431,8 @@ class TestCliRuns:
         cfg.write_text(json.dumps({"model": {"kind": "stein_stein", "y0": 0.0},
                                    "params": {"target": target}}))
         assert main(["mc", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "validation error: sigma(y0): must be non-zero\n"
+        assert capsys.readouterr().err == ("validation error: "
+                                           "sigma(y0): must be non-zero, got 0.0\n")
         assert not (tmp_path / "mc.csv").exists()
 
     @pytest.mark.parametrize("sub, out, doc, message", [

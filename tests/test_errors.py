@@ -1,22 +1,26 @@
-"""The one range check: ``errors.bound_violation`` and the arguments it guards.
+"""The one range check and the one non-zero check: ``errors.bound_violation``,
+``errors.nonzero_violation`` and the arguments they guard.
 
-Every bounded argument of a public function refuses NaN with a DomainError
-whose message starts with the argument's name, in the form ``config`` prints.
+Every bounded or non-zero argument of a public function refuses NaN with a
+DomainError whose message starts with the argument's name, in the form
+``config`` prints; a non-zero argument refuses 0 too, and a model's unbounded
+arguments refuse NaN and +-inf.
 """
 
 import math
 
 import pytest
 
-from mdpvol import (DomainError, LargeTimeParams, LdpHestonParams, RealizedVarLdp,
-                    SimConfig, contract_two_to_one, endpoint_rate, estimate_rv_tail,
-                    estimate_smalltime_tail, gamma_invariant, heston_lambda, heston_u_star,
-                    largetime_put_quote, make_heston, make_power_family, make_stein_stein,
+from mdpvol import (DomainError, GrowthExponents, LargeTimeParams, LdpHestonParams,
+                    ModelSpec, RealizedVarLdp, SimConfig, contract_two_to_one,
+                    endpoint_rate, estimate_rv_tail, estimate_smalltime_tail,
+                    gamma_invariant, heston_lambda, heston_u_star, largetime_put_quote,
+                    make_constant_sigma, make_heston, make_power_family, make_stein_stein,
                     mdp_growth_condition, minimize_endpoint, qbar_integrated, rv_lambda_inf,
-                    rv_lambda_star, rv_mgf, rv_option_quotes, small_time_rate_2d,
-                    smalltime_call_exponent, solve_phi_cir, speed_measure,
-                    tail_probability_exponent)
-from mdpvol.errors import BETA_BOUNDS, POSITIVE, bound_violation
+                    rv_lambda_star, rv_mgf, rv_option_quotes, small_time_rate_1d,
+                    small_time_rate_2d, smalltime_call_exponent, solve_phi_cir,
+                    speed_measure, tail_probability_exponent)
+from mdpvol.errors import BETA_BOUNDS, POSITIVE, bound_violation, nonzero_violation
 
 HESTON = make_heston(2.0, 0.1, 0.5, -0.5, 0.0, 0.1)
 LDP = LdpHestonParams(2.0, 0.1, 0.5, -0.5)
@@ -78,13 +82,74 @@ BOUNDED = {
 }
 
 
+def _assert_refused(call, kwargs, name, value):
+    with pytest.raises(DomainError) as caught:
+        call(**{**kwargs, name: value})
+    assert str(caught.value).startswith(f"{name}: ")
+
+
 @pytest.mark.parametrize("function, name", [
     (function, name) for function, (_, _, names) in BOUNDED.items() for name in names])
 def test_nan_is_refused_naming_the_argument(function, name):
     call, kwargs, _ = BOUNDED[function]
-    with pytest.raises(DomainError) as caught:
-        call(**{**kwargs, name: math.nan})
-    assert str(caught.value).startswith(f"{name}: ")
+    _assert_refused(call, kwargs, name, math.nan)
+
+
+def _spot_sigma(**level):
+    """``spot_sigma()`` of a model whose volatility is the constant level["sigma(y0)"]."""
+    def fused(y, out):
+        out[0].fill(level["sigma(y0)"])
+        out[1].fill(0.0)
+        out[2].fill(0.0)
+
+    return ModelSpec(coeffs_fused=fused, rho=0.0, x0=0.0, y0=0.1, kind="custom",
+                     growth=GrowthExponents()).spot_sigma()
+
+
+# each public function with a non-zero argument: valid keyword arguments, and
+# the names of its non-zero arguments
+NONZERO = {
+    "make_heston": (make_heston, BOUNDED["make_heston"][1], ("xi",)),
+    "gamma_invariant": (gamma_invariant, BOUNDED["gamma_invariant"][1], ("xi",)),
+    "speed_measure": (speed_measure, BOUNDED["speed_measure"][1], ("xi",)),
+    "LdpHestonParams": (LdpHestonParams, BOUNDED["LdpHestonParams"][1], ("xi",)),
+    "RealizedVarLdp": (RealizedVarLdp, BOUNDED["RealizedVarLdp"][1], ("xi",)),
+    "make_stein_stein": (make_stein_stein, BOUNDED["make_stein_stein"][1], ("c",)),
+    "make_power_family": (make_power_family, BOUNDED["make_power_family"][1], ("c_sigma",)),
+    "make_constant_sigma": (make_constant_sigma, dict(c_sigma=0.2, x0=0.0), ("c_sigma",)),
+    "small_time_rate_2d": (small_time_rate_2d, BOUNDED["small_time_rate_2d"][1],
+                           ("sigma0", "g0")),
+    "small_time_rate_1d": (small_time_rate_1d, dict(sigma0=0.3, phi=None), ("sigma0",)),
+    "contract_two_to_one": (contract_two_to_one, BOUNDED["contract_two_to_one"][1],
+                            ("sigma0", "g0")),
+    "ModelSpec.spot_sigma": (_spot_sigma, {}, ("sigma(y0)",)),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan])
+@pytest.mark.parametrize("function, name", [
+    (function, name) for function, (_, _, names) in NONZERO.items() for name in names])
+def test_zero_and_nan_are_refused_naming_the_argument(function, name, value):
+    call, kwargs, _ = NONZERO[function]
+    _assert_refused(call, kwargs, name, value)
+
+
+# each preset's arguments without a bound of their own, which ModelSpec
+# refuses unless finite
+UNBOUNDED = {
+    "make_heston": ("x0",),
+    "make_stein_stein": ("a", "b", "x0", "y0"),
+    "make_power_family": ("a", "b", "c_g", "x0", "y0"),
+    "make_constant_sigma": ("x0",),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("preset, name", [
+    (preset, name) for preset, names in UNBOUNDED.items() for name in names])
+def test_a_model_refuses_non_finite_arguments(preset, name, value):
+    call, kwargs, _ = NONZERO[preset]
+    _assert_refused(call, kwargs, name, value)
 
 
 @pytest.mark.parametrize("value, bounds, message", [
@@ -101,3 +166,18 @@ def test_the_message_names_the_first_broken_bound(value, bounds, message):
 
 def test_a_value_inside_its_bounds_passes():
     assert bound_violation("y0", 0.1, lo=0, hi=0.1, lo_strict=True) is None
+
+
+@pytest.mark.parametrize("value, message", [
+    (0, "xi: must be non-zero, got 0"),
+    (-0.0, "xi: must be non-zero, got -0.0"),
+    (math.nan, "xi: must be non-zero, got nan"),
+])
+def test_the_nonzero_message(value, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        nonzero_violation("xi", value)
+
+
+@pytest.mark.parametrize("value", [-1e-300, 0.5, math.inf])
+def test_a_nonzero_value_passes(value):
+    assert nonzero_violation("xi", value) is None

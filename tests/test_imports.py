@@ -145,8 +145,9 @@ def _referenced(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-# the hand-written range checks that errors.bound_violation replaced
-_HAND_CHECKS = ("_require(", "must be positive, got", "must lie in")
+# the hand-written range and non-zero checks that errors.bound_violation and
+# errors.nonzero_violation replaced
+_HAND_CHECKS = ("_require(", "must be positive, got", "must lie in", 'must be non-zero")')
 
 
 def test_every_range_check_goes_through_bound_violation():

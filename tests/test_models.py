@@ -153,7 +153,7 @@ _SMALL_RUN = SimConfig(n_paths=100, n_steps=2, t_end=0.01, seed=1)
 def test_zero_spot_volatility_refused(read_spot):
     # Stein-Stein has sigma = y, so y0 = 0 puts the spot volatility at 0
     model = make_stein_stein(0.0, -1.0, 0.3, -0.5, 0.0, 0.0)
-    with pytest.raises(DomainError, match=r"^sigma\(y0\): must be non-zero$"):
+    with pytest.raises(DomainError, match=r"^sigma\(y0\): must be non-zero, got 0.0$"):
         read_spot(model)
 
 

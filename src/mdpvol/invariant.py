@@ -6,11 +6,13 @@ For the mean-reverting square-root factor dY = kappa (theta - Y) dt
 the wider power-diffusion family g(y) = xi y^{q_g}, q_g in [1/2, 1), the
 invariant density is proportional to the speed measure
 
-    m(y) ~ (xi^2 y^{2 q_g})^{-1} exp( int_1^y 2 kappa (theta - z) / (xi^2 z^{2 q_g}) dz ),
+    m(y) ~ y^{-2 q_g} exp( int^y 2 kappa (theta - z) / (xi^2 z^{2 q_g}) dz ),
 
-whose inner exponent is evaluated numerically with the anchor point at 1 and
-which is then normalized by quadrature.  The numeric construction at
-q_g = 1/2 reproduces the closed-form Gamma density and serves as its oracle.
+whose log is tabulated numerically on a log-spaced knot grid, shifted so that
+its largest value is 0 (the lower end of the inner integral is therefore
+immaterial), splined in log y and then normalized by quadrature.  The numeric
+construction at q_g = 1/2 reproduces the closed-form Gamma density and serves
+as its oracle.
 
 Quadrature uses composite Gauss-Legendre on geometrically spaced panels over
 a truncated domain [y_lo, y_hi]; the truncation bounds are placed so that the
@@ -36,8 +38,8 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import GrowthError, QuadratureError, bound_violation, square_root_factor_violation
-from .quadrature import (_leggauss, geometric_edges, integrate_logweight,
-                         segment_cumulative, segment_nodes)
+from .quadrature import (geometric_edges, integrate_logweight, segment_cumulative,
+                         segment_nodes)
 
 # Smallest usable left truncation point: keeps (shape-1) * log(y_lo) inside
 # the exponent range of float64 for every shape in (0, 1).
@@ -127,12 +129,15 @@ def gamma_invariant(kappa: float, theta: float, xi: float) -> InvariantMeasure:
 def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> InvariantMeasure:
     """Invariant measure of dY = kappa (theta - Y) dt + xi Y^{q_g} dZ by speed measure.
 
-    The unnormalized density is (xi^2 y^{2 q_g})^{-1} exp(I(y)) with inner
-    exponent I(y) = int_1^y 2 kappa (theta - z) / (xi^2 z^{2 q_g}) dz evaluated
-    by cumulative Gauss-Legendre segments on 4096 log-spaced knots anchored at
-    1 and splined in log y; the normalizing constant comes from the adaptive
-    panel rule.  At q_g = 1/2 the result agrees with ``gamma_invariant`` and
-    is its numeric oracle, and takes its truncation from the Gamma quantiles.
+    The log density is log m(y) = I(y) - 2 q_g log y + const, with inner
+    exponent I(y) = int_{y_lo}^y 2 kappa (theta - z) / (xi^2 z^{2 q_g}) dz.  It
+    is tabulated by cumulative Gauss-Legendre segments on 4096 log-spaced
+    knots over [y_lo, y_hi], shifted so that its largest knot value is 0,
+    which keeps ``exp`` of it in range, and splined in log y; the
+    normalizing constant, which absorbs every additive constant, comes from
+    the adaptive panel rule.  At q_g = 1/2 the result agrees with
+    ``gamma_invariant`` and is its numeric oracle, and takes its truncation
+    from the Gamma quantiles.
 
     For q_g > 1/2 the truncation comes from two outward walks from theta over
     d(y) = log m(y) - log m(theta) = -2 q_g log(y / theta) + int_theta^y of the
@@ -142,7 +147,9 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
     order-16 panel over the stretch it covers to the running integral, and
     the first right stretch, theta to max(2 theta, 1), is split into panels
     of edge ratio at most 2.  The knot table, the spline, the normalizer and
-    the one-term Laplace tail masses are computed once, for the bounds found.
+    the one-term Laplace tail masses m(y) / |d log m / dy| are computed once,
+    for the bounds found, with the analytic slope
+    d log m / dy = 2 kappa (theta - y) / (xi^2 y^{2 q_g}) - 2 q_g / y.
     """
     bound_violation("q_g", q_g, lo=0.5, hi=1, hi_strict=True)
     square_root_factor_violation(kappa, theta, xi)
@@ -150,8 +157,7 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
     def exponent_integrand(z):
         return 2 * kappa * (theta - z) / (xi ** 2 * z ** (2 * q_g))
 
-    gamma_like = q_g == 0.5
-    if gamma_like:
+    if q_g == 0.5:
         y_lo, y_hi, mass_below, mass_above = _gamma_truncation(
             2 * kappa * theta / xi ** 2, 2 * kappa / xi ** 2, theta)
     else:
@@ -159,12 +165,9 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
         # unnormalized density falls 36 below its value at theta (relative
         # density about 2e-16, leaving untruncated mass far below 1e-13 while
         # keeping the density representable for ratio-based consumers).
-        nodes, weights = _leggauss(16)
-
-        def panel(a, b):
-            # int_a^b of the exponent integrand, one order-16 panel
-            half = 0.5 * (b - a)
-            return half * float(exponent_integrand(0.5 * (a + b) + half * nodes) @ weights)
+        def exponent_integral(*points):
+            # int of the exponent integrand from the first point to the last
+            return float(segment_cumulative(exponent_integrand, np.array(points))[-1])
 
         def decay(y, integral):
             # log m(y) - log m(theta), given integral = int_theta^y
@@ -172,38 +175,26 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
 
         y_lo, below = theta, 0.0
         while decay(y_lo, below) > -36 and y_lo > _Y_FLOOR * 10:
-            below += panel(y_lo, y_lo / 2.0)
+            below += exponent_integral(y_lo, y_lo / 2.0)
             y_lo /= 2.0
         y_hi = max(2 * theta, 1.0)
         # the first stretch, theta to y_hi, in panels of edge ratio at most 2
-        stretch = np.geomspace(theta, y_hi, math.ceil(math.log2(y_hi / theta)) + 1)
-        above = sum(map(panel, stretch[:-1], stretch[1:]))
+        above = exponent_integral(
+            *np.geomspace(theta, y_hi, math.ceil(math.log2(y_hi / theta)) + 1))
         while decay(y_hi, above) > -36 and y_hi < 1e12:
-            above += panel(y_hi, 1.5 * y_hi)
+            above += exponent_integral(y_hi, 1.5 * y_hi)
             y_hi *= 1.5
         mass_below = mass_above = None  # one-term Laplace estimates, set below
 
-    # Exponent on a log-spaced knot grid (anchor 1 inserted), spline in log y.
+    # log m on a log-spaced knot grid, largest value 0, splined in log y
     knots = np.geomspace(y_lo, y_hi, 4096)
-    if not (knots[0] <= 1.0 <= knots[-1]):
-        knots = np.sort(np.unique(np.concatenate([knots, [1.0]])))
-    cum = segment_cumulative(exponent_integrand, knots)
-    anchor = int(np.searchsorted(knots, 1.0))
-    if abs(knots[anchor] - 1.0) > 1e-9:
-        # anchor not on the grid: shift by the integral from 1 to the nearest knot
-        shift = segment_cumulative(exponent_integrand, np.array([1.0, knots[anchor]]))[-1]
-    else:
-        shift = 0.0
-    exponent = cum - cum[anchor] + shift
+    log_m = segment_cumulative(exponent_integrand, knots) - 2 * q_g * np.log(knots)
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(np.log(knots), exponent)
-
-    log_scale = -math.log(xi ** 2)
+    spline = CubicSpline(np.log(knots), log_m - np.max(log_m))
 
     def log_unnormalized(y):
-        log_y = np.log(np.asarray(y, dtype=float))
-        return log_scale - 2 * q_g * log_y + spline(log_y)
+        return spline(np.log(np.asarray(y, dtype=float)))
 
     edges = geometric_edges(y_lo, y_hi)
     norm, _ = integrate_logweight(lambda y: np.ones_like(y), log_unnormalized, edges)
@@ -218,11 +209,8 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
         # one-term Laplace estimate m(y) / |d log m / dy| of the mass beyond
         # each truncation point, where the density decays superexponentially
         def tail_mass(point: float) -> float:
-            h = 1e-6 * point
-            slope = float(log_density(np.asarray([point + h]))[0]
-                          - log_density(np.asarray([point - h]))[0]) / (2 * h)
-            dens = math.exp(float(log_density(np.asarray([point]))[0]))
-            return dens / max(abs(slope), 1e-300)
+            slope = exponent_integrand(point) - 2 * q_g / point
+            return math.exp(float(log_density(point))) / max(abs(slope), 1e-300)
 
         mass_below = tail_mass(y_lo)
         mass_above = tail_mass(y_hi)

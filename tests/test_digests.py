@@ -42,11 +42,11 @@ DIGESTS = {
         "0-invariant.csv":
             "af5d6ecb3b31bc61da236e1cd8d8b0b22f9a585a70877e1517791fdf1b37910c",
         "1-invariant.csv":
-            "d9a64c3e281563068f370c801aa3842a48f949d3f98509a1ad974b44546afb2d",
+            "c041855a3ceb0c0dd274b91cfd1965de1e2a9f487e66fd885c7525d976b3874c",
         "2-poisson.csv":
             "49ca5ea13f597878f02c0414c6760a4a7904e5d1df80a3bfd9f257b88368d0f1",
         "3-poisson.csv":
-            "0a6fcb6cad393aebe62e679c4c501ac9ceceefee3ab779e05d124fb3cb604af2",
+            "eb317258cb15a80ab6fdbf0af6c3f2e7f5b51c46244c3232f27f3485489f305e",
         "4-rate.csv":
             "c99fef0e44abf632d8a78333819f43296092fe08adeada22a516a0ff54e1d850",
         "5-ldp.csv":
@@ -62,11 +62,11 @@ DIGESTS = {
         "0-invariant.csv":
             "348728c75ebc341e0b36d034032769ede15b0e4e85dde6f40c89e2b680a92271",
         "1-invariant.csv":
-            "32aaa1fc428ba0ed7fc330821943f9a3027dc2264b9e6c47d3ea0c13c6e806c7",
+            "10aa21666cfae646811820d9c02ae70db148219c1e8d70004add147ec654d410",
         "2-poisson.csv":
             "e20c470294f9905b7c51c2b382125342c65181d0138ed1e6cdafe80011f82114",
         "3-poisson.csv":
-            "b1e0704ff87e032160c8662cd028b96eb81ba280b48030b0629e4ecbd2709837",
+            "499e7b3df0b1a84424c96392392e2cd0c99f172bbbd96771a9845b3b8f583428",
         "4-rate.csv":
             "a798f73f1dfec57189741a66834ebe49bdd4959bf752b82b80182a0797ff081f",
         "5-ldp.csv":
@@ -82,11 +82,11 @@ DIGESTS = {
         "0-invariant.csv":
             "67e41b289b265c6918597eafdcab93746f09cfd18f6555d4f977041379eeacec",
         "1-invariant.csv":
-            "cea021b4036777b78f7d9bf62f13250e37c099a1bdfdb98fc8c6c41e1fd26157",
+            "45d13d887401cecc9e9c5dfcc7c827e618450681aa55e933e043355ab2cb5e33",
         "2-poisson.csv":
             "64d9e8ee6899dc10bc0af165b8b5a79fb43681b9e88245e415d82a5166a5a0c1",
         "3-poisson.csv":
-            "2222625f099729e58adec29bd4e23f4f60a5122f20e22dde47f6d47013a9ac8c",
+            "96d6bcc2bf8d58172542a82e13e77230d1629d718eeb2e1117600cf762fe5fbf",
         "4-rate.csv":
             "cccaa5988f0187e19845129b69d597bba2f6a54cdbb45be43865bb13f259e11f",
         "5-ldp.csv":
@@ -102,11 +102,11 @@ DIGESTS = {
         "0-invariant.csv":
             "13591df1244ac7a6cbf440860b82f6f8e1bfede0b44b93e1b4e271b6a4d6f8c1",
         "1-invariant.csv":
-            "4d021d56282d4cdae5a634688bbbb0dd4e3174bee722c23f8adf8e985f9e8ca0",
+            "818727e4feb8ab89a8660b3d1c2a145289075e945122d18a7058e6818b1e505a",
         "2-poisson.csv":
             "bd7c7c06920f4f56f29f39d0bd28c557d98039a99ba11c38f62453bd9c191441",
         "3-poisson.csv":
-            "6ec65fea4bf710b0f16da537f79491c3e89179354a5fa7bfb0f6f2403afe874c",
+            "74d377832f1b254e713f59e8bbf7ebd3fe09bc96886dac5a9799a4fc6afe03fc",
         "4-rate.csv":
             "201cca491cd6167b3ac1a091b2491cd37b72d45565612276d17eb8c57b663308",
         "5-ldp.csv":
@@ -122,11 +122,11 @@ DIGESTS = {
         "0-invariant.csv":
             "f5662434f27709c9d7b2f83dc804288b58b3a1ca13d6f773145621583812e63d",
         "1-invariant.csv":
-            "892597fee2b98e3ea5a09c319a4766610f1b03dc95f681526c5b02d8ba816290",
+            "84c039e9001b1befd8b7cd2b6734c47832bec078214e148acd346f802a141c47",
         "2-poisson.csv":
             "4147a7bf998be6c938ae512f5343c311fa39a2c183e181a4a8b3f06f429a6523",
         "3-poisson.csv":
-            "e649c497348cf4e6b74281f73e0bc7009b467202da42a30272da3fb2640e3b22",
+            "cb55e6c77593aa1e0c6c5a38c7950326b93a8e1c019ee386d23c73a4e8dffd96",
         "4-rate.csv":
             "327acd3c8aedddd1bde27aa9fec09a30df23b0d9901c6967815d6745d3c9816b",
         "5-ldp.csv":

@@ -1,9 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from mdpvol import (DomainError, GrowthError, gamma_invariant, family, integrate,
                     make_heston, speed_measure)
 from mdpvol import invariant
+from mdpvol.cli import main
 from mdpvol.quadrature import segment_cumulative
 
 REF = dict(kappa=2.0, theta=0.1, xi=0.5)
@@ -66,13 +70,10 @@ class TestSpeedMeasure:
         value, _ = integrate(measure, lambda y: np.ones_like(y))
         assert abs(value - 1.0) <= 1e-8
 
-    @pytest.mark.parametrize("params, calls", [
-        ((3.0, 0.2, 0.3, 0.75), 1),   # y_hi = 1: the anchor is the last knot
-        ((2.0, 0.1, 0.5, 0.75), 2),   # anchor between knots: one more segment
-    ])
-    def test_one_knot_table_per_call(self, monkeypatch, params, calls):
-        # the truncation walk integrates its own panels; the only cumulative
-        # quadrature is the knot table (and the shift to an off-grid anchor)
+    @pytest.mark.parametrize("params", [(3.0, 0.2, 0.3, 0.75), (2.0, 0.1, 0.5, 0.75)])
+    def test_one_knot_table_per_call(self, monkeypatch, params):
+        # the truncation walk integrates panels of a few edges each; the one
+        # cumulative quadrature over 4096 knots is the knot table
         grids = []
 
         def counted(fn, grid):
@@ -80,9 +81,8 @@ class TestSpeedMeasure:
             return segment_cumulative(fn, grid)
 
         monkeypatch.setattr(invariant, "segment_cumulative", counted)
-        measure = speed_measure(*params)
-        assert (measure.y_hi == 1.0) == (calls == 1)
-        assert len(grids) == calls and grids[0] >= 4096
+        speed_measure(*params)
+        assert grids.count(4096) == 1 and max(grids) == 4096
 
     def test_domain(self):
         with pytest.raises(DomainError, match="q_g"):
@@ -115,3 +115,45 @@ class TestInvariantForModel:
     def test_heston_dispatch(self):
         model = make_heston(**REF, rho=-0.5, x0=0.0, y0=0.1)
         assert family(model).invariant().kind == "gamma"
+
+
+# The parameter region of the square-root and power-diffusion factors, as
+# README states it: kappa, log-uniform theta, xi, q_g.  CORNER combines a small
+# theta with a large 2 kappa / xi^2, where the log density peaks far above 0.
+REGION = {"kappa": (0.2, 8.0), "theta": (0.005, 3.0), "xi": (0.1, 1.5), "q_g": (0.55, 0.95)}
+CORNER = (6.4431, 0.0087, 0.1479, 0.7037)
+
+
+def _region_sample(seed=20261021, size=50):
+    rng = np.random.default_rng(seed)
+    (k_lo, k_hi), (t_lo, t_hi), (x_lo, x_hi), (q_lo, q_hi) = REGION.values()
+    draws = zip(rng.uniform(k_lo, k_hi, size),
+                np.exp(rng.uniform(math.log(t_lo), math.log(t_hi), size)),
+                rng.uniform(x_lo, x_hi, size), rng.uniform(q_lo, q_hi, size))
+    return [CORNER] + [tuple(map(float, draw)) for draw in draws]
+
+
+class TestRegion:
+    @pytest.mark.parametrize("params", _region_sample(), ids=lambda p: "-".join(
+        f"{v:.4g}" for v in p))
+    def test_speed_measure_constructs_and_is_stationary(self, params):
+        kappa, theta, xi, q_g = params
+        measure = speed_measure(*params)
+        assert measure.y_lo < theta < measure.y_hi
+        assert math.isfinite(measure.mass_below) and math.isfinite(measure.mass_above)
+
+        def generator_f(y):
+            # L F for the bounded F = exp(-y)
+            return (-kappa * (theta - y) + 0.5 * (xi * y ** q_g) ** 2) * np.exp(-y)
+
+        assert abs(integrate(measure, generator_f).value) <= 1e-9
+
+    @pytest.mark.parametrize("sub", ["invariant", "poisson"])
+    def test_cli_at_the_corner(self, tmp_path, sub):
+        kappa, theta, xi, q_g = CORNER
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "heston", "kappa": kappa,
+                                             "theta": theta, "xi": xi},
+                                   "params": {"q_g": q_g}}))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"{sub}.csv").exists()

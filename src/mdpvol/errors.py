@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 
 
 # bounds as bound_violation reads them
-POSITIVE = {"lo": 0, "lo_strict": True}
+POSITIVE = {"lo": 0, "hi": float("inf"), "lo_strict": True, "hi_strict": True}
 OPEN_UNIT = {"lo": 0, "hi": 1, "lo_strict": True, "hi_strict": True}
 BETA_BOUNDS = {"lo": 0, "hi": 0.5, "lo_strict": True, "hi_strict": True}  # h(eps) = eps^-beta
 CORRELATION = {"lo": -1, "hi": 1}
@@ -62,9 +62,11 @@ def bound_violation(name, value, lo=None, hi=None, lo_strict=False, hi_strict=Fa
 
 
 def nonzero_violation(name, value) -> None:
-    """Raise DomainError("name: must be non-zero, got value") for 0 and NaN."""
+    """Raise DomainError("name: must be non-zero, got value") for 0 and NaN,
+    and FINITE's message for +-inf."""
     if not abs(value) > 0:
         raise DomainError(f"{name}: must be non-zero, got {value}")
+    bound_violation(name, value, **FINITE)
 
 
 def square_root_factor_violation(kappa, theta, xi) -> None:

@@ -3,8 +3,9 @@
 
 Every bounded or non-zero argument of a public function refuses NaN with a
 DomainError whose message starts with the argument's name, in the form
-``config`` prints; a non-zero argument refuses 0 too, and a model's unbounded
-arguments refuse NaN and +-inf.
+``config`` prints, and so does every bounded argument at +inf, but for the
+few ``INF_TAKEN`` names; a non-zero argument refuses 0 and +-inf too, and a
+model's unbounded arguments refuse NaN and +-inf.
 """
 
 import math
@@ -95,6 +96,22 @@ def test_nan_is_refused_naming_the_argument(function, name):
     _assert_refused(call, kwargs, name, math.nan)
 
 
+# bounded arguments that take +inf, and why each may
+INF_TAKEN = {
+    ("minimize_endpoint", "n_steps"): "a count, whose non-integer values are not checked",
+    ("tail_probability_exponent", "x"): "the exponent's limit at x = inf is -inf",
+    ("estimate_smalltime_tail", "k"): "a threshold at inf has tail probability 0",
+}
+
+
+@pytest.mark.parametrize("function, name", [
+    (function, name) for function, (_, _, names) in BOUNDED.items() for name in names
+    if (function, name) not in INF_TAKEN])
+def test_inf_is_refused_naming_the_argument(function, name):
+    call, kwargs, _ = BOUNDED[function]
+    _assert_refused(call, kwargs, name, math.inf)
+
+
 def _spot_sigma(**level):
     """``spot_sigma()`` of a model whose volatility is the constant level["sigma(y0)"]."""
     def fused(y, out):
@@ -130,6 +147,14 @@ NONZERO = {
 @pytest.mark.parametrize("function, name", [
     (function, name) for function, (_, _, names) in NONZERO.items() for name in names])
 def test_zero_and_nan_are_refused_naming_the_argument(function, name, value):
+    call, kwargs, _ = NONZERO[function]
+    _assert_refused(call, kwargs, name, value)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("function, name", [
+    (function, name) for function, (_, _, names) in NONZERO.items() for name in names])
+def test_infinities_are_refused_naming_the_argument(function, name, value):
     call, kwargs, _ = NONZERO[function]
     _assert_refused(call, kwargs, name, value)
 
@@ -172,12 +197,14 @@ def test_a_value_inside_its_bounds_passes():
     (0, "xi: must be non-zero, got 0"),
     (-0.0, "xi: must be non-zero, got -0.0"),
     (math.nan, "xi: must be non-zero, got nan"),
+    (math.inf, "xi: must be < inf, got inf"),
+    (-math.inf, "xi: must be > -inf, got -inf"),
 ])
 def test_the_nonzero_message(value, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         nonzero_violation("xi", value)
 
 
-@pytest.mark.parametrize("value", [-1e-300, 0.5, math.inf])
+@pytest.mark.parametrize("value", [-1e-300, 0.5, 1e300])
 def test_a_nonzero_value_passes(value):
     assert nonzero_violation("xi", value) is None

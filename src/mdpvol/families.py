@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .errors import DomainError, UnsupportedModelError
 from .invariant import InvariantMeasure, gamma_invariant, speed_measure
-from .models import (ModelSpec, _is_cir_form, make_constant_sigma, make_heston,
+from .models import (ModelSpec, is_cir_form, make_constant_sigma, make_heston,
                      make_power_family, make_stein_stein)
 
 
@@ -91,7 +91,7 @@ class Power(Family):
 
     def invariant(self):
         """The speed measure, at every nu_g in [1/2, 1)."""
-        if not _is_cir_form(self.model):
+        if not is_cir_form(self.model):
             raise UnsupportedModelError(
                 "power model is not of mean-reverting power-diffusion form")
         p = self.model.params

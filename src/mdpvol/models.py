@@ -243,7 +243,7 @@ def make_constant_sigma(c_sigma: float, x0: float) -> ModelSpec:
     )
 
 
-def _is_cir_form(model: ModelSpec) -> bool:
+def is_cir_form(model: ModelSpec) -> bool:
     """True when the fast dynamics are mean-reverting with g = xi y^{q_g}, q_g in [1/2, 1)."""
     nu_g = model.growth.nu_g
     return (model.params.get("b", 0.0) < 0 < model.params.get("a", 0.0)
@@ -288,7 +288,7 @@ def check_assumptions(model: ModelSpec, q_h: float | None = None) -> AssumptionR
         checks.append(AssumptionCheck(
             "functional-growth-generic", worst < 1,
             f"max(q_sigma + q_h, q_g + q_h) = {worst:g} (need < 1)"))
-        cir = _is_cir_form(model)
+        cir = is_cir_form(model)
         ok = cir and q_sigma < 1 and (q_g + q_h) < 2
         detail = (f"q_sigma = {q_sigma:g} (need < 1), q_g + q_h = {q_g + q_h:g} (need < 2)"
                   if cir else "fast dynamics are not of mean-reverting power-diffusion form")

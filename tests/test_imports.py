@@ -13,7 +13,8 @@ constructor, and one whose name an array, dict, list or str has too names
 the functions that read it, every defaulted parameter of a module-level function is passed
 by some call, and every parameter of every function is read by its body,
 each or else has a stated reason to stay.  No module writes a range check
-by hand: each goes through ``errors.bound_violation``.
+by hand: each goes through ``errors.bound_violation``.  No module imports
+another module's leading-underscore name.
 """
 
 import ast
@@ -159,6 +160,16 @@ def test_every_range_check_goes_through_bound_violation():
                           for number, line in enumerate(handle, start=1)
                           if any(check in line for check in _HAND_CHECKS)]
     assert found == []
+
+
+def test_no_module_imports_a_private_name():
+    # a name another module needs is that module's public interface
+    private = [f"{module}:{node.lineno} {alias.name}"
+               for module, tree in _modules().items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "mdpvol")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_no_module_imports_an_unused_name():

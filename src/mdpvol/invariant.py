@@ -6,24 +6,22 @@ For the mean-reverting square-root factor dY = kappa (theta - Y) dt
 the wider power-diffusion family g(y) = xi y^{q_g}, q_g in [1/2, 1), the
 invariant density is proportional to the speed measure
 
-    m(y) ~ y^{-2 q_g} exp( int^y 2 kappa (theta - z) / (xi^2 z^{2 q_g}) dz ),
+    m(y) ~ y^{-2 q_g} exp( int_theta^y 2 kappa (theta - z) / (xi^2 z^{2 q_g}) dz ),
 
-whose log is tabulated numerically on a log-spaced knot grid, shifted so that
-its largest value is 0 (the lower end of the inner integral is therefore
-immaterial), splined in log y and then normalized by quadrature.  The numeric
-construction at q_g = 1/2 reproduces the closed-form Gamma density and serves
-as its oracle.
+whose exponent integrates in closed form.  Its log, relative to its value at
+theta, is evaluated directly and normalized by quadrature.  At q_g = 1/2 it
+is the Gamma density written another way, and serves as that closed form's
+oracle.
 
 Quadrature uses composite Gauss-Legendre on geometrically spaced panels over
 a truncated domain [y_lo, y_hi]; the truncation bounds are placed so that the
 untruncated mass is below 1e-13 wherever floating-point range permits, and the
 remaining boundary mass enters integrals through a leading-order correction
 term.  The Gamma bounds are quantiles.  The speed-measure bounds (q_g > 1/2)
-come from one outward walk from theta on each side, which accumulates
-log m(y) - log m(theta) one Gauss-Legendre panel per step and stops where it
-falls 36 below zero.  The per-panel order of the integration rule is doubled
-until two successive values agree, so every integral is returned together
-with an error estimate.
+come from one outward walk from theta on each side, which stops where
+log m(y) - log m(theta) falls 36 below zero.  The per-panel order of the
+integration rule is doubled until two successive values agree, so every
+integral is returned together with an error estimate.
 
 Measures are immutable after construction; ``integrate`` is pure and
 thread-safe with a fixed summation order.
@@ -38,8 +36,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import GrowthError, QuadratureError, bound_violation, square_root_factor_violation
-from .quadrature import (geometric_edges, integrate_logweight, segment_cumulative,
-                         segment_nodes)
+from .quadrature import geometric_edges, integrate_logweight, segment_nodes
 
 # Smallest usable left truncation point: keeps (shape-1) * log(y_lo) inside
 # the exponent range of float64 for every shape in (0, 1).
@@ -129,72 +126,48 @@ def gamma_invariant(kappa: float, theta: float, xi: float) -> InvariantMeasure:
 def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> InvariantMeasure:
     """Invariant measure of dY = kappa (theta - Y) dt + xi Y^{q_g} dZ by speed measure.
 
-    The log density is log m(y) = I(y) - 2 q_g log y + const, with inner
-    exponent I(y) = int_{y_lo}^y 2 kappa (theta - z) / (xi^2 z^{2 q_g}) dz.  It
-    is tabulated by cumulative Gauss-Legendre segments on 4096 log-spaced
-    knots over [y_lo, y_hi], shifted so that its largest knot value is 0,
-    which keeps ``exp`` of it in range, and splined in log y; the
-    normalizing constant, which absorbs every additive constant, comes from
-    the adaptive panel rule.  At q_g = 1/2 the result agrees with
-    ``gamma_invariant`` and is its numeric oracle, and takes its truncation
-    from the Gamma quantiles.
+    The unnormalized log density is d(y) = log m(y) - log m(theta), in
+    closed form: with L = log(y / theta), a = 1 - 2 q_g, b = 2 - 2 q_g and
+    E(c, L) = expm1(c L) / c (E(0, L) = L),
+
+        d(y) = 2 kappa theta^b / xi^2 (E(a, L) - E(b, L)) - 2 q_g L.
+
+    The normalizing constant comes from the adaptive panel rule.  At
+    q_g = 1/2 the result agrees with ``gamma_invariant`` and is its numeric
+    oracle, and takes its truncation from the Gamma quantiles.
 
     For q_g > 1/2 the truncation comes from two outward walks from theta over
-    d(y) = log m(y) - log m(theta) = -2 q_g log(y / theta) + int_theta^y of the
-    exponent integrand.  The left walk halves y_lo, and the right one starts
-    at max(2 theta, 1) and multiplies y_hi by 1.5; each stops at the first
-    point where d <= -36 or a range limit is reached.  Each step adds one
-    order-16 panel over the stretch it covers to the running integral, and
-    the first right stretch, theta to max(2 theta, 1), is split into panels
-    of edge ratio at most 2.  The knot table, the spline, the normalizer and
-    the one-term Laplace tail masses m(y) / |d log m / dy| are computed once,
-    for the bounds found, with the analytic slope
+    d.  The left walk halves y_lo, and the right one starts at
+    max(2 theta, 1) and multiplies y_hi by 1.5; each stops at the first point
+    where d <= -36 or a range limit is reached.  The one-term Laplace tail
+    masses m(y) / |d log m / dy| beyond the bounds use the analytic slope
     d log m / dy = 2 kappa (theta - y) / (xi^2 y^{2 q_g}) - 2 q_g / y.
     """
     bound_violation("q_g", q_g, lo=0.5, hi=1, hi_strict=True)
     square_root_factor_violation(kappa, theta, xi)
+    a, b = 1 - 2 * q_g, 2 - 2 * q_g
+    scale = 2 * kappa * theta ** b / xi ** 2
 
-    def exponent_integrand(z):
-        return 2 * kappa * (theta - z) / (xi ** 2 * z ** (2 * q_g))
+    def log_unnormalized(y):
+        log_ratio = np.log(np.asarray(y, dtype=float) / theta)
+        e_a = np.expm1(a * log_ratio) / a if a else log_ratio
+        return scale * (e_a - np.expm1(b * log_ratio) / b) - 2 * q_g * log_ratio
 
     if q_g == 0.5:
         y_lo, y_hi, mass_below, mass_above = _gamma_truncation(
             2 * kappa * theta / xi ** 2, 2 * kappa / xi ** 2, theta)
     else:
-        # Superexponential decay on both sides: expand until the log of the
-        # unnormalized density falls 36 below its value at theta (relative
-        # density about 2e-16, leaving untruncated mass far below 1e-13 while
-        # keeping the density representable for ratio-based consumers).
-        def exponent_integral(*points):
-            # int of the exponent integrand from the first point to the last
-            return float(segment_cumulative(exponent_integrand, np.array(points))[-1])
-
-        def decay(y, integral):
-            # log m(y) - log m(theta), given integral = int_theta^y
-            return -2 * q_g * math.log(y / theta) + integral
-
-        y_lo, below = theta, 0.0
-        while decay(y_lo, below) > -36 and y_lo > _Y_FLOOR * 10:
-            below += exponent_integral(y_lo, y_lo / 2.0)
+        # Superexponential decay on both sides: expand until d falls to -36
+        # (relative density about 2e-16, leaving untruncated mass far below
+        # 1e-13 while keeping the density representable for ratio-based
+        # consumers).
+        y_lo = theta
+        while log_unnormalized(y_lo) > -36 and y_lo > _Y_FLOOR * 10:
             y_lo /= 2.0
         y_hi = max(2 * theta, 1.0)
-        # the first stretch, theta to y_hi, in panels of edge ratio at most 2
-        above = exponent_integral(
-            *np.geomspace(theta, y_hi, math.ceil(math.log2(y_hi / theta)) + 1))
-        while decay(y_hi, above) > -36 and y_hi < 1e12:
-            above += exponent_integral(y_hi, 1.5 * y_hi)
+        while log_unnormalized(y_hi) > -36 and y_hi < 1e12:
             y_hi *= 1.5
         mass_below = mass_above = None  # one-term Laplace estimates, set below
-
-    # log m on a log-spaced knot grid, largest value 0, splined in log y
-    knots = np.geomspace(y_lo, y_hi, 4096)
-    log_m = segment_cumulative(exponent_integrand, knots) - 2 * q_g * np.log(knots)
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(np.log(knots), log_m - np.max(log_m))
-
-    def log_unnormalized(y):
-        return spline(np.log(np.asarray(y, dtype=float)))
 
     edges = geometric_edges(y_lo, y_hi)
     norm, _ = integrate_logweight(lambda y: np.ones_like(y), log_unnormalized, edges)
@@ -209,7 +182,8 @@ def speed_measure(kappa: float, theta: float, xi: float, q_g: float) -> Invarian
         # one-term Laplace estimate m(y) / |d log m / dy| of the mass beyond
         # each truncation point, where the density decays superexponentially
         def tail_mass(point: float) -> float:
-            slope = exponent_integrand(point) - 2 * q_g / point
+            slope = (2 * kappa * (theta - point) / (xi ** 2 * point ** (2 * q_g))
+                     - 2 * q_g / point)
             return math.exp(float(log_density(point))) / max(abs(slope), 1e-300)
 
         mass_below = tail_mass(y_lo)

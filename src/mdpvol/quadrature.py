@@ -90,12 +90,3 @@ def segment_nodes(grid: np.ndarray, order: int):
     mid = 0.5 * (grid[1:] + grid[:-1])
     return mid[:, None] + half[:, None] * x[None, :], w, half
 
-
-def segment_cumulative(fn: Callable, grid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of a smooth fn along a sorted grid, by an order-16
-    Gauss-Legendre rule on each segment.
-
-    Returns F with F[0] = 0 and F[j] = integral from grid[0] to grid[j].
-    """
-    nodes, w, half = segment_nodes(grid, 16)
-    return np.concatenate(([0.0], np.cumsum(np.sum(fn(nodes) * w, axis=1) * half)))

@@ -8,7 +8,7 @@ from mdpvol import (DomainError, GrowthError, gamma_invariant, family, integrate
                     make_heston, speed_measure)
 from mdpvol import invariant
 from mdpvol.cli import main
-from mdpvol.quadrature import segment_cumulative
+from mdpvol.quadrature import segment_nodes
 
 REF = dict(kappa=2.0, theta=0.1, xi=0.5)
 
@@ -69,20 +69,6 @@ class TestSpeedMeasure:
         measure = speed_measure(**REF, q_g=0.75)
         value, _ = integrate(measure, lambda y: np.ones_like(y))
         assert abs(value - 1.0) <= 1e-8
-
-    @pytest.mark.parametrize("params", [(3.0, 0.2, 0.3, 0.75), (2.0, 0.1, 0.5, 0.75)])
-    def test_one_knot_table_per_call(self, monkeypatch, params):
-        # the truncation walk integrates panels of a few edges each; the one
-        # cumulative quadrature over 4096 knots is the knot table
-        grids = []
-
-        def counted(fn, grid):
-            grids.append(len(grid))
-            return segment_cumulative(fn, grid)
-
-        monkeypatch.setattr(invariant, "segment_cumulative", counted)
-        speed_measure(*params)
-        assert grids.count(4096) == 1 and max(grids) == 4096
 
     def test_domain(self):
         with pytest.raises(DomainError, match="q_g"):
@@ -146,7 +132,7 @@ class TestRegion:
             # L F for the bounded F = exp(-y)
             return (-kappa * (theta - y) + 0.5 * (xi * y ** q_g) ** 2) * np.exp(-y)
 
-        assert abs(integrate(measure, generator_f).value) <= 1e-9
+        assert abs(integrate(measure, generator_f).value) <= 1e-14
 
     @pytest.mark.parametrize("sub", ["invariant", "poisson"])
     def test_cli_at_the_corner(self, tmp_path, sub):
@@ -157,3 +143,30 @@ class TestRegion:
                                    "params": {"q_g": q_g}}))
         assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / f"{sub}.csv").exists()
+
+
+# (kappa, theta, xi, q_g): q_g at 1/2, just above it, inside and just below 1,
+# the corner, and a wide law whose y_hi is far above theta
+EXPONENT_SETS = ([(*REF.values(), q_g) for q_g in (0.5, 0.5 + 1e-9, 0.75, 0.95, 1 - 1e-9)]
+                 + [CORNER, (0.23291, 0.03376, 1.35492, 0.9164)])
+
+
+@pytest.mark.parametrize("params", EXPONENT_SETS, ids=lambda p: "-".join(
+    f"{v:.10g}" for v in p))
+def test_log_density_matches_exponent_quadrature(params):
+    # log m(y) - log m(theta) against an order-16 Gauss-Legendre integral of
+    # the exponent integrand, on panels of edge ratio 2^(1/8) from theta out
+    kappa, theta, xi, q_g = params
+    measure = speed_measure(*params)
+    down = math.floor(8 * math.log2(theta / measure.y_lo))
+    up = math.floor(8 * math.log2(measure.y_hi / theta))
+    grid = theta * 2.0 ** (np.arange(-down, up + 1) / 8)
+    nodes, w, half = segment_nodes(grid, 16)
+    panels = np.sum(2 * kappa * (theta - nodes) / (xi ** 2 * nodes ** (2 * q_g)) * w,
+                    axis=1) * half
+    exponent = np.concatenate((-np.cumsum(panels[:down][::-1])[::-1], [0.0],
+                               np.cumsum(panels[down:])))
+    reference = exponent - 2 * q_g * np.log(grid / theta)
+    closed = measure.log_density(grid) - measure.log_density(theta)
+    kept = closed > -40
+    assert np.max(np.abs(closed - reference)[kept]) <= 1e-12

@@ -42,11 +42,11 @@ DIGESTS = {
         "0-invariant.csv":
             "af5d6ecb3b31bc61da236e1cd8d8b0b22f9a585a70877e1517791fdf1b37910c",
         "1-invariant.csv":
-            "c041855a3ceb0c0dd274b91cfd1965de1e2a9f487e66fd885c7525d976b3874c",
+            "ab0897d313f80162f4365eeec967373add7d4cdf29bf186e776a14cd391fc79b",
         "2-poisson.csv":
             "49ca5ea13f597878f02c0414c6760a4a7904e5d1df80a3bfd9f257b88368d0f1",
         "3-poisson.csv":
-            "eb317258cb15a80ab6fdbf0af6c3f2e7f5b51c46244c3232f27f3485489f305e",
+            "81da40d7dd573b87a6369c4d51f6c01923440ae89152c4e7ad03e67b75835fe8",
         "4-rate.csv":
             "c99fef0e44abf632d8a78333819f43296092fe08adeada22a516a0ff54e1d850",
         "5-ldp.csv":
@@ -62,11 +62,11 @@ DIGESTS = {
         "0-invariant.csv":
             "348728c75ebc341e0b36d034032769ede15b0e4e85dde6f40c89e2b680a92271",
         "1-invariant.csv":
-            "10aa21666cfae646811820d9c02ae70db148219c1e8d70004add147ec654d410",
+            "5aac06260543b4dfb6975f2ae535e5a6759269dc81621aa4e21e7bd4d1dc281f",
         "2-poisson.csv":
             "e20c470294f9905b7c51c2b382125342c65181d0138ed1e6cdafe80011f82114",
         "3-poisson.csv":
-            "499e7b3df0b1a84424c96392392e2cd0c99f172bbbd96771a9845b3b8f583428",
+            "2268c8abeb82598b01b7d573539a8f55fc7d3c6196705dc0edee346bc5a38594",
         "4-rate.csv":
             "a798f73f1dfec57189741a66834ebe49bdd4959bf752b82b80182a0797ff081f",
         "5-ldp.csv":
@@ -82,11 +82,11 @@ DIGESTS = {
         "0-invariant.csv":
             "67e41b289b265c6918597eafdcab93746f09cfd18f6555d4f977041379eeacec",
         "1-invariant.csv":
-            "45d13d887401cecc9e9c5dfcc7c827e618450681aa55e933e043355ab2cb5e33",
+            "1c403ebc1355c94088b06208c8aee399ff5839628a376fa9157f12e25bc6694a",
         "2-poisson.csv":
             "64d9e8ee6899dc10bc0af165b8b5a79fb43681b9e88245e415d82a5166a5a0c1",
         "3-poisson.csv":
-            "96d6bcc2bf8d58172542a82e13e77230d1629d718eeb2e1117600cf762fe5fbf",
+            "a61be7f19258c2a4cd48930b7b6606ed75f405a190c3513a3f701147fe1e66aa",
         "4-rate.csv":
             "cccaa5988f0187e19845129b69d597bba2f6a54cdbb45be43865bb13f259e11f",
         "5-ldp.csv":
@@ -102,11 +102,11 @@ DIGESTS = {
         "0-invariant.csv":
             "13591df1244ac7a6cbf440860b82f6f8e1bfede0b44b93e1b4e271b6a4d6f8c1",
         "1-invariant.csv":
-            "818727e4feb8ab89a8660b3d1c2a145289075e945122d18a7058e6818b1e505a",
+            "f61cc72787794bd940f0c11f78ac537a1033f3b9f680878252fe19ef4c42e278",
         "2-poisson.csv":
             "bd7c7c06920f4f56f29f39d0bd28c557d98039a99ba11c38f62453bd9c191441",
         "3-poisson.csv":
-            "74d377832f1b254e713f59e8bbf7ebd3fe09bc96886dac5a9799a4fc6afe03fc",
+            "7cfd43c04dde05df97216b63971e65b3555b736d266eaa1b30d7179a19f9eb99",
         "4-rate.csv":
             "201cca491cd6167b3ac1a091b2491cd37b72d45565612276d17eb8c57b663308",
         "5-ldp.csv":
@@ -122,11 +122,11 @@ DIGESTS = {
         "0-invariant.csv":
             "f5662434f27709c9d7b2f83dc804288b58b3a1ca13d6f773145621583812e63d",
         "1-invariant.csv":
-            "84c039e9001b1befd8b7cd2b6734c47832bec078214e148acd346f802a141c47",
+            "9bc7eff6090722d0de76c745c910f529b3e051829320e26e1d731bed6ad18d4e",
         "2-poisson.csv":
             "4147a7bf998be6c938ae512f5343c311fa39a2c183e181a4a8b3f06f429a6523",
         "3-poisson.csv":
-            "cb55e6c77593aa1e0c6c5a38c7950326b93a8e1c019ee386d23c73a4e8dffd96",
+            "a34802c9c5120f5fcccc72e81f29c5248d04adb12575a3c2c1fd8b3dd7cf9703",
         "4-rate.csv":
             "327acd3c8aedddd1bde27aa9fec09a30df23b0d9901c6967815d6745d3c9816b",
         "5-ldp.csv":

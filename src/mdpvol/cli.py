@@ -147,6 +147,10 @@ def main(argv=None) -> int:
         print(f"validation error: {args.experiment}: an input is so large that a "
               "float overflows", file=sys.stderr)
         return EXIT_CONFIG
+    except ZeroDivisionError:
+        print(f"validation error: {args.experiment}: an input is so small that a "
+              "float underflows", file=sys.stderr)
+        return EXIT_CONFIG
     except (QuadratureError, SingularSystemError, SimulationOverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

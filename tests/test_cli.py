@@ -334,6 +334,11 @@ class TestCliRuns:
         ("asymptotics", {"params": {"x": 1e300}}),
         # a JSON integer beyond float range is finite, and valid until a float needs it
         ("asymptotics", {"params": {"k": 10 ** 400}}),
+        # a finite input so small that xi^2 or a power of y underflows to 0
+        *((experiment, {"model": {"xi": 1e-200}}) for experiment in (
+            "invariant", "poisson", "rate", "ldp", "compare", "asymptotics")),
+        ("invariant", {"model": {"theta": 1e-300}, "params": {"q_g": 0.75}}),
+        ("poisson", {"model": {"theta": 1e-300}, "params": {"q_g": 0.75}}),
     ])
     def test_overflowing_input_exit_code(self, tmp_path, capsys, experiment, doc):
         cfg = tmp_path / "cfg.json"

@@ -61,7 +61,7 @@ EXPERIMENTS: Mapping[str, Mapping[str, tuple]] = {
 
 # bounds of a model key wherever its kind reads it; the presets check the rest
 _MODEL_BOUNDS = {"kappa": POSITIVE, "theta": POSITIVE, "rho": CORRELATION}
-_PARAM_BOUNDS = {"t": POSITIVE, "k": {"lo": 0}}  # asymptotics'; each mc target has its own
+_PARAM_BOUNDS = {"t": POSITIVE, "k": POSITIVE}  # asymptotics'; each mc target has its own
 # h(eps) = eps^{-beta}, and eps/delta = 1 + zeta_c sqrt(eps) h(eps): every
 # runner computes at the limit constant 1 of eps/delta
 DEFAULT_REGIME: Mapping[str, Any] = {"beta": 0.25, "zeta_c": 0.0}

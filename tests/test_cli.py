@@ -295,6 +295,15 @@ class TestCliRuns:
                                            "the realised-variance quotes price |x|\n")
         assert not out.exists()
 
+    def test_asymptotics_at_zero_k(self, tmp_path, capsys):
+        # the small-time call quote refuses k <= 0, so validation does too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"k": 0}}))
+        out = tmp_path / "out"
+        assert main(["asymptotics", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: params.k: must be > 0, got 0\n"
+        assert not out.exists()
+
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json }")

@@ -112,6 +112,15 @@ def test_smalltime_tail_estimate_loads_no_scipy():
     assert _scipy_modules_after(code) == "[]"
 
 
+def test_speed_measure_and_its_poisson_solve_load_no_scipy():
+    code = (
+        "import mdpvol\n"
+        "measure = mdpvol.speed_measure(2, 0.1, 0.5, 0.75)\n"
+        "mdpvol.integrate(measure, lambda y: y)\n"
+        "mdpvol.solve_poisson_cev(lambda y: y, measure)\n")
+    assert _scipy_modules_after(code) == "[]"
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     result = _run("-m", "mdpvol", "rate", "--out", str(tmp_path))
     assert result.returncode == 0, result.stderr

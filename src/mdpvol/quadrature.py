@@ -89,4 +89,3 @@ def segment_nodes(grid: np.ndarray, order: int):
     half = 0.5 * np.diff(grid)
     mid = 0.5 * (grid[1:] + grid[:-1])
     return mid[:, None] + half[:, None] * x[None, :], w, half
-

@@ -6,7 +6,6 @@ import pytest
 
 from mdpvol import (DomainError, GrowthError, gamma_invariant, family, integrate,
                     make_heston, speed_measure)
-from mdpvol import invariant
 from mdpvol.cli import main
 from mdpvol.quadrature import segment_nodes
 

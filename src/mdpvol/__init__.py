@@ -40,7 +40,7 @@ from .models import (AssumptionReport, GrowthExponents, ModelSpec,
                      make_power_family, make_stein_stein, mdp_growth_condition)
 from .paths import DiscretePath
 from .poisson import (PoissonSolution, generator_residual, generator_residuals,
-                      solve_phi_cir, solve_poisson_cev)
+                      solve_poisson_cev)
 from .rates import (INFINITE_RATE, LargeTimeParams, QbarResult,
                     contract_two_to_one, endpoint_rate, heston_large_time_params,
                     large_time_params, minimize_endpoint, qbar_integrated,

@@ -2,23 +2,19 @@
 
 Solves L u = H - Hbar with centering int u dmu = 0, where
 L h = f h' + 1/2 g^2 h'' is the generator of the fast factor and
-Hbar = int H dmu.  Two routes are provided:
+Hbar = int H dmu.  For the mean-reverting power-diffusion factor (the
+square-root factor is q_g = 1/2) the derivative follows from the stationarity
+identity (1/2 g^2 m)' = f m of the speed-measure density m:
 
-- the square-root factor with centered right-hand sides admits constant
-  derivatives in closed form (u' = -1/(2 kappa) for H = sigma^2 / 2, and
-  u' = -1/kappa for H(y) = y);
-- for the mean-reverting power-diffusion family the derivative follows from
-  the stationarity identity (1/2 g^2 m)' = f m of the speed-measure density m:
+    u'(y) = [ 1/2 xi^2 y^{2 q_g} m(y) ]^{-1} int_0^y (H(z) - Hbar) m(z) dz
+          = -[ 1/2 xi^2 y^{2 q_g} m(y) ]^{-1} int_y^inf (H(z) - Hbar) m(z) dz,
 
-      u'(y) = [ 1/2 xi^2 y^{2 q_g} m(y) ]^{-1} int_0^y (H(z) - Hbar) m(z) dz
-            = -[ 1/2 xi^2 y^{2 q_g} m(y) ]^{-1} int_y^inf (H(z) - Hbar) m(z) dz,
-
-  where the second form uses the centering of H - Hbar.  Both one-sided
-  integrals are computed independently so their agreement is a genuine
-  consistency check rather than an identity of the implementation; since the
-  left form loses precision in the upper tail (its numerator cancels there)
-  and the right form symmetrically in the lower tail, the reported derivative
-  takes the left form below the mass median and the right form above it.
+where the second form uses the centering of H - Hbar.  Both one-sided
+integrals are computed independently so their agreement is a genuine
+consistency check rather than an identity of the implementation; since the
+left form loses precision in the upper tail (its numerator cancels there)
+and the right form symmetrically in the lower tail, the reported derivative
+takes the left form below the mass median and the right form above it.
 
 The solve grid is geometric on the measure's truncation interval: the
 derivative is a ratio of exponentially small quantities in the tails, and
@@ -42,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import POSITIVE, DomainError, GrowthError, bound_violation
+from .errors import DomainError, GrowthError
 from .invariant import InvariantMeasure, TabulatedRule
 
 _GRID_POINTS = 2048
@@ -55,13 +51,12 @@ class PoissonSolution:
     ``u`` and ``u_prime`` interpolate linearly between grid points and hold
     their boundary values outside the grid.  ``two_sided_gap`` is the largest
     disagreement between the left-integral and right-tail forms of u' over
-    the middle half of the grid (0 for closed-form solutions).
+    the middle half of the grid.
     """
 
     grid: np.ndarray
     u_values: np.ndarray
     u_prime_values: np.ndarray
-    closed_form: str | None
     centering_residual: float
     two_sided_gap: float = 0.0
 
@@ -70,25 +65,6 @@ class PoissonSolution:
 
     def u_prime(self, y):
         return np.interp(np.asarray(y, dtype=float), self.grid, self.u_prime_values)
-
-
-def solve_phi_cir(kappa: float, theta: float, drift_coeff: float = -0.5) -> PoissonSolution:
-    """Closed-form solution of L u = -drift_coeff (y - theta) for the square-root factor.
-
-    u'(y) = drift_coeff / kappa identically; u(y) = drift_coeff (y - theta) / kappa
-    is already centered because the invariant mean of the factor is theta.  The
-    price dynamics have drift_coeff = -1/2 (L u = (y - theta)/2, the Phi of the
-    large-time constants); the share-measure dynamics use +1/2, flipping the
-    sign of u'.
-    """
-    bound_violation("kappa", kappa, **POSITIVE)
-    bound_violation("theta", theta, **POSITIVE)
-    grid = np.geomspace(max(1e-10, 1e-6 * theta), 60 * theta, _GRID_POINTS)
-    return PoissonSolution(
-        grid=grid, u_values=drift_coeff * (grid - theta) / kappa,
-        u_prime_values=np.full_like(grid, drift_coeff / kappa),
-        closed_form="heston_phi_prime" if drift_coeff == -0.5 else "cir_phi_prime_flipped",
-        centering_residual=0.0)
 
 
 def _solve_grid(measure: InvariantMeasure):
@@ -181,8 +157,7 @@ def solve_poisson_cev(H: Callable, measure: InvariantMeasure, *,
     residual = abs(rule.integrate(lambda y: np.interp(y, grid, u_vals)).value)
 
     return PoissonSolution(grid=grid, u_values=u_vals, u_prime_values=u_prime,
-                           closed_form=None, centering_residual=residual,
-                           two_sided_gap=gap)
+                           centering_residual=residual, two_sided_gap=gap)
 
 
 def generator_residuals(measure: InvariantMeasure, solution: PoissonSolution,

@@ -22,10 +22,12 @@ The large-time constants are
     alpha = zeta * c * int sigma^2 dmu         (c = x_drift_coeff, -1/2 here),
     q     = int [ sigma^2 + (Phi' g)^2 + 2 rho sigma g Phi' ] dmu,
 
-with Phi the centered solution of L Phi = -c (sigma^2 - int sigma^2 dmu); for
-the square-root factor q has the closed form
-theta (1 + xi^2/(4 kappa^2) - rho xi / kappa), which is exposed alongside the
-quadrature value.  For integrated functionals the variance constant is
+with Phi the centered solution of L Phi = -c (sigma^2 - int sigma^2 dmu).  For
+the square-root factor Phi' = c / kappa and int y dmu = theta, so the closed
+forms alpha = zeta c theta and q = theta (1 + xi^2/(4 kappa^2) - rho xi / kappa)
+are the values ``heston_large_time_params`` returns; ``large_time_params`` is
+the numeric route through a measure and a Poisson solution, which checks them.
+For integrated functionals the variance constant is
 Qbar = gamma^{-2} int |u_y g|^2 dmu with u the centered solution of
 L u = H - Hbar.
 
@@ -35,7 +37,7 @@ parallel provided reductions keep a fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +48,7 @@ from .invariant import InvariantMeasure, TabulatedRule, integrate
 from .families import family
 from .models import ModelSpec
 from .paths import DiscretePath, require_same_grid
-from .poisson import PoissonSolution, solve_phi_cir
+from .poisson import PoissonSolution
 
 INFINITE_RATE = float("inf")
 
@@ -55,31 +57,18 @@ INFINITE_RATE = float("inf")
 class LargeTimeParams:
     """Drift and variance constants (alpha, q) of the large-time quadratic rate.
 
-    ``q_closed_form`` carries the square-root-factor closed form, set by
-    ``heston_large_time_params``, to cross-check the quadrature value.
+    For the square-root factor they are the closed forms of
+    ``heston_large_time_params``; ``large_time_params`` computes them by the
+    numeric route.
     """
 
     alpha: float
     q: float
-    q_closed_form: float | None = None
 
 
 class QbarResult(NamedTuple):
     value: float
     degenerate: bool
-
-
-def _integrate_with_solution(measure: InvariantMeasure,
-                             solution: PoissonSolution, integrand) -> float:
-    """Integrate an expression involving a Poisson solution against the measure.
-
-    Grid-backed solutions are piecewise linear, so the quadrature segments are
-    aligned with the solve grid; closed-form solutions are smooth and use the
-    measure's own panel rule.
-    """
-    if solution.closed_form is None:
-        return TabulatedRule(measure, solution.grid).integrate(integrand).value
-    return integrate(measure, integrand).value
 
 
 def _forward_diff(path: DiscretePath) -> np.ndarray:
@@ -139,20 +128,19 @@ def large_time_params(model: ModelSpec, measure: InvariantMeasure,
         phi_p = poisson_phi.u_prime(y)
         return s ** 2 + (phi_p * g) ** 2 + 2 * model.rho * s * g * phi_p
 
-    q = _integrate_with_solution(measure, poisson_phi, q_integrand)
+    q = TabulatedRule(measure, poisson_phi.grid).integrate(q_integrand).value
     return LargeTimeParams(alpha=alpha, q=q)
 
 
 def heston_large_time_params(model: ModelSpec, zeta: float = 0.0) -> LargeTimeParams:
-    """Square-root-factor pipeline: Gamma measure + constant-derivative Phi + constants,
-    with q_closed_form (its rho term flips sign under the share measure)."""
-    heston = family(model)
-    kappa, theta, xi = heston.square_root_factor()
-    phi = solve_phi_cir(kappa, theta, drift_coeff=model.x_drift_coeff)
-    lt = large_time_params(model, heston.invariant(), phi, zeta)
+    """Square-root-factor constants in closed form: alpha = zeta c theta and
+    q = theta (1 + xi^2/(4 kappa^2) - rho xi / kappa), whose rho term flips
+    sign under the share measure (c = +1/2)."""
+    kappa, theta, xi = family(model).square_root_factor()
     sign = 1.0 if model.x_drift_coeff < 0 else -1.0
-    return replace(lt, q_closed_form=theta * (1 + xi ** 2 / (4 * kappa ** 2)
-                                              - sign * model.rho * xi / kappa))
+    return LargeTimeParams(alpha=zeta * model.x_drift_coeff * theta,
+                           q=theta * (1 + xi ** 2 / (4 * kappa ** 2)
+                                      - sign * model.rho * xi / kappa))
 
 
 def qbar_integrated(model: ModelSpec, measure: InvariantMeasure,
@@ -169,7 +157,7 @@ def qbar_integrated(model: ModelSpec, measure: InvariantMeasure,
     def integrand(y):
         return (poisson_u.u_prime(y) * model.coefficients(y)[2]) ** 2
 
-    value = _integrate_with_solution(measure, poisson_u, integrand) / gamma ** 2
+    value = TabulatedRule(measure, poisson_u.grid).integrate(integrand).value / gamma ** 2
     return QbarResult(value=value, degenerate=value < 1e-14)
 
 

@@ -19,8 +19,8 @@ from mdpvol import (DomainError, GrowthExponents, LargeTimeParams, LdpHestonPara
                     make_constant_sigma, make_heston, make_power_family, make_stein_stein,
                     mdp_growth_condition, minimize_endpoint, qbar_integrated, rv_lambda_inf,
                     rv_lambda_star, rv_mgf, rv_option_quotes, small_time_rate_1d,
-                    small_time_rate_2d, smalltime_call_exponent, solve_phi_cir,
-                    speed_measure, tail_probability_exponent)
+                    small_time_rate_2d, smalltime_call_exponent, speed_measure,
+                    tail_probability_exponent)
 from mdpvol.errors import BETA_BOUNDS, POSITIVE, bound_violation, nonzero_violation
 
 HESTON = make_heston(2.0, 0.1, 0.5, -0.5, 0.0, 0.1)
@@ -45,7 +45,6 @@ BOUNDED = {
                         ("kappa", "theta")),
     "speed_measure": (speed_measure, dict(kappa=2.0, theta=0.1, xi=0.5, q_g=0.75),
                       ("q_g", "kappa", "theta")),
-    "solve_phi_cir": (solve_phi_cir, dict(kappa=2.0, theta=0.1), ("kappa", "theta")),
     "small_time_rate_2d": (small_time_rate_2d, dict(sigma0=0.3, g0=0.5, rho=-0.5,
                                                     phi=None, psi=None), ("rho",)),
     "contract_two_to_one": (contract_two_to_one, dict(sigma0=0.3, g0=0.5, rho=-0.5,

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mdpvol import (gamma_invariant, generator_residual, integrate,
-                    solve_phi_cir, solve_poisson_cev, speed_measure)
+from mdpvol import (PoissonSolution, gamma_invariant, generator_residual,
+                    integrate, solve_poisson_cev, speed_measure)
 
 KAPPA, THETA, XI = 2.0, 0.1, 0.5
 
@@ -20,22 +20,12 @@ def linear_solution(measure):
 
 
 class TestClosedFormPhi:
-    def test_constant_derivative(self):
-        sol = solve_phi_cir(2.0, THETA)
-        ys = np.linspace(0.01, 2.0, 50)
-        np.testing.assert_allclose(sol.u_prime(ys), -0.25, atol=0)
-
-    def test_half_kappa(self):
-        sol = solve_phi_cir(0.5, THETA)
-        assert sol.u_prime(0.3) == pytest.approx(-1.0, abs=0)
-
-    def test_centered_against_invariant_measure(self, measure):
-        sol = solve_phi_cir(KAPPA, THETA)
-        value, _ = integrate(measure, sol.u)
-        assert abs(value) <= 1e-10
-
     def test_exact_generator_residual(self):
-        sol = solve_phi_cir(KAPPA, THETA)
+        # u = -(y - theta) / (2 kappa) solves L u = (y - theta) / 2 exactly
+        grid = np.geomspace(1e-7, 6.0, 2048)
+        sol = PoissonSolution(grid=grid, u_values=-(grid - THETA) / (2 * KAPPA),
+                              u_prime_values=np.full_like(grid, -0.5 / KAPPA),
+                              centering_residual=0.0)
         res = generator_residual(gamma_invariant(KAPPA, THETA, XI), sol,
                                  lambda y: 0.5 * (y - THETA))
         assert res <= 1e-12
@@ -49,9 +39,8 @@ class TestSpeedMeasureSolver:
 
     def test_half_variance_matches_phi(self, measure):
         sol = solve_poisson_cev(lambda y: 0.5 * y, measure, q_h=1.0)
-        closed = solve_phi_cir(KAPPA, THETA)
         window = np.linspace(0.01, 1.0, 400)
-        gap = np.max(np.abs(sol.u_prime(window) - closed.u_prime(window)))
+        gap = np.max(np.abs(sol.u_prime(window) + 0.5 / KAPPA))
         assert gap <= 1e-4
 
     def test_constant_functional_gives_zero(self, measure):
@@ -72,14 +61,12 @@ class TestSpeedMeasureSolver:
         assert res <= 1e-5
 
     def test_residual_detects_perturbation(self, linear_solution, measure):
-        from mdpvol.poisson import PoissonSolution
-
         grid = linear_solution.grid
         perturbed = PoissonSolution(
             grid=grid,
             u_values=linear_solution.u_values + 0.1 * grid ** 2,
             u_prime_values=linear_solution.u_prime_values + 0.2 * grid,
-            closed_form=None, centering_residual=0.0)
+            centering_residual=0.0)
         mean = integrate(measure, lambda y: y).value
         res = generator_residual(measure, perturbed, lambda y: y - mean)
         # L(0.1 y^2) = 0.2 kappa (theta - y) y + 0.1 xi^2 y; at y = 0.5 this is
@@ -109,12 +96,10 @@ class TestGrowthBehaviour:
         assert slope <= 2.0 - 1.0 + 0.2
 
     def test_zero_solution_zero_residual(self, measure):
-        from mdpvol.poisson import PoissonSolution
-
         grid = np.geomspace(0.01, 1.0, 64)
         zero = PoissonSolution(grid=grid, u_values=np.zeros_like(grid),
                                u_prime_values=np.zeros_like(grid),
-                               closed_form=None, centering_residual=0.0)
+                               centering_residual=0.0)
         res = generator_residual(measure, zero, lambda y: np.zeros_like(y))
         assert res == 0.0
 

@@ -8,10 +8,23 @@ from mdpvol import (INFINITE_RATE, DiscretePath, DomainError,
                     GridMismatchError, contract_two_to_one, endpoint_rate,
                     family, gamma_invariant, heston_large_time_params,
                     large_time_params, make_heston, make_stein_stein,
-                    minimize_endpoint, qbar_integrated, small_time_rate_1d,
-                    small_time_rate_2d, solve_poisson_cev)
+                    minimize_endpoint, qbar_integrated, share_large_time_params,
+                    small_time_rate_1d, small_time_rate_2d, solve_poisson_cev)
 
 Q_REF = 0.1140625  # theta (1 + xi^2/(4 kappa^2) - rho xi / kappa) at the reference set
+
+# (kappa, theta, xi, rho) of the closed-form oracles: the reference set, the
+# five sets of tests/test_digests.py, and two wide laws (A, B)
+ORACLE_SETS = [
+    (2.0, 0.1, 0.5, -0.5),
+    (1.0, 0.04, 0.8, -0.8),
+    (1.5, 0.06, 0.6, -0.3),
+    (2.4, 0.1, 0.5, -0.65),
+    (2.5, 0.15, 0.4, 0.0),
+    (3.0, 0.2, 0.3, -0.5),
+    (0.27, 1.9, 1.45, -0.78),
+    (0.9, 0.044, 0.955, 0.79),
+]
 
 
 def line_path(slope, horizon=1.0, n=128):
@@ -71,8 +84,7 @@ class TestLargeTimeParams:
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         lt = heston_large_time_params(model)
         assert lt.alpha == 0.0
-        assert lt.q == pytest.approx(0.1140625, rel=1e-6)
-        assert lt.q_closed_form == pytest.approx(0.1140625, rel=1e-15)
+        assert lt.q == pytest.approx(0.1140625, rel=1e-15)
 
     def test_alpha_scales_with_zeta(self):
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
@@ -96,6 +108,15 @@ class TestLargeTimeParams:
         phi = solve_poisson_cev(lambda y: 0.5 * y, measure, q_h=1.0)
         lt = large_time_params(model, measure, phi, 0.0)
         assert lt.q == pytest.approx(0.1140625, rel=1e-6)
+
+    @pytest.mark.parametrize("kappa, theta, xi, rho", ORACLE_SETS)
+    def test_closed_form_matches_the_poisson_route(self, kappa, theta, xi, rho):
+        # Phi solves L Phi = (y - theta) / 2, H = y / 2, on the Gamma law
+        model = make_heston(kappa, theta, xi, rho, 0.0, theta)
+        measure = family(model).invariant()
+        phi = solve_poisson_cev(lambda y: 0.5 * y, measure, q_h=1.0)
+        numeric = large_time_params(model, measure, phi, 0.0).q
+        assert numeric == pytest.approx(heston_large_time_params(model).q, rel=1e-8)
 
 
 class TestQbar:
@@ -226,11 +247,19 @@ class TestShareMeasure:
                                    atol=1e-14)
 
     def test_share_q_closed_form(self):
-        from mdpvol import share_large_time_params
-
         model = make_heston(2, 0.1, 0.5, -0.5, 0.0, 0.1)
         lt = share_large_time_params(model)
         kq, tq = 2.25, 0.2 / 2.25
         closed = tq * (1 + 0.25 / (4 * kq ** 2) + (-0.5) * 0.5 / kq)
-        assert lt.q_closed_form == pytest.approx(closed, rel=1e-14)
-        assert lt.q == pytest.approx(closed, rel=1e-6)
+        assert lt.q == pytest.approx(closed, rel=1e-14)
+
+    @pytest.mark.parametrize("kappa, theta, xi, rho", ORACLE_SETS)
+    def test_share_closed_form_matches_the_poisson_route(self, kappa, theta, xi, rho):
+        # under the share measure c = +1/2, so Phi solves L Phi = -(y - theta_q) / 2
+        # on the tilted factor's Gamma law: H = -y / 2
+        model = make_heston(kappa, theta, xi, rho, 0.0, theta)
+        tilted = family(model).share_measure()
+        measure = family(tilted).invariant()
+        phi = solve_poisson_cev(lambda y: -0.5 * y, measure, q_h=1.0)
+        numeric = large_time_params(tilted, measure, phi, 0.0).q
+        assert numeric == pytest.approx(share_large_time_params(model).q, rel=1e-8)

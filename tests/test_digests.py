@@ -48,15 +48,15 @@ DIGESTS = {
         "3-poisson.csv":
             "81da40d7dd573b87a6369c4d51f6c01923440ae89152c4e7ad03e67b75835fe8",
         "4-rate.csv":
-            "c99fef0e44abf632d8a78333819f43296092fe08adeada22a516a0ff54e1d850",
+            "148f69938cbe39b0e03dbd476b6fd10c4a1e576335d42adb38b4a9f3b8c6f0ac",
         "5-ldp.csv":
-            "d98cf4ae2c25038aedc83904e103cc7a3e98b7c22547ec55ca59d5365ee8fbc8",
+            "923ef56b0255892a3440c3d059b09b05358da90c102ce0a89733cdcde12db93a",
         "6-compare.csv":
-            "2ddbc6835cbab3b146411912dce1296f789164d8096425e8c331577b544958a8",
+            "5c7bd41691385a0a8f9562c7db7de918e8298f39c6d16f7443e28b61b729a0ab",
         "6-compare_summary.json":
-            "f27e1d98fb458e2bf9e5b4ea605b1822f75e474b0ed738c11956940901c13618",
+            "00c47e599f4131555c1b09b06d2e54fb1f81bfe316cd9a0df9c28a28afa69543",
         "7-asymptotics.csv":
-            "aec6ddd06a973f0e0184141384aa673c7580e6fbb88645de905848d0596d1d7c",
+            "ed10c74baaff0d3a5aa7664638c46a40f20d6d2957cfe647019a470457b64e69",
     },
     "shape0.5": {
         "0-invariant.csv":
@@ -68,15 +68,15 @@ DIGESTS = {
         "3-poisson.csv":
             "2268c8abeb82598b01b7d573539a8f55fc7d3c6196705dc0edee346bc5a38594",
         "4-rate.csv":
-            "a798f73f1dfec57189741a66834ebe49bdd4959bf752b82b80182a0797ff081f",
+            "97c7791bb1648f6291a8a73e4ac9e5e589658f298404f7b8d7a95bb5c92581cc",
         "5-ldp.csv":
-            "0742d2c8eb7f9fe6a36d238728ebc1bf90c4845fa420907280a7894f2bc9b741",
+            "213af21c1e7816ab7c0ec95d9af5f35be8dbbe2bed9fa302a37bb355dedc2a67",
         "6-compare.csv":
-            "baf3da8ae68845de81cdd91165cd79fa943112d4b38375c13c0c68dfb072b5d5",
+            "cce3cd4faa1cb902f8fab9751eed3541e43e3e1e3aaf026f2f909eb63a001e27",
         "6-compare_summary.json":
-            "a2e9043d0273f6e4dac92b4064f21b8faf6c1caddb5acd70e9b5bdff8975d7fb",
+            "222d0e8455b4c712a519ad0d77ea459c9a1c768d4792dfa64af446fab5714dc9",
         "7-asymptotics.csv":
-            "1ce72083458f479b85bd43289321d69f36d28059d1c64909c5f566f70bdae142",
+            "d7efd9382d4c5c6f5bb66f32df19a5112f589ec5a9444a631117cde41178d0a8",
     },
     "shape1.92": {
         "0-invariant.csv":
@@ -88,15 +88,15 @@ DIGESTS = {
         "3-poisson.csv":
             "a61be7f19258c2a4cd48930b7b6606ed75f405a190c3513a3f701147fe1e66aa",
         "4-rate.csv":
-            "cccaa5988f0187e19845129b69d597bba2f6a54cdbb45be43865bb13f259e11f",
+            "ebbe5278064092e4644f93a1caecc066747d50a7cae7464d4d39547226bffa55",
         "5-ldp.csv":
-            "c06f8656c67b5808cb43564970f7834f601f5dd5493728e26a50a924014a27ff",
+            "6c7e30890ee473b470974405762320302b77c993c19726ade990b4da00842c76",
         "6-compare.csv":
-            "218b6ecf040708b2017b8ccde622579421fe72e42dd6ae94a0e68a0decf01f7a",
+            "6d94b14a6bdd0ac576781a1e03c26c3aeb2ad87e3f4433e12ad5b58e733a3fe4",
         "6-compare_summary.json":
-            "8d6ef53c457f3df8bcb71e3593395912e0fe2b681267ad71983af82df5c41b03",
+            "22c9bf33ed2987813f1dae7dd4bc28d8ef9b6a95431b91fc3ad0fa4c6b8bf15e",
         "7-asymptotics.csv":
-            "e01d76b5cc3e75eac0bf37699e4abe2f91a94524eb5571519d7b252606bcaa7f",
+            "47abe9e0706b4d9454046027a6dcb36a3efdba1c98284a3324ca6d41db0f26f2",
     },
     "shape13.3": {
         "0-invariant.csv":
@@ -108,15 +108,15 @@ DIGESTS = {
         "3-poisson.csv":
             "7cfd43c04dde05df97216b63971e65b3555b736d266eaa1b30d7179a19f9eb99",
         "4-rate.csv":
-            "201cca491cd6167b3ac1a091b2491cd37b72d45565612276d17eb8c57b663308",
+            "d0cbcd8535a12dabb73c8796dce3827cd2fa0ee2b0f5a6b81405bb7c9286699e",
         "5-ldp.csv":
-            "a190ba3e009905259901dde261505b4791f449d63a5274436c00825dc0b58542",
+            "b023a77b8d86b554ca5dc673e2735965bc6b87aa61c0db46c582d02cf4122605",
         "6-compare.csv":
-            "381451f5450cb7e521cf8d3e47017d93caf8f9e8c071ba1153611e6788bf7004",
+            "0981527830c682da76c7296252fa95089e7a5efc8f1cc60e9043b6ee7c39556c",
         "6-compare_summary.json":
-            "3388b02526adf5549b716d70f076af80cc1fbffd561111e03e6dab71605bbe37",
+            "a38e34501ca03e10d4821d38f369da3622879a11e88419147cec774a085406ea",
         "7-asymptotics.csv":
-            "ed5009d7ea35e93ef5457b76c0fd8e9042dccaaf3bdf2c4100e4af5f71f4e04e",
+            "a20dcd92692a71a2d2836106767a26635a0d96f23e0e08ee54be3383ada55aa2",
     },
     "shape4.69": {
         "0-invariant.csv":
@@ -128,15 +128,15 @@ DIGESTS = {
         "3-poisson.csv":
             "a34802c9c5120f5fcccc72e81f29c5248d04adb12575a3c2c1fd8b3dd7cf9703",
         "4-rate.csv":
-            "327acd3c8aedddd1bde27aa9fec09a30df23b0d9901c6967815d6745d3c9816b",
+            "9197d6c6a512ea02c7fe7769d421e495d675f7b167100f4ac90976782a7213ba",
         "5-ldp.csv":
-            "7b07f0b8be7cc06e8fb365314e2bfc0499c823c7468d20f56be8c57005da55ef",
+            "42aece9d3fc154b4d2b5e53bfcefd3abf9720bce346c6e6971f75358b5fce671",
         "6-compare.csv":
-            "cca059a33ff64744688448e25393cbf36b4e2645ce7a2698da6b51b6f7edcf3e",
+            "efd3bdea441de909832d10cfb2eab42041e2b021041086a20beb741fe8563464",
         "6-compare_summary.json":
-            "f0e04b748709cf478f129c939f95909ff6d4e19e36a75b3569b39f95a9d0c99b",
+            "dd03003e8cf9244b494c4166c206f2e2d5a33c663a827475cd9e4785bf5b849c",
         "7-asymptotics.csv":
-            "ff5f0e197cd48ef01e9e6e85975d9da3278642084b4a8551db9e9ab40845e005",
+            "b03389f77ebd05a6b3cd85c2a8bdbe1695a8a460238f361af584bbd231b83c0f",
     },
 }
 

@@ -70,7 +70,12 @@ def nonzero_violation(name, value) -> None:
 
 
 def square_root_factor_violation(kappa, theta, xi) -> None:
-    """The square-root factor's kappa > 0, theta > 0 and xi != 0, in that order."""
+    """The square-root factor's kappa > 0, theta > 0, xi != 0 and a finite Gamma
+    rate 2 kappa / xi^2, in that order; an xi^2 that underflows to 0 raises
+    ZeroDivisionError."""
     bound_violation("kappa", kappa, **POSITIVE)
     bound_violation("theta", theta, **POSITIVE)
     nonzero_violation("xi", xi)
+    if 2 * kappa / xi ** 2 == float("inf"):
+        raise DomainError(f"xi: so small that the Gamma rate 2 kappa / xi^2 overflows, "
+                          f"got {xi}")

@@ -358,6 +358,24 @@ class TestCliRuns:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("experiment, doc", [
+        *((experiment, {"model": {"xi": 1e-160}, "params": {"q_g": q_g}})
+          for experiment in ("invariant", "poisson") for q_g in (0.5, 0.75)),
+        *((experiment, {"model": {"xi": 1e-160}}) for experiment in (
+            "rate", "ldp", "compare", "asymptotics", "mc")),
+    ])
+    def test_xi_whose_gamma_rate_overflows_exit_code(self, tmp_path, capsys, experiment,
+                                                     doc):
+        # xi^2 = 1e-320 is subnormal, not 0, so 2 kappa / xi^2 is inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: xi: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
     @pytest.mark.parametrize("experiment, key", [("mc", "paths"), ("ldp", "n_points")])
     def test_unallocatable_size_exit_code(self, tmp_path, capsys, experiment, key):
         # 2^62 doubles exceed what one array can address, so numpy refuses

@@ -207,3 +207,13 @@ def test_the_nonzero_message(value, message):
 @pytest.mark.parametrize("value", [-1e-300, 0.5, 1e300])
 def test_a_nonzero_value_passes(value):
     assert nonzero_violation("xi", value) is None
+
+
+@pytest.mark.parametrize("function", [
+    "make_heston", "gamma_invariant", "speed_measure", "LdpHestonParams", "RealizedVarLdp"])
+def test_an_xi_whose_gamma_rate_overflows_is_refused(function):
+    # xi^2 = 1e-320 is subnormal and non-zero, and 2 kappa / xi^2 is inf
+    call, kwargs, _ = NONZERO[function]
+    with pytest.raises(DomainError, match="^xi: so small that the Gamma rate "
+                                          "2 kappa / xi\\^2 overflows, got 1e-160$"):
+        call(**{**kwargs, "xi": 1e-160})

@@ -376,6 +376,30 @@ class TestCliRuns:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
+    # wide factor laws, set A and set B, whose constant-Phi quadrature broke
+    # its growth budget
+    WIDE_LAWS = {"A": {"kappa": 0.27, "theta": 1.9, "xi": 1.45, "rho": -0.78, "y0": 1.9},
+                 "B": {"kappa": 0.9, "theta": 0.044, "xi": 0.955, "rho": 0.79, "y0": 0.044}}
+
+    @pytest.mark.parametrize("experiment", ["rate", "ldp", "compare", "asymptotics"])
+    @pytest.mark.parametrize("law", sorted(WIDE_LAWS))
+    def test_wide_law_runs(self, tmp_path, experiment, law):
+        m = self.WIDE_LAWS[law]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": m}))
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        if experiment != "rate":
+            return
+        with open(tmp_path / "rate.csv", newline="") as handle:
+            row = next(csv.DictReader(handle))
+        kappa, theta, xi, rho = m["kappa"], m["theta"], m["xi"], m["rho"]
+        kappa_q = kappa - rho * xi
+        theta_q = kappa * theta / kappa_q
+        assert float(row["q"]) == theta * (1 + xi ** 2 / (4 * kappa ** 2)
+                                           - rho * xi / kappa)
+        assert float(row["q_Q"]) == theta_q * (1 + xi ** 2 / (4 * kappa_q ** 2)
+                                               + rho * xi / kappa_q)
+
     @pytest.mark.parametrize("experiment, key", [("mc", "paths"), ("ldp", "n_points")])
     def test_unallocatable_size_exit_code(self, tmp_path, capsys, experiment, key):
         # 2^62 doubles exceed what one array can address, so numpy refuses

@@ -79,17 +79,15 @@ def largetime_call_exponent(x: float, q_share: float) -> float:
     return -endpoint_rate(q_share, x)
 
 
-def rv_option_quotes(params: RealizedVarLdp, x: float, beta: float,
-                     t: float) -> tuple[float, float]:
+def rv_option_quotes(params: RealizedVarLdp, x: float) -> tuple[float, float]:
     """Realised-variance option quotes (large-deviations, moderate-deviations).
 
     ldp_quote = x - Lambda*(x) at speed t; mdp_quote = -J_V(x) =
     -kappa^2 x^2 / (2 xi^2 theta) at speed t^{2 beta}, after removal of the
-    x t^{1/2 - beta} drift term.  Both require x > 0.
+    x t^{1/2 - beta} drift term.  Both require x > 0; neither depends on
+    beta or t, which set only the speeds.
     """
     bound_violation("x", x, **POSITIVE)
-    bound_violation("beta", beta, **BETA_BOUNDS)
-    bound_violation("t", t, **POSITIVE)
     return x - rv_lambda_star(params, x), rv_mdp_exponent(params, x)
 
 
@@ -109,7 +107,7 @@ def quote_catalog(model: ModelSpec, lt: LargeTimeParams, q_share: float,
         AsymptoticQuote("large_time_call", largetime_call_exponent(abs(x), q_share),
                         abs(x), "t^(2*beta)"),
     ]
-    ldp_quote, mdp_quote = rv_option_quotes(rv, x_rv, beta, t)
+    ldp_quote, mdp_quote = rv_option_quotes(rv, x_rv)
     x_tail = abs(x) + abs(model.x0) + 0.2
     return quotes + [
         AsymptoticQuote("rv_option_ldp", ldp_quote, x_rv, "t"),

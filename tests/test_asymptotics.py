@@ -99,25 +99,25 @@ def params():
 
 class TestRvOptionQuotes:
     def test_at_ergodic_mean(self, params):
-        ldp_quote, _ = rv_option_quotes(params, 0.1, 0.25, 100.0)
+        ldp_quote, _ = rv_option_quotes(params, 0.1)
         assert ldp_quote == pytest.approx(0.1, rel=1e-12)
 
     def test_reference_values(self, params):
-        ldp_quote, mdp_quote = rv_option_quotes(params, 0.2, 0.25, 100.0)
+        ldp_quote, mdp_quote = rv_option_quotes(params, 0.2)
         assert ldp_quote == pytest.approx(-0.2, rel=1e-12)
-        ldp_small, mdp_small = rv_option_quotes(params, 0.05, 0.25, 100.0)
+        ldp_small, mdp_small = rv_option_quotes(params, 0.05)
         assert mdp_small == pytest.approx(-0.2, rel=1e-12)
 
     def test_positive_strike_required(self, params):
         with pytest.raises(DomainError):
-            rv_option_quotes(params, 0.0, 0.25, 100.0)
+            rv_option_quotes(params, 0.0)
 
     def test_curvature_consistency_identity(self, params):
         # J_V(x) equals the second-order expansion of the rate at its minimum:
         # both sides are kappa^2 x^2 / (2 xi^2 theta)
         curv = curvature(lambda z: rv_lambda_star(params, z), params.theta)
         for x in (0.01, 0.05, 0.12):
-            _, mdp_quote = rv_option_quotes(params, x, 0.25, 10.0)
+            _, mdp_quote = rv_option_quotes(params, x)
             taylor = rv_lambda_star(params, params.theta) + 0.5 * curv * x ** 2
             assert -mdp_quote == pytest.approx(taylor, rel=1e-9)
 

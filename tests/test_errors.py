@@ -69,8 +69,7 @@ BOUNDED = {
     "largetime_put_quote": (largetime_put_quote, dict(params=LargeTimeParams(0.0, 0.1),
                                                       x=-0.1, beta=0.25, t=1.0),
                             ("beta", "t")),
-    "rv_option_quotes": (rv_option_quotes, dict(params=RV, x=0.05, beta=0.25, t=1.0),
-                         ("x", "beta", "t")),
+    "rv_option_quotes": (rv_option_quotes, dict(params=RV, x=0.05), ("x",)),
     "tail_probability_exponent": (tail_probability_exponent, dict(model=HESTON, x=0.2,
                                                                   t=1.0), ("x", "t")),
     "SimConfig": (SimConfig, dict(n_paths=100, n_steps=2, t_end=0.01), ("t_end",)),

@@ -10,11 +10,13 @@ module-level function, class and constant of every module) has a consumer
 in the package, every public class member (protocol dunders such as
 ``__iter__`` included) is read as an attribute outside its class's own
 constructor, and one whose name an array, dict, list or str has too names
-the functions that read it, every defaulted parameter of a module-level function is passed
-by some call, and every parameter of every function is read by its body,
-each or else has a stated reason to stay.  No module writes a range check
-by hand: each goes through ``errors.bound_violation``.  No module imports
-another module's leading-underscore name.
+the functions that read it, every defaulted parameter of a module-level
+function is passed by some call, and every parameter of every function is
+read by its body other than as an argument of a range or non-zero check (a
+validator's own parameters aside), each or else has a stated reason to
+stay.  No module writes a range check by hand: each goes through
+``errors.bound_violation``.  No module imports another module's
+leading-underscore name.
 """
 
 import ast
@@ -332,15 +334,32 @@ def _functions(node: ast.AST, prefix: str = ""):
             yield from _functions(child, prefix)
 
 
+# the range and non-zero checks, and the validators whose job is to call them
+_CHECKS = ("bound_violation", "nonzero_violation")
+_VALIDATORS = ("rates._check_small_time",)
+
+
+def _checked_names(function: ast.AST) -> set[int]:
+    """Ids of the names a function passes as a positional argument to a check."""
+    return {id(arg) for node in ast.walk(function) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in _CHECKS
+            for arg in node.args if isinstance(arg, ast.Name)}
+
+
 def test_every_parameter_is_read_or_has_a_reason():
     unread = set()
-    for tree in _modules().values():
+    for module, tree in _modules().items():
         for name, function in _functions(tree):
             args = function.args
             params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
             params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            # a parameter only range-checked is not used, but in a validator
+            validator = (f"{module[:-3]}.{name}" in _VALIDATORS
+                         or (module == "errors.py" and name.endswith("_violation")))
+            checked = set() if validator else _checked_names(function)
             read = {node.id for statement in function.body for node in ast.walk(statement)
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in checked}
             unread |= {f"{name}.{param}" for param in params
                        if param not in read and param not in ("self", "cls")
                        and not param.startswith("_")}
